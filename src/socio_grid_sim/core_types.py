@@ -344,18 +344,29 @@ class Scenario:
         return errors
 
     def content_digest(self) -> str:
-        """Stable sha256 over the resolved scenario content, for manifests."""
-        doc = {
+        """Stable sha256 over the resolved scenario content, for manifests.
+
+        The hashed bytes are the canonical JSON document (sorted keys, no
+        spaces) of every field. ``base_weights`` sorts first, so its rows are
+        encoded and hashed one at a time and the N x N list of Python floats
+        is never built.
+        """
+        rest = {
             "label": self.label,
             "params": self.params.as_dict(),
             "groups": self.network.group_of.tolist(),
-            "base_weights": self.network.base_weights.tolist(),
             "electricity": [s.breakpoints for s in self.electricity],
             "media_access": [s.breakpoints for s in self.media_access],
             "initial_dissatisfaction": self.initial_dissatisfaction.tolist(),
         }
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(b'{"base_weights":[')
+        for idx, row in enumerate(self.network.base_weights):
+            if idx:
+                digest.update(b",")
+            digest.update(json.dumps(row.tolist(), separators=(",", ":")).encode("utf-8"))
+        tail = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+        digest.update(b"]," + tail[1:].encode("utf-8"))
+        return "sha256:" + digest.hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scenario):

@@ -14,6 +14,7 @@ and the engine counts how often it fires (it never should for valid inputs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -208,15 +209,100 @@ def normalized_contagion_weights(network: ContagionNetwork, access: Sequence[flo
 def _sample_schedules(
     schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
 ) -> np.ndarray:
-    """Sample per-agent schedules on the step grid; identical objects sampled once."""
-    cache: dict[int, np.ndarray] = {}
+    """Sample per-agent schedules on the step grid; equal schedules sampled once."""
+    cache: dict[PiecewiseSchedule, np.ndarray] = {}
     columns = []
     for sched in schedules:
-        key = id(sched)
-        if key not in cache:
-            cache[key] = sched.sample(dt, n_steps)
-        columns.append(cache[key])
+        if sched not in cache:
+            cache[sched] = sched.sample(dt, n_steps)
+        columns.append(cache[sched])
     return np.column_stack(columns) if columns else np.zeros((n_steps, 0))
+
+
+def _contagion_operator(network: ContagionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Base weights and reciprocal row sums for the kernel (0 for empty rows).
+
+    A row whose sum overflows is scaled (in a copy) by a power of two that
+    brings its sum below 1. The scaling is exact and cancels in the contagion
+    ratio, so huge weights act like any other multiple of the same row. Rows
+    with a finite sum are used as they are, without a copy.
+    """
+    alpha = network.base_weights
+    with np.errstate(over="ignore"):
+        row_sum = alpha.sum(axis=1)
+    overflow = ~np.isfinite(row_sum)
+    if overflow.any():
+        # Scaled entries lie below 1 / N, so each scaled row sums to less than 1.
+        exponent = np.frexp(alpha[overflow].max(axis=1))[1] + math.ceil(math.log2(network.n_agents))
+        alpha = alpha.copy()
+        alpha[overflow] *= np.ldexp(1.0, -exponent)[:, None]
+        row_sum = alpha.sum(axis=1)
+    inv_row = np.zeros(network.n_agents)
+    np.divide(1.0, row_sum, out=inv_row, where=row_sum > 0.0)
+    return alpha, inv_row
+
+
+def _euler(
+    alpha: np.ndarray,
+    inv_row: np.ndarray,
+    access: np.ndarray,
+    pull: np.ndarray,
+    d0: np.ndarray,
+    params: ModelParams,
+    pull_index: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a (B, N) block of states together on the shared step grid.
+
+    ``access`` is the (steps, N) media-access grid shared by every row.
+    ``pull`` is the deprivation term omega1 * (1 - E): a (steps, N) grid
+    shared by every row, or (steps, K) columns that ``pull_index`` (B, N)
+    picks per row. Returns the (B, reports + 1, N) trajectories recorded at
+    t = 0 and every ``steps_per_report`` steps, and each row's clamp count.
+
+    The state is a (B, N, 1) stack, so the contagion sum is one matrix-vector
+    product per row: the same call, and the same rounding, as the 1-D
+    ``alpha @ x``. Every row is therefore bit-identical for any B.
+    """
+    b, n = d0.shape
+    dt = params.dt_hours
+    spr = params.steps_per_report
+    floor = params.rate_floor
+    omega2 = params.omega2
+    has_contagion = omega2 > 0.0
+    # Shared rows carry a leading axis of 1, so at B = 1 nothing broadcasts.
+    access = access[:, None, :, None]
+    inv_row = inv_row[None, :, None]
+    if pull_index is None:
+        pull = pull[:, None, :, None]
+    else:
+        pull_index = pull_index[:, :, None]
+
+    d = np.array(d0, dtype=float)[:, :, None]
+    recorded = np.empty((b, params.n_steps // spr + 1, n, 1))
+    recorded[:, 0] = d
+    clamp_hits = np.zeros(b, dtype=int)
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+
+    for k in range(params.n_steps):
+        local_pull = pull[k] if pull_index is None else pull[k][pull_index]
+        if has_contagion:
+            i_t = access[k]
+            # (gamma @ d) / row_sum with gamma = alpha * outer(i, i), factored so the
+            # attenuated matrix is never materialized: i * (alpha @ (i * d)) / row_sum.
+            pull_ratio = i_t * (alpha @ (i_t * d)) * inv_row
+            rate = np.maximum(pull_ratio, floor) if floor > 0.0 else pull_ratio
+            target = local_pull + omega2 * pull_ratio
+        else:
+            rate = floor
+            target = local_pull
+        d = d + rate * (target - d) * dt
+        flat = d.ravel()
+        if lowest(flat) < 0.0 or highest(flat) > 1.0:
+            clamp_hits += ((d < 0.0) | (d > 1.0)).any(axis=(1, 2))
+            np.clip(d, 0.0, 1.0, out=d)
+        if (k + 1) % spr == 0:
+            recorded[:, (k + 1) // spr] = d
+    return recorded[..., 0], clamp_hits
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -232,52 +318,20 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
     params = scenario.params
     net = scenario.network
-    n = net.n_agents
     dt = params.dt_hours
     n_steps = params.n_steps
-    spr = params.steps_per_report
 
-    e_grid = _sample_schedules(scenario.electricity, dt, n_steps)
-    i_grid = _sample_schedules(scenario.media_access, dt, n_steps)
-    # Deprivation part of the target, precomputed for every step.
-    local_pull = params.omega1 * (1.0 - e_grid)
-
-    alpha = net.base_weights
-    row_sum = alpha.sum(axis=1)
-    inv_row = np.zeros(n)
-    np.divide(1.0, row_sum, out=inv_row, where=row_sum > 0.0)
-
-    d = AgentState(scenario.initial_dissatisfaction).dissatisfaction.copy()
-    floor = params.rate_floor
-    omega2 = params.omega2
-    has_contagion = omega2 > 0.0
-    floor_vec = np.full(n, floor)
-
-    n_reports = n_steps // spr
-    times = np.arange(n_reports + 1) * params.report_every_hours
-    recorded = np.empty((n_reports + 1, n))
-    recorded[0] = d
-    clamp_hits = 0
-
-    for k in range(n_steps):
-        i_t = i_grid[k]
-        # (gamma @ d) / row_sum with gamma = alpha * outer(i, i), factored so the
-        # attenuated matrix is never materialized: i * (alpha @ (i * d)) / row_sum.
-        pull_ratio = i_t * (alpha @ (i_t * d)) * inv_row
-        if has_contagion:
-            rate = np.maximum(pull_ratio, floor) if floor > 0.0 else pull_ratio
-            g = omega2 * pull_ratio
-        else:
-            rate = floor_vec
-            g = 0.0
-        target = local_pull[k] + g
-        d = d + rate * (target - d) * dt
-        if d.min() < 0.0 or d.max() > 1.0:
-            clamp_hits += 1
-            np.clip(d, 0.0, 1.0, out=d)
-        if (k + 1) % spr == 0:
-            recorded[(k + 1) // spr] = d
-
+    alpha, inv_row = _contagion_operator(net)
+    recorded, clamp_hits = _euler(
+        alpha,
+        inv_row,
+        _sample_schedules(scenario.media_access, dt, n_steps),
+        params.omega1 * (1.0 - _sample_schedules(scenario.electricity, dt, n_steps)),
+        AgentState(scenario.initial_dissatisfaction).dissatisfaction[None, :],
+        params,
+    )
+    recorded = recorded[0]
+    times = np.arange(recorded.shape[0]) * params.report_every_hours
     rows = aggregate_trajectory(times, recorded, net.group_of)
 
     manifest = {
@@ -285,14 +339,14 @@ def simulate(scenario: Scenario) -> SimulationResult:
         "tool_version": __version__,
         "label": scenario.label,
         "params": params.as_dict(),
-        "n_agents": n,
+        "n_agents": net.n_agents,
         "n_groups": net.n_groups,
         "groups": net.group_of.tolist(),
         "scenario_digest": scenario.content_digest(),
         "aggregation_std": "population",
-        "rate_floor_active": floor > 0.0,
-        "clamp_activations": clamp_hits,
-        "n_report_times": n_reports + 1,
+        "rate_floor_active": params.rate_floor > 0.0,
+        "clamp_activations": int(clamp_hits[0]),
+        "n_report_times": recorded.shape[0],
     }
     return SimulationResult(
         times=times,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core_types import PiecewiseSchedule, Scenario, ValidationError
-from .dynamics import simulate
+from .dynamics import _contagion_operator, _euler, _sample_schedules, simulate
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -149,7 +149,7 @@ def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
     for slot in plan.slots:
         by_group.setdefault(slot.group, []).append(slot)
     # Agents in the same group with the same base schedule share the merged one.
-    cache: dict[tuple[int, int], PiecewiseSchedule] = {}
+    cache: dict[tuple[int, PiecewiseSchedule], PiecewiseSchedule] = {}
     merged: list[PiecewiseSchedule] = []
     for agent, sched in enumerate(base.electricity):
         group = int(base.network.group_of[agent])
@@ -157,7 +157,7 @@ def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
         if not slots:
             merged.append(sched)
             continue
-        key = (group, id(sched))
+        key = (group, sched)
         if key not in cache:
             cache[key] = _shed_schedule(sched, slots)
         merged.append(cache[key])
@@ -198,8 +198,42 @@ def evaluate_plan(plan: SheddingPlan, base: Scenario, fairness_weight: float = 1
     return _objective(base, plan, fairness_weight)
 
 
+# Candidates scored together hold about this many floats of state and recorded
+# trajectory (512 KB), which keeps one block's working set to a few MB.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _block_objectives(
+    recorded: np.ndarray, members: Sequence[np.ndarray], fairness_weight: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak, unfairness and combined objective of each (T, N) trajectory in a block.
+
+    Every reduction runs over the same axis layout as the single-plan
+    objective in :func:`_objective`, so each row's values equal it bit for bit.
+    """
+    peak = recorded.mean(axis=2).max(axis=1)
+    by_agent = recorded.transpose(0, 2, 1)
+    time_means = np.column_stack(
+        [
+            # (B, T, n_g) with each row laid out like d[:, groups == g]
+            np.ascontiguousarray(
+                np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2)
+            ).mean(axis=1)
+            for group in members
+        ]
+    )
+    unfairness = time_means.max(axis=1) - time_means.min(axis=1)
+    return peak, unfairness, peak + fairness_weight * unfairness
+
+
 class _LatticeSearch:
-    """Shared state for searches over the (group, slot) shedding lattice."""
+    """Shared state for searches over the (group, slot) shedding lattice.
+
+    Candidates are scored in blocks by the simulation kernel directly: no
+    candidate builds a shed ``Scenario`` or a ``SimulationResult``. Each
+    agent's deprivation column is sampled once per (base schedule, slot
+    profile of its group) and gathered per candidate.
+    """
 
     def __init__(
         self,
@@ -240,6 +274,24 @@ class _LatticeSearch:
         self.max_energy = max(self.levels) * sum(self.cell_energy)
         self._memo: dict[tuple[float, ...], PlanObjective] = {}
 
+        # Every candidate is a sub-plan of the all-top-level plan, at levels
+        # already checked to lie in [0, 1], so this one check covers them all.
+        errors = validate_plan(self.plan_for([max(self.levels)] * len(self.cells)), base)
+        if errors:
+            raise ValidationError(errors)
+
+        params = base.params
+        self._members = [base.network.members(g) for g in range(self.n_groups)]
+        self._alpha, self._inv_row = _contagion_operator(base.network)
+        self._access = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
+        # One block holds each row's state plus its recorded report times.
+        report_times = params.n_steps // params.steps_per_report + 1
+        self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (report_times + 1)))
+        self._column_ids: dict[tuple[PiecewiseSchedule, tuple[float, ...]], int] = {}
+        self._columns: list[np.ndarray] = []
+        self._pull = np.zeros((params.n_steps, 0))
+        self._profile_ids: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
+
     def plan_for(self, assignment: Sequence[float]) -> SheddingPlan:
         slots = tuple(
             SheddingSlot(
@@ -259,40 +311,102 @@ class _LatticeSearch:
     def feasible(self, assignment: Sequence[float]) -> bool:
         return self.energy_of(assignment) + 1e-9 >= self.required
 
+    def _profile_columns(self, group: int, profile: tuple[float, ...]) -> np.ndarray:
+        """Ids of the group members' deprivation columns while its slots take ``profile``.
+
+        A column holds what ``simulate`` would sample after :func:`apply_plan`:
+        the same ``_shed_schedule`` overlay, or the base schedule when the
+        profile sheds nothing.
+        """
+        key = (group, profile)
+        if key not in self._profile_ids:
+            params = self.base.params
+            slots = [
+                SheddingSlot(group, s * self.granularity, self.granularity, level)
+                for s, level in enumerate(profile)
+                if level > 0.0
+            ]
+            ids = []
+            for agent in self._members[group]:
+                sched = self.base.electricity[agent]
+                column = (sched, profile)
+                if column not in self._column_ids:
+                    shed = _shed_schedule(sched, slots) if slots else sched
+                    self._column_ids[column] = len(self._columns)
+                    sampled = shed.sample(params.dt_hours, params.n_steps)
+                    self._columns.append(params.omega1 * (1.0 - sampled))
+                ids.append(self._column_ids[column])
+            self._profile_ids[key] = np.array(ids, dtype=np.intp)
+        return self._profile_ids[key]
+
+    def _score_block(self, block: Sequence[tuple[float, ...]]) -> None:
+        base = self.base
+        n_slots = self.n_slots
+        pull_index = np.empty((len(block), base.n_agents), dtype=np.intp)
+        for g, members in enumerate(self._members):
+            pull_index[:, members] = [
+                self._profile_columns(g, assignment[g * n_slots : (g + 1) * n_slots])
+                for assignment in block
+            ]
+        if self._pull.shape[1] != len(self._columns):
+            self._pull = np.column_stack(self._columns)
+        d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
+        recorded, _ = _euler(
+            self._alpha, self._inv_row, self._access, self._pull, d0, base.params, pull_index
+        )
+        scores = _block_objectives(recorded, self._members, self.fairness_weight)
+        for assignment, peak, unfairness, combined in zip(block, *(a.tolist() for a in scores)):
+            self._memo[assignment] = PlanObjective(
+                peak_mean_dissatisfaction=peak,
+                unfairness=unfairness,
+                fairness_weight=self.fairness_weight,
+                combined=combined,
+            )
+
+    def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
+        """Score every assignment not yet memoised, in blocks."""
+        pending = list(dict.fromkeys(a for a in assignments if a not in self._memo))
+        for start in range(0, len(pending), self._block):
+            self._score_block(pending[start : start + self._block])
+
     def score(self, assignment: Sequence[float]) -> PlanObjective:
         key = tuple(assignment)
-        if key not in self._memo:
-            self._memo[key] = _objective(self.base, self.plan_for(key), self.fairness_weight)
+        self.score_all([key])
         return self._memo[key]
 
     def exhaustive(self) -> tuple[float, ...]:
+        feasible = (
+            a for a in itertools.product(self.levels, repeat=len(self.cells)) if self.feasible(a)
+        )
         best_key = None
-        best: tuple[float, ...] | None = None
-        for assignment in itertools.product(self.levels, repeat=len(self.cells)):
-            if not self.feasible(assignment):
-                continue
-            key = (self.score(assignment).combined, assignment)
-            if best_key is None or key < best_key:
-                best_key, best = key, assignment
-        assert best is not None  # feasibility is pre-checked against max_energy
-        return best
+        while block := list(itertools.islice(feasible, self._block)):
+            self.score_all(block)
+            for assignment in block:
+                key = (self._memo[assignment].combined, assignment)
+                if best_key is None or key < best_key:
+                    best_key = key
+        assert best_key is not None  # feasibility is pre-checked against max_energy
+        return best_key[1]
 
     def greedy_pass(self, rng: random.Random | None, shortlist: int = 3) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.
 
         With an rng, each move is drawn from the ``shortlist`` best candidates
         instead of always the single best; that is the restart randomization.
+        All moves of one step are scored together, in blocks.
         """
         assignment = [0.0] * len(self.cells)
         while not self.feasible(assignment):
-            candidates = []
+            moves = []
             for idx, current in enumerate(assignment):
                 for level in self.levels:
                     if level <= current:
                         continue
                     trial = list(assignment)
                     trial[idx] = level
-                    candidates.append((self.score(trial).combined, tuple(trial), idx, level))
+                    moves.append((tuple(trial), idx, level))
+            self.score_all([trial for trial, _, _ in moves])
+            candidates = [(self._memo[t].combined, t, idx, level) for t, idx, level in moves]
             candidates.sort(key=lambda c: (c[0], c[1]))
             chosen = candidates[0] if rng is None else rng.choice(candidates[:shortlist])
             assignment[chosen[2]] = chosen[3]

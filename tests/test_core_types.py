@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,26 @@ class TestScenario:
         assert a.content_digest() == b.content_digest()
         c = self._scenario(initial_dissatisfaction=np.full(3, 0.25))
         assert a.content_digest() != c.content_digest()
+
+    def test_content_digest_hashes_the_canonical_document(self):
+        rng = np.random.default_rng(4)
+        weights = rng.uniform(0.0, 2.0, size=(4, 4))
+        np.fill_diagonal(weights, 0.0)
+        scenario = self._scenario(
+            n=4,
+            network=ContagionNetwork(4, weights, [0, 0, 1, 1]),
+            electricity=(PiecewiseSchedule(((0.0, 1.0), (0.5, 0.25)), 2.0),) * 4,
+            initial_dissatisfaction=rng.uniform(0.0, 1.0, size=4),
+            label="d\u00e9mo \"quoted\"",
+        )
+        doc = {
+            "label": scenario.label,
+            "params": scenario.params.as_dict(),
+            "groups": [0, 0, 1, 1],
+            "base_weights": weights.tolist(),
+            "electricity": [s.breakpoints for s in scenario.electricity],
+            "media_access": [s.breakpoints for s in scenario.media_access],
+            "initial_dissatisfaction": scenario.initial_dissatisfaction.tolist(),
+        }
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert scenario.content_digest() == "sha256:" + hashlib.sha256(payload).hexdigest()

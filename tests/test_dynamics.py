@@ -238,6 +238,53 @@ class TestSimulate:
         assert np.array_equal(a.dissatisfaction, b.dissatisfaction)
         assert a.manifest == b.manifest
 
+    def test_huge_weights_keep_contagion(self):
+        # Row sums of 1e308 weights overflow to inf; the run must still match
+        # the unit-weight run instead of freezing with contagion switched off.
+        horizon = 24.0
+        groups = [0, 0, 0, 0, 1, 1, 1]
+        electricity = PiecewiseSchedule(((0.0, 1.0), (6.0, 0.4), (12.0, 1.0)), horizon)
+
+        def run(weight: float):
+            return simulate(
+                Scenario(
+                    params=ModelParams(horizon_hours=horizon, rate_floor=0.01),
+                    network=ContagionNetwork.full_within_groups(groups, weight),
+                    electricity=(electricity,) * 7,
+                    media_access=tuple(PiecewiseSchedule.constant(a, horizon) for a in np.linspace(0.4, 1.0, 7)),
+                    initial_dissatisfaction=np.linspace(0.1, 0.9, 7),
+                    label="overflow",
+                )
+            )
+
+        huge = run(1e308)
+        unit = run(1.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(ContagionNetwork.full_within_groups(groups, 1e308).base_weights.sum(axis=1)).all()
+        assert np.max(np.abs(huge.dissatisfaction - unit.dissatisfaction)) <= 1e-9
+        assert huge.manifest["clamp_activations"] == 0
+
+    def test_equal_schedules_sampled_once(self, monkeypatch):
+        calls = []
+        original = PiecewiseSchedule.sample
+
+        def counting(self, dt, n_steps):
+            calls.append(self)
+            return original(self, dt, n_steps)
+
+        monkeypatch.setattr(PiecewiseSchedule, "sample", counting)
+        horizon = 6.0
+        # Distinct but equal objects, as a per_agent schedule block builds them.
+        scenario = Scenario(
+            params=ModelParams(horizon_hours=horizon),
+            network=ContagionNetwork.full_within_groups([0, 0, 0, 1, 1, 1], 1.0),
+            electricity=tuple(PiecewiseSchedule(((0.0, 1.0), (2.0, 0.5)), horizon) for _ in range(6)),
+            media_access=tuple(PiecewiseSchedule.constant(0.5 + 0.5 * (n % 2), horizon) for n in range(6)),
+            initial_dissatisfaction=np.full(6, 0.5),
+        )
+        simulate(scenario)
+        assert len(calls) == 3
+
     def test_euler_consistency_dt_halving(self):
         scenario = homogeneous_scenario(electricity=0.25, d0=0.8, horizon=24.0)
         coarse = simulate(scenario)
@@ -307,3 +354,26 @@ class TestFeatureModel:
         target = compute_target(elec, snapshot.social_term, 0.5)
         via_target = np.clip(d + (target - d) * 0.5, 0.0, 1.0)
         assert np.allclose(via_feature, via_target, atol=1e-12)
+
+
+class TestBatchedKernel:
+    def test_rows_match_single_runs_for_any_block(self):
+        from socio_grid_sim.dynamics import _contagion_operator, _euler, _sample_schedules
+
+        from oracles import random_scenario
+
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            scenario = random_scenario(rng, max_agents=40, max_horizon=24.0, rate_floor=0.02)
+            params = scenario.params
+            n = scenario.n_agents
+            alpha, inv_row = _contagion_operator(scenario.network)
+            access = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
+            pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
+            index = rng.integers(0, 3 * n, size=(int(rng.integers(2, 60)), n))
+            d0 = rng.uniform(0.0, 1.0, size=index.shape)
+            block, hits = _euler(alpha, inv_row, access, pull, d0, params, index)
+            assert hits.tolist() == [0] * index.shape[0]
+            for row in range(index.shape[0]):
+                single, _ = _euler(alpha, inv_row, access, pull[:, index[row]], d0[row : row + 1], params)
+                assert np.array_equal(block[row], single[0])

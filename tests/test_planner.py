@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from socio_grid_sim import (
     plan_to_dict,
     simulate,
 )
+from socio_grid_sim import planner
+from socio_grid_sim.planner import _LatticeSearch
 
 from oracles import brute_force_plan_search, symmetric_planner_base
 
@@ -238,6 +243,162 @@ class TestPlanShedding:
             plan_shedding(base, 1.0, 1.0, [0.0, 1.5])
         with pytest.raises(ValidationError, match="strategy"):
             plan_shedding(base, 1.0, 1.0, [0.0, 0.5], strategy="anneal")
+
+
+def coupled_base(seed: int = 0, omega2: float = 0.4, rate_floor: float = 0.02) -> Scenario:
+    """4 groups of 6 with cross-group weights, uneven base electricity and
+    media access below 1."""
+    rng = np.random.default_rng(seed)
+    horizon = 12.0
+    groups = np.repeat(np.arange(4), 6)
+    n = groups.size
+    same = groups[:, None] == groups[None, :]
+    weights = np.where(
+        same,
+        rng.uniform(0.5, 1.5, size=(n, n)),
+        rng.uniform(0.05, 0.5, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.3),
+    )
+    np.fill_diagonal(weights, 0.0)
+    # Two base schedules per group, with breakpoints off the slot grid and
+    # levels low enough that a 0.5 shed floors at zero.
+    base_schedules = [
+        PiecewiseSchedule(((0.0, 1.0), (2.5, float(low)), (7.0, 0.9)), horizon)
+        for low in rng.uniform(0.3, 0.8, size=8)
+    ]
+    electricity = tuple(base_schedules[2 * g + (i % 2)] for i, g in enumerate(groups))
+    media = tuple(PiecewiseSchedule.constant(float(a), horizon) for a in rng.uniform(0.5, 1.0, size=n))
+    return Scenario(
+        params=ModelParams(horizon_hours=horizon, omega1=0.5, omega2=omega2, rate_floor=rate_floor),
+        network=ContagionNetwork(n, weights, groups),
+        electricity=electricity,
+        media_access=media,
+        initial_dissatisfaction=rng.uniform(0.3, 0.7, size=n),
+        label="coupled",
+    )
+
+
+def reference_greedy(base, required, granularity, levels, seed, restarts, fairness_weight=1.0):
+    """Greedy restarts written out plainly, one evaluate_plan per distinct candidate."""
+    n_slots = round(base.params.horizon_hours / granularity)
+    sizes = base.network.group_sizes
+    levels = sorted(set(levels) | {0.0})
+    cells = [(g, s) for g in range(base.network.n_groups) for s in range(n_slots)]
+    memo = {}
+
+    def score(assignment):
+        if assignment not in memo:
+            plan = SheddingPlan(
+                slots=tuple(
+                    SheddingSlot(g, s * granularity, granularity, level)
+                    for (g, s), level in zip(cells, assignment)
+                    if level > 0.0
+                ),
+                granularity_hours=granularity,
+            )
+            memo[assignment] = (plan, evaluate_plan(plan, base, fairness_weight))
+        return memo[assignment]
+
+    def feasible(assignment):
+        energy = sum(level * (granularity * float(sizes[g])) for (g, _), level in zip(cells, assignment))
+        return energy + 1e-9 >= required
+
+    def one_pass(rng):
+        assignment = [0.0] * len(cells)
+        while not feasible(assignment):
+            moves = []
+            for idx, current in enumerate(assignment):
+                for level in levels:
+                    if level > current:
+                        trial = tuple(assignment[:idx]) + (level,) + tuple(assignment[idx + 1 :])
+                        moves.append((score(trial)[1].combined, trial, idx, level))
+            moves.sort(key=lambda m: (m[0], m[1]))
+            chosen = moves[0] if rng is None else rng.choice(moves[:3])
+            assignment[chosen[2]] = chosen[3]
+        return tuple(assignment)
+
+    rng = random.Random(seed)
+    passes = [one_pass(None)] + [one_pass(rng) for _ in range(restarts)]
+    return score(min(passes, key=lambda a: (score(a)[1].combined, a)))
+
+
+class TestBatchedScoring:
+    """The planner scores candidates in blocks through the simulation kernel;
+    every score must equal evaluate_plan (simulate on the shed scenario)."""
+
+    def test_every_c6_candidate_matches_evaluate_plan(self):
+        base = symmetric_planner_base(horizon=12.0)
+        search = _LatticeSearch(base, 9.0, 3.0, [0.0, 0.5], 1.0)
+        candidates = [
+            a for a in itertools.product(search.levels, repeat=len(search.cells)) if search.feasible(a)
+        ]
+        assert len(candidates) == 4083
+        search.score_all(candidates)
+        for assignment in candidates:
+            assert search.score(assignment) == evaluate_plan(search.plan_for(assignment), base), assignment
+
+    @pytest.mark.parametrize("omega2, rate_floor", [(0.4, 0.02), (0.0, 0.05)])
+    def test_coupled_candidates_match_evaluate_plan(self, omega2, rate_floor):
+        base = coupled_base(seed=3, omega2=omega2, rate_floor=rate_floor)
+        search = _LatticeSearch(base, 0.0, 4.0, [0.0, 0.25, 0.5], 1.5)
+        rng = np.random.default_rng(8)
+        candidates = [tuple(rng.choice(search.levels, size=len(search.cells)).tolist()) for _ in range(150)]
+        search.score_all(candidates)
+        for assignment in candidates:
+            expected = evaluate_plan(search.plan_for(assignment), base, 1.5)
+            assert search.score(assignment) == expected, assignment
+
+    def test_single_report_wide_groups_match_evaluate_plan(self):
+        # One report time and groups of 10: the group means then reduce over
+        # a contiguous axis, the layout case that differs from the others.
+        horizon = 4.0
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon, report_every_hours=8.0),
+            network=ContagionNetwork.full_within_groups([0] * 10 + [1] * 10, 1.0),
+            electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 20,
+            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 20,
+            initial_dissatisfaction=np.random.default_rng(13).uniform(0.0, 1.0, size=20),
+        )
+        search = _LatticeSearch(base, 0.0, 2.0, [0.0, 0.5], 1.0)
+        candidates = list(itertools.product(search.levels, repeat=len(search.cells)))
+        search.score_all(candidates)
+        for assignment in candidates:
+            assert search.score(assignment) == evaluate_plan(search.plan_for(assignment), base)
+
+    def test_block_size_does_not_change_scores(self):
+        base = coupled_base(seed=5)
+        rng = np.random.default_rng(9)
+        candidates = list(
+            dict.fromkeys(tuple(rng.choice([0.0, 0.25, 0.5], size=12).tolist()) for _ in range(60))
+        )
+        runs = []
+        for block in (1, 7, len(candidates)):
+            search = _LatticeSearch(base, 0.0, 4.0, [0.0, 0.25, 0.5], 1.0)
+            search._block = block
+            search.score_all(candidates)
+            runs.append([search.score(a) for a in candidates])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_greedy_matches_reference_greedy(self):
+        base = coupled_base(seed=11)
+        plan, objective = plan_shedding(
+            base, 27.0, 3.0, [0.0, 0.25, 0.5], strategy="greedy_restarts", seed=4, restarts=3
+        )
+        expected_plan, expected_objective = reference_greedy(base, 27.0, 3.0, [0.0, 0.25, 0.5], 4, 3)
+        assert plan.encoding() == expected_plan.encoding()
+        assert objective == expected_objective
+
+    def test_search_builds_no_scenario_per_candidate(self, monkeypatch):
+        calls = {"simulate": 0, "apply_plan": 0, "validate_plan": 0}
+        for name in calls:
+            original = getattr(planner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(planner, name, counted)
+        plan_shedding(small_base(n_groups=2, horizon=4.0), 2.0, 1.0, [0.0, 0.5], strategy="exhaustive")
+        assert calls == {"simulate": 0, "apply_plan": 0, "validate_plan": 1}
 
 
 class TestPlanDocuments:
