@@ -21,17 +21,13 @@ from .dynamics import simulate
 from .planner import plan_shedding, plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
+    _fmt,
     builtin_case_study,
     load_scenario,
     write_results,
 )
 
 _OUT_ENV = "SOCIO_GRID_SIM_OUT"
-_OVERRIDE_KEYS = ("omega1", "omega2", "dt_hours", "rate_floor", "horizon_hours")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 def _with_horizon(schedule: PiecewiseSchedule, horizon: float) -> PiecewiseSchedule:

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._version import __version__
 from .core_types import (
-    AgentState,
     ContagionNetwork,
     ModelParams,
     PiecewiseSchedule,
@@ -37,12 +36,11 @@ from .metrics import aggregate_trajectory
 class ContagionSnapshot:
     """Contagion state at one instant.
 
-    ``gamma`` holds the access-attenuated weights, ``social_term`` the
-    contagion pull g per agent (at most ``omega2``), and ``rate`` the
-    per-agent response rate g / omega2 lifted to at least the rate floor.
+    ``social_term`` is the contagion pull g per agent (at most ``omega2``)
+    and ``rate`` the per-agent response rate g / omega2 lifted to at least
+    the rate floor.
     """
 
-    gamma: np.ndarray
     social_term: np.ndarray
     rate: np.ndarray
 
@@ -70,12 +68,15 @@ def compute_contagion_weights(network: ContagionNetwork, access: Sequence[float]
     gamma[n, m] = base_weights[n, m] * access[n] * access[m]. An agent with
     zero access is severed in both directions; the diagonal stays zero.
     """
-    access = np.asarray(access, dtype=float)
-    if access.shape != (network.n_agents,):
-        raise ValidationError(
-            [f"access must have shape ({network.n_agents},) (got {access.shape})"]
-        )
+    access = _agent_vector(network, access, "access")
     return network.base_weights * np.outer(access, access)
+
+
+def _agent_vector(network: ContagionNetwork, values: Sequence[float], name: str) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
+    if out.shape != (network.n_agents,):
+        raise ValidationError([f"{name} must have shape ({network.n_agents},) (got {out.shape})"])
+    return out
 
 
 def social_diffusion(
@@ -101,11 +102,9 @@ def social_diffusion(
         raise ValidationError(
             [f"gamma and base must have shape ({n}, {n}) (got {gamma.shape} and {base.shape})"]
         )
-    row_sum = base.sum(axis=1)
-    pull = gamma @ d
-    out = np.zeros(n)
-    np.divide(pull, row_sum, out=out, where=row_sum > 0.0)
-    return omega2 * out
+    gamma, inv_row = _contagion_operator(base, gamma)
+    # gamma is already attenuated, so the access factors of the ratio are 1.
+    return omega2 * _contagion_ratio(gamma, inv_row, 1.0, d)
 
 
 def compute_target(
@@ -126,14 +125,21 @@ def contagion_snapshot(
     dissatisfaction: Sequence[float],
     params: ModelParams,
 ) -> ContagionSnapshot:
-    """Bundle gamma, the contagion pull, and the response rate at one instant."""
-    gamma = compute_contagion_weights(network, access)
-    g = social_diffusion(gamma, network.base_weights, dissatisfaction, params.omega2)
+    """The contagion pull and the response rate at one instant.
+
+    This is one step of the kernel behind :func:`simulate`, on the same
+    operator and the same product, so chaining it with :func:`compute_target`
+    and :func:`step` reproduces a run bit for bit.
+    """
+    access = _agent_vector(network, access, "access")
+    d = _agent_vector(network, dissatisfaction, "dissatisfaction")
+    alpha, inv_row = _contagion_operator(network.base_weights)
+    ratio = _contagion_ratio(alpha, inv_row, access, d)
     if params.omega2 > 0.0:
-        rate = np.maximum(g / params.omega2, params.rate_floor)
+        rate = np.maximum(ratio, params.rate_floor)
     else:
         rate = np.full(network.n_agents, params.rate_floor)
-    return ContagionSnapshot(gamma=gamma, social_term=g, rate=rate)
+    return ContagionSnapshot(social_term=params.omega2 * ratio, rate=rate)
 
 
 def step(
@@ -199,11 +205,8 @@ def dissatisfaction_feature_model() -> FeatureModel:
 
 def normalized_contagion_weights(network: ContagionNetwork, access: Sequence[float]) -> np.ndarray:
     """Attenuated weights divided by each agent's base row sum (zero rows stay zero)."""
-    gamma = compute_contagion_weights(network, access)
-    row_sum = network.base_weights.sum(axis=1)
-    out = np.zeros_like(gamma)
-    np.divide(gamma, row_sum[:, None], out=out, where=row_sum[:, None] > 0.0)
-    return out
+    gamma, inv_row = _contagion_operator(network.base_weights, compute_contagion_weights(network, access))
+    return gamma * inv_row[:, None]
 
 
 def _sample_schedules(
@@ -219,27 +222,43 @@ def _sample_schedules(
     return np.column_stack(columns) if columns else np.zeros((n_steps, 0))
 
 
-def _contagion_operator(network: ContagionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Base weights and reciprocal row sums for the kernel (0 for empty rows).
+def _contagion_operator(
+    base: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contagion weights and the reciprocal row sums of ``base`` (0 for empty rows).
 
-    A row whose sum overflows is scaled (in a copy) by a power of two that
-    brings its sum below 1. The scaling is exact and cancels in the contagion
-    ratio, so huge weights act like any other multiple of the same row. Rows
-    with a finite sum are used as they are, without a copy.
+    ``weights`` defaults to ``base``. A row whose base sum overflows is
+    scaled, in both arrays (in a copy), by a power of two that brings its
+    sum below 1. The scaling is exact and cancels in the contagion ratio, so
+    huge weights act like any other multiple of the same row. Rows with a
+    finite sum are used as they are, without a copy.
     """
-    alpha = network.base_weights
+    weights = base if weights is None else weights
     with np.errstate(over="ignore"):
-        row_sum = alpha.sum(axis=1)
+        row_sum = base.sum(axis=1)
     overflow = ~np.isfinite(row_sum)
     if overflow.any():
         # Scaled entries lie below 1 / N, so each scaled row sums to less than 1.
-        exponent = np.frexp(alpha[overflow].max(axis=1))[1] + math.ceil(math.log2(network.n_agents))
-        alpha = alpha.copy()
-        alpha[overflow] *= np.ldexp(1.0, -exponent)[:, None]
-        row_sum = alpha.sum(axis=1)
-    inv_row = np.zeros(network.n_agents)
+        exponent = np.frexp(base[overflow].max(axis=1))[1] + math.ceil(math.log2(base.shape[0]))
+        scale = np.ldexp(1.0, -exponent)[:, None]
+        row_sum[overflow] = (base[overflow] * scale).sum(axis=1)
+        weights = weights.copy()
+        weights[overflow] *= scale
+    inv_row = np.zeros(base.shape[0])
     np.divide(1.0, row_sum, out=inv_row, where=row_sum > 0.0)
-    return alpha, inv_row
+    return weights, inv_row
+
+
+def _contagion_ratio(
+    alpha: np.ndarray, inv_row: np.ndarray, access: np.ndarray | float, d: np.ndarray
+) -> np.ndarray:
+    """(gamma @ d) / row_sum with gamma = alpha * outer(i, i), i = ``access``.
+
+    Factored so the attenuated matrix is never materialized:
+    i * (alpha @ (i * d)) / row_sum. The contagion pull is omega2 times this
+    ratio, and the response rate is the ratio lifted to the rate floor.
+    """
+    return access * (alpha @ (access * d)) * inv_row
 
 
 def _euler(
@@ -286,10 +305,7 @@ def _euler(
     for k in range(params.n_steps):
         local_pull = pull[k] if pull_index is None else pull[k][pull_index]
         if has_contagion:
-            i_t = access[k]
-            # (gamma @ d) / row_sum with gamma = alpha * outer(i, i), factored so the
-            # attenuated matrix is never materialized: i * (alpha @ (i * d)) / row_sum.
-            pull_ratio = i_t * (alpha @ (i_t * d)) * inv_row
+            pull_ratio = _contagion_ratio(alpha, inv_row, access[k], d)
             rate = np.maximum(pull_ratio, floor) if floor > 0.0 else pull_ratio
             target = local_pull + omega2 * pull_ratio
         else:
@@ -312,22 +328,18 @@ def simulate(scenario: Scenario) -> SimulationResult:
     and every ``report_every_hours`` thereafter. The run is deterministic:
     identical scenarios produce bit-identical results.
     """
-    violations = scenario.validate()
-    if violations:
-        raise ValidationError(violations)
-
     params = scenario.params
     net = scenario.network
     dt = params.dt_hours
     n_steps = params.n_steps
 
-    alpha, inv_row = _contagion_operator(net)
+    alpha, inv_row = _contagion_operator(net.base_weights)
     recorded, clamp_hits = _euler(
         alpha,
         inv_row,
         _sample_schedules(scenario.media_access, dt, n_steps),
         params.omega1 * (1.0 - _sample_schedules(scenario.electricity, dt, n_steps)),
-        AgentState(scenario.initial_dissatisfaction).dissatisfaction[None, :],
+        scenario.initial_dissatisfaction[None, :],
         params,
     )
     recorded = recorded[0]

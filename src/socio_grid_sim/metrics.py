@@ -52,23 +52,7 @@ def aggregate(
     Statistics are computed on satisfaction = 1 - dissatisfaction, so the
     mean commutes with the flip while min and max swap roles.
     """
-    d = np.atleast_1d(np.asarray(dissatisfaction, dtype=float))
-    groups = _checked_groups(d.size, group_of)
-    satisfaction = 1.0 - d
-
-    def stats(scope: int | None, values: np.ndarray) -> AggregateRow:
-        return AggregateRow(
-            time_hours=float(time_hours),
-            scope=scope,
-            mean_satisfaction=float(values.mean()),
-            min_satisfaction=float(values.min()),
-            max_satisfaction=float(values.max()),
-            std_satisfaction=float(values.std()),
-        )
-
-    rows = [stats(g, satisfaction[groups == g]) for g in range(int(groups.max()) + 1)]
-    rows.append(stats(None, satisfaction))
-    return rows
+    return aggregate_trajectory([time_hours], np.reshape(dissatisfaction, (1, -1)), group_of)
 
 
 def aggregate_trajectory(
@@ -76,9 +60,8 @@ def aggregate_trajectory(
 ) -> list[AggregateRow]:
     """Aggregate a whole trajectory at once.
 
-    Equivalent to calling :func:`aggregate` per report time (same rows, same
-    order) but with the statistics vectorized over the time axis, which is
-    what keeps plan search cheap.
+    One row per group followed by one global row, for each report time in
+    turn, with the statistics vectorized over the time axis.
     """
     d = np.asarray(dissatisfaction, dtype=float)
     if d.ndim != 2:

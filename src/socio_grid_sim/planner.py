@@ -282,7 +282,7 @@ class _LatticeSearch:
 
         params = base.params
         self._members = [base.network.members(g) for g in range(self.n_groups)]
-        self._alpha, self._inv_row = _contagion_operator(base.network)
+        self._alpha, self._inv_row = _contagion_operator(base.network.base_weights)
         self._access = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
         # One block holds each row's state plus its recorded report times.
         report_times = params.n_steps // params.steps_per_report + 1
