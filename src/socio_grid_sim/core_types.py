@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -288,14 +288,7 @@ class ModelParams:
         return int(math.floor(self.horizon_hours / self.dt_hours + 1e-9))
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "omega1": self.omega1,
-            "omega2": self.omega2,
-            "dt_hours": self.dt_hours,
-            "rate_floor": self.rate_floor,
-            "horizon_hours": self.horizon_hours,
-            "report_every_hours": self.report_every_hours,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

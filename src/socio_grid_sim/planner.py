@@ -131,8 +131,6 @@ def _shed_schedule(base: PiecewiseSchedule, slots: Sequence[SheddingSlot]) -> Pi
         value = max(0.0, base.value_at(t) - _shed_level_at(slots, t))
         if not points or value != points[-1][1]:
             points.append((t, value))
-    if points[0][0] != 0.0:
-        points.insert(0, (0.0, base.value_at(0.0)))
     return PiecewiseSchedule(tuple(points), horizon)
 
 
@@ -171,19 +169,33 @@ def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
     )
 
 
-def _objective(base: Scenario, plan: SheddingPlan, fairness_weight: float) -> PlanObjective:
-    result = simulate(apply_plan(base, plan))
-    d = result.dissatisfaction
-    peak = float(d.mean(axis=1).max())
-    groups = result.groups
-    time_means = [float(d[:, groups == g].mean(axis=1).mean()) for g in range(base.network.n_groups)]
-    unfairness = max(time_means) - min(time_means)
-    return PlanObjective(
-        peak_mean_dissatisfaction=peak,
-        unfairness=unfairness,
-        fairness_weight=fairness_weight,
-        combined=peak + fairness_weight * unfairness,
+def _block_objectives(
+    recorded: np.ndarray, members: Sequence[np.ndarray], fairness_weight: float
+) -> list[PlanObjective]:
+    """Objective of each (T, N) trajectory in a (B, T, N) block.
+
+    Each group's time-mean reduces a contiguous (T, n_g) copy of its members'
+    columns, first over agents and then over time. That is the layout of
+    ``d[:, groups == g].mean(axis=1).mean()``. The plain gather
+    ``recorded[:, :, m].mean(axis=2).mean(axis=1)`` can round differently in
+    the last bit once a group has 8 or more members.
+    """
+    peak = recorded.mean(axis=2).max(axis=1)
+    by_agent = recorded.transpose(0, 2, 1)
+    time_means = np.column_stack(
+        [
+            np.ascontiguousarray(
+                np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2)
+            ).mean(axis=1)
+            for group in members
+        ]
     )
+    unfairness = time_means.max(axis=1) - time_means.min(axis=1)
+    combined = peak + fairness_weight * unfairness
+    return [
+        PlanObjective(p, u, fairness_weight, c)
+        for p, u, c in zip(peak.tolist(), unfairness.tolist(), combined.tolist())
+    ]
 
 
 def evaluate_plan(plan: SheddingPlan, base: Scenario, fairness_weight: float = 1.0) -> PlanObjective:
@@ -195,35 +207,20 @@ def evaluate_plan(plan: SheddingPlan, base: Scenario, fairness_weight: float = 1
     """
     if not fairness_weight >= 0.0:
         raise ValidationError([f"fairness_weight must be >= 0 (got {fairness_weight!r})"])
-    return _objective(base, plan, fairness_weight)
+    recorded = simulate(apply_plan(base, plan)).dissatisfaction[None]
+    members = [base.network.members(g) for g in range(base.network.n_groups)]
+    return _block_objectives(recorded, members, fairness_weight)[0]
 
 
 # Candidates scored together hold about this many floats of state and recorded
 # trajectory (512 KB), which keeps one block's working set to a few MB.
 _BLOCK_FLOATS = 1 << 16
 
+# Largest lattice ``exhaustive`` enumerates: about a minute of scoring.
+_MAX_EXHAUSTIVE = 1 << 20
 
-def _block_objectives(
-    recorded: np.ndarray, members: Sequence[np.ndarray], fairness_weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Peak, unfairness and combined objective of each (T, N) trajectory in a block.
-
-    Every reduction runs over the same axis layout as the single-plan
-    objective in :func:`_objective`, so each row's values equal it bit for bit.
-    """
-    peak = recorded.mean(axis=2).max(axis=1)
-    by_agent = recorded.transpose(0, 2, 1)
-    time_means = np.column_stack(
-        [
-            # (B, T, n_g) with each row laid out like d[:, groups == g]
-            np.ascontiguousarray(
-                np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2)
-            ).mean(axis=1)
-            for group in members
-        ]
-    )
-    unfairness = time_means.max(axis=1) - time_means.min(axis=1)
-    return peak, unfairness, peak + fairness_weight * unfairness
+# A randomized greedy move is drawn from this many best-scoring candidates.
+_SHORTLIST = 3
 
 
 class _LatticeSearch:
@@ -354,14 +351,7 @@ class _LatticeSearch:
         recorded, _ = _euler(
             self._alpha, self._inv_row, self._access, self._pull, d0, base.params, pull_index
         )
-        scores = _block_objectives(recorded, self._members, self.fairness_weight)
-        for assignment, peak, unfairness, combined in zip(block, *(a.tolist() for a in scores)):
-            self._memo[assignment] = PlanObjective(
-                peak_mean_dissatisfaction=peak,
-                unfairness=unfairness,
-                fairness_weight=self.fairness_weight,
-                combined=combined,
-            )
+        self._memo.update(zip(block, _block_objectives(recorded, self._members, self.fairness_weight)))
 
     def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
         """Score every assignment not yet memoised, in blocks."""
@@ -375,23 +365,24 @@ class _LatticeSearch:
         return self._memo[key]
 
     def exhaustive(self) -> tuple[float, ...]:
-        feasible = (
+        count = len(self.levels) ** len(self.cells)
+        if count > _MAX_EXHAUSTIVE:
+            raise ValidationError(
+                [
+                    f"exhaustive search would enumerate {count} candidates, more than "
+                    f"{_MAX_EXHAUSTIVE}; use strategy 'greedy_restarts' or a coarser lattice"
+                ]
+            )
+        feasible = [
             a for a in itertools.product(self.levels, repeat=len(self.cells)) if self.feasible(a)
-        )
-        best_key = None
-        while block := list(itertools.islice(feasible, self._block)):
-            self.score_all(block)
-            for assignment in block:
-                key = (self._memo[assignment].combined, assignment)
-                if best_key is None or key < best_key:
-                    best_key = key
-        assert best_key is not None  # feasibility is pre-checked against max_energy
-        return best_key[1]
+        ]
+        self.score_all(feasible)
+        return min(feasible, key=lambda a: (self._memo[a].combined, a))
 
-    def greedy_pass(self, rng: random.Random | None, shortlist: int = 3) -> tuple[float, ...]:
+    def greedy_pass(self, rng: random.Random | None) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.
 
-        With an rng, each move is drawn from the ``shortlist`` best candidates
+        With an rng, each move is drawn from the ``_SHORTLIST`` best candidates
         instead of always the single best; that is the restart randomization.
         All moves of one step are scored together, in blocks.
         """
@@ -408,7 +399,7 @@ class _LatticeSearch:
             self.score_all([trial for trial, _, _ in moves])
             candidates = [(self._memo[t].combined, t, idx, level) for t, idx, level in moves]
             candidates.sort(key=lambda c: (c[0], c[1]))
-            chosen = candidates[0] if rng is None else rng.choice(candidates[:shortlist])
+            chosen = candidates[0] if rng is None else rng.choice(candidates[:_SHORTLIST])
             assignment[chosen[2]] = chosen[3]
         return tuple(assignment)
 
@@ -451,14 +442,12 @@ def plan_shedding(
             ]
         )
     if search.required <= 0.0:
-        empty = SheddingPlan.empty(search.granularity)
-        return empty, evaluate_plan(empty, base, fairness_weight)
-    if strategy == "exhaustive":
+        assignment = (0.0,) * len(search.cells)
+    elif strategy == "exhaustive":
         assignment = search.exhaustive()
     else:
         assignment = search.greedy_restarts(seed, restarts)
-    plan = search.plan_for(assignment)
-    return plan, search.score(assignment)
+    return search.plan_for(assignment), search.score(assignment)
 
 
 def plan_to_dict(plan: SheddingPlan) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .core_types import (
 
 SCHEMA_VERSION = 1
 
-_PARAM_KEYS = ("omega1", "omega2", "dt_hours", "rate_floor", "horizon_hours", "report_every_hours")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
 class ScenarioParseError(ValueError):
@@ -59,32 +60,23 @@ def _schedules_from_block(
         errors.append(f"{context} must contain exactly one of 'broadcast' or 'per_agent'")
         return None
     if "broadcast" in block:
-        points = _breakpoints_from_block(block["broadcast"], f"{context}.broadcast", errors)
-        if points is None or horizon is None:  # horizon None: params block already failed
+        entries, copies = [(f"{context}.broadcast", block["broadcast"])], count
+    else:
+        per_agent = block["per_agent"]
+        if not isinstance(per_agent, list) or len(per_agent) != count:
+            errors.append(f"{context}.per_agent must list one breakpoint list per agent ({count} expected)")
             return None
-        try:
-            sched = PiecewiseSchedule(tuple(points), horizon)
-        except ValidationError as exc:
-            errors.extend(f"{context}.broadcast: {v}" for v in exc.violations)
-            return None
-        return (sched,) * count
-    entries = block["per_agent"]
-    if not isinstance(entries, list) or len(entries) != count:
-        errors.append(f"{context}.per_agent must list one breakpoint list per agent ({count} expected)")
-        return None
+        entries, copies = [(f"{context}.per_agent[{idx}]", entry) for idx, entry in enumerate(per_agent)], 1
     out: list[PiecewiseSchedule] = []
-    ok = True
-    for idx, entry in enumerate(entries):
-        points = _breakpoints_from_block(entry, f"{context}.per_agent[{idx}]", errors)
-        if points is None or horizon is None:
-            ok = False
+    for where, entry in entries:
+        points = _breakpoints_from_block(entry, where, errors)
+        if points is None or horizon is None:  # horizon None: params block already failed
             continue
         try:
             out.append(PiecewiseSchedule(tuple(points), horizon))
         except ValidationError as exc:
-            errors.extend(f"{context}.per_agent[{idx}]: {v}" for v in exc.violations)
-            ok = False
-    return tuple(out) if ok else None
+            errors.extend(f"{where}: {v}" for v in exc.violations)
+    return tuple(out) * copies if len(out) == len(entries) else None
 
 
 def scenario_from_dict(doc: object) -> Scenario:

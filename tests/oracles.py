@@ -87,6 +87,21 @@ def symmetric_planner_base(horizon: float = 12.0) -> Scenario:
     )
 
 
+def reference_objective(
+    d: np.ndarray, groups: np.ndarray, fairness_weight: float
+) -> tuple[float, float, float]:
+    """(peak, unfairness, combined) of a (T, N) dissatisfaction trajectory.
+
+    Peak is the worst report-time global mean; unfairness is the spread of
+    the groups' time-mean dissatisfaction, each taken over the group's own
+    columns.
+    """
+    peak = float(d.mean(axis=1).max())
+    time_means = [float(d[:, groups == g].mean(axis=1).mean()) for g in np.unique(groups)]
+    unfairness = max(time_means) - min(time_means)
+    return peak, unfairness, peak + fairness_weight * unfairness
+
+
 def brute_force_plan_search(
     base: Scenario,
     required_energy: float,
@@ -137,11 +152,9 @@ def brute_force_plan_search(
             initial_dissatisfaction=base.initial_dissatisfaction,
             label=base.label,
         )
-        d = simulate(scenario).dissatisfaction
-        peak = float(d.mean(axis=1).max())
-        time_means = [float(d[:, groups == g].mean(axis=1).mean()) for g in range(n_groups)]
-        unfairness = max(time_means) - min(time_means)
-        combined = peak + fairness_weight * unfairness
+        peak, unfairness, combined = reference_objective(
+            simulate(scenario).dissatisfaction, groups, fairness_weight
+        )
         key = (combined, assignment)
         if best_key is None or key < best_key:
             best_key = key

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,14 @@ class TestPlanCommand:
         assert code == 2
         assert "maximum achievable" in capsys.readouterr().err
 
+    def test_oversized_exhaustive_lattice_exits_2(self, scenario_file, tmp_path, capsys):
+        # 3 groups x 16 slots of 3 h x 2 levels: 2**48 candidates.
+        code = main(["plan", "--scenario", str(scenario_file), "--out", str(tmp_path / "p"),
+                     "--required-energy", "9", "--granularity", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(2**48) in err and "greedy_restarts" in err
+
     def test_exhaustive_matches_golden_file(self, tmp_path):
         out = tmp_path / "plan"
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"), "--out", str(out),
@@ -194,9 +203,12 @@ class TestValidateCommand:
 
 
 def test_console_module_entry(scenario_file, tmp_path):
+    # The child imports the package from wherever this process found it,
+    # including pytest's configured pythonpath, which subprocesses do not inherit.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "socio_grid_sim.cli", "validate", "--scenario", str(scenario_file)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout

@@ -11,6 +11,7 @@ from socio_grid_sim import (
     ModelParams,
     PiecewiseSchedule,
     PlanInfeasibleError,
+    PlanObjective,
     Scenario,
     SheddingPlan,
     SheddingSlot,
@@ -26,7 +27,7 @@ from socio_grid_sim import (
 from socio_grid_sim import planner
 from socio_grid_sim.planner import _LatticeSearch
 
-from oracles import brute_force_plan_search, symmetric_planner_base
+from oracles import brute_force_plan_search, reference_objective, symmetric_planner_base
 
 
 def small_base(n_groups: int = 2, horizon: float = 4.0) -> Scenario:
@@ -235,6 +236,12 @@ class TestPlanShedding:
         # problem, so the canonical winner is identical
         assert plan_a.encoding() == plan_b.encoding()
 
+    def test_exhaustive_refuses_oversized_lattice(self):
+        # 3 groups x 16 slots x 2 levels: 2**48 candidates.
+        base = symmetric_planner_base(horizon=16.0)
+        with pytest.raises(ValidationError, match=f"{2**48}.*greedy_restarts"):
+            plan_shedding(base, 9.0, 1.0, [0.0, 0.5], strategy="exhaustive")
+
     def test_rejects_bad_granularity_and_levels(self):
         base = small_base()
         with pytest.raises(ValidationError, match="divide"):
@@ -364,6 +371,41 @@ class TestBatchedScoring:
         for assignment in candidates:
             assert search.score(assignment) == evaluate_plan(search.plan_for(assignment), base)
 
+    @pytest.mark.parametrize("report_every_hours", [1.0, 24.0])
+    def test_wide_groups_match_reference_objective(self, report_every_hours):
+        # Groups of 10 and 13 over 13 report times and over one. Reducing a
+        # (B, T, n_g) gather of the group's columns instead of the contiguous
+        # per-row layout can change the last bit once a group has 8 or more
+        # members (with numpy 2.4 it does at one report time), so this pins the
+        # objective's reduction layout against the plain reference.
+        horizon = 12.0
+        rng = np.random.default_rng(21)
+        groups = np.array([0] * 10 + [1] * 13)
+        rng.shuffle(groups)
+        n = groups.size
+        weights = rng.uniform(0.0, 1.0, size=(n, n))
+        np.fill_diagonal(weights, 0.0)
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon, omega2=0.4, report_every_hours=report_every_hours),
+            network=ContagionNetwork(n, weights, groups),
+            electricity=tuple(
+                PiecewiseSchedule(((0.0, float(v)), (5.0, 1.0)), horizon) for v in rng.uniform(0.4, 1.0, n)
+            ),
+            media_access=(PiecewiseSchedule.constant(0.8, horizon),) * n,
+            initial_dissatisfaction=rng.uniform(0.0, 1.0, size=n),
+        )
+        search = _LatticeSearch(base, 0.0, 4.0, [0.0, 0.5], 1.5)
+        candidates = list(itertools.product(search.levels, repeat=len(search.cells)))
+        search.score_all(candidates)
+        for assignment in candidates:
+            plan = search.plan_for(assignment)
+            peak, unfairness, combined = reference_objective(
+                simulate(apply_plan(base, plan)).dissatisfaction, groups, 1.5
+            )
+            expected = PlanObjective(peak, unfairness, 1.5, combined)
+            assert evaluate_plan(plan, base, 1.5) == expected, assignment
+            assert search.score(assignment) == expected, assignment
+
     def test_block_size_does_not_change_scores(self):
         base = coupled_base(seed=5)
         rng = np.random.default_rng(9)
@@ -397,8 +439,13 @@ class TestBatchedScoring:
                 return _original(*args)
 
             monkeypatch.setattr(planner, name, counted)
-        plan_shedding(small_base(n_groups=2, horizon=4.0), 2.0, 1.0, [0.0, 0.5], strategy="exhaustive")
-        assert calls == {"simulate": 0, "apply_plan": 0, "validate_plan": 1}
+        # A zero requirement is the all-zero assignment, scored like any other.
+        for required_energy in (2.0, 0.0):
+            calls.update(dict.fromkeys(calls, 0))
+            plan_shedding(
+                small_base(n_groups=2, horizon=4.0), required_energy, 1.0, [0.0, 0.5], strategy="exhaustive"
+            )
+            assert calls == {"simulate": 0, "apply_plan": 0, "validate_plan": 1}, required_energy
 
 
 class TestPlanDocuments:
