@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -146,6 +147,65 @@ def schedule_value_at(schedule: PiecewiseSchedule, t: float) -> float:
 
 
 @dataclass(frozen=True)
+class GroupBlock:
+    """All-to-all ``weight`` within each group, zero across groups and on the diagonal."""
+
+    weight: float
+
+
+@dataclass(frozen=True, eq=False)
+class Dense:
+    """An explicit N x N base weight matrix (read-only)."""
+
+    matrix: np.ndarray
+
+
+def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None:
+    """``group_of`` as a read-only int array of dense ids 0..G-1, or None after adding errors."""
+    try:
+        groups = np.asarray(group_of)
+        if groups.shape != (n,):
+            errors.append(f"group_of must have shape ({n},) (got {groups.shape})")
+            return None
+        if not np.all(groups == groups.astype(int)):
+            errors.append("group_of must hold integer group ids")
+            return None
+        groups = np.array(groups, dtype=int, copy=True)
+    except (TypeError, ValueError):
+        errors.append(f"group_of must hold integer group ids (got {group_of!r})")
+        return None
+    if (groups < 0).any():
+        errors.append("group ids must be nonnegative")
+        return None
+    present = set(np.unique(groups).tolist())
+    missing = sorted(set(range(max(present, default=-1) + 1)) - present)
+    if missing:
+        errors.append(f"group ids must be dense 0..G-1 (missing groups {missing})")
+        return None
+    groups.setflags(write=False)
+    return groups
+
+
+def _as_group_block(weights: np.ndarray, groups: np.ndarray) -> GroupBlock | None:
+    """The group block whose matrix is ``weights`` bit for bit, if there is one.
+
+    Bits, not values, are compared, so a ``-0.0`` entry is not taken for
+    ``0.0``: equal matrices then have equal digests and one arithmetic path.
+    Without any within-group pair the block's weight is moot and set to 0.
+    """
+    within = groups[:, None] == groups[None, :]
+    np.fill_diagonal(within, False)
+    members = weights[within]
+    bits = members.view(np.uint64)
+    weight_bits = bits[0] if bits.size else 0
+    # Every within-group pair holds the same bits and nothing else is nonzero.
+    nonzero = np.count_nonzero(weights.view(np.uint64))
+    if np.any(bits != weight_bits) or nonzero != (bits.size if weight_bits else 0):
+        return None
+    return GroupBlock(float(members[0]) if members.size else 0.0)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ContagionNetwork:
     """Directed nonnegative base influence weights plus a group per agent.
 
@@ -153,18 +213,23 @@ class ContagionNetwork:
     agent n before media-access attenuation. The diagonal is zero (no
     self-contagion) and weights need not be symmetric. Groups are dense ids
     0..G-1, one per agent.
+
+    The weights are held as an ``operator``: a :class:`GroupBlock` when they
+    are all-to-all within groups (the ``full_within_groups`` shorthand, or a
+    matrix that spells exactly that), otherwise :class:`Dense`. A group block
+    takes O(N) memory; ``base_weights`` builds its matrix on first use.
     """
 
     n_agents: int
-    base_weights: np.ndarray
     group_of: np.ndarray
+    operator: GroupBlock | Dense
 
-    def __post_init__(self):
-        weights = np.asarray(self.base_weights, dtype=float)
+    def __init__(self, n_agents: int, base_weights: np.ndarray, group_of: Iterable[int]):
+        weights = np.array(base_weights, dtype=float, copy=True)
         errors: list[str] = []
-        n = int(self.n_agents)
+        n = int(n_agents)
         if n <= 0:
-            errors.append(f"n_agents must be positive (got {self.n_agents!r})")
+            errors.append(f"n_agents must be positive (got {n_agents!r})")
         if weights.shape != (n, n):
             errors.append(f"base_weights must have shape ({n}, {n}) (got {weights.shape})")
         elif not np.all(np.isfinite(weights)):
@@ -178,34 +243,26 @@ class ContagionNetwork:
             if np.any(np.diagonal(weights) != 0.0):
                 idx = int(np.flatnonzero(np.diagonal(weights) != 0.0)[0])
                 errors.append(f"base_weights diagonal must be zero (agent {idx} has self-weight)")
-        try:
-            groups = np.asarray(self.group_of)
-            if groups.shape != (n,):
-                errors.append(f"group_of must have shape ({n},) (got {groups.shape})")
-                groups = None
-            elif not np.all(groups == groups.astype(int)):
-                errors.append("group_of must hold integer group ids")
-                groups = None
-            else:
-                groups = groups.astype(int)
-        except (TypeError, ValueError):
-            errors.append(f"group_of must hold integer group ids (got {self.group_of!r})")
-            groups = None
-        if groups is not None:
-            if (groups < 0).any():
-                errors.append("group ids must be nonnegative")
-            else:
-                present = set(np.unique(groups).tolist())
-                missing = sorted(set(range(max(present) + 1)) - present)
-                if missing:
-                    errors.append(f"group ids must be dense 0..G-1 (missing groups {missing})")
+        groups = _group_ids(n, group_of, errors)
         if errors:
             raise ValidationError(errors)
-        frozen_groups = np.array(groups, dtype=int, copy=True)
-        frozen_groups.setflags(write=False)
-        object.__setattr__(self, "n_agents", n)
-        object.__setattr__(self, "base_weights", _readonly(weights))
-        object.__setattr__(self, "group_of", frozen_groups)
+        weights.setflags(write=False)
+        self._assign(groups, _as_group_block(weights, groups) or Dense(weights))
+
+    def _assign(self, groups: np.ndarray, operator: GroupBlock | Dense) -> None:
+        object.__setattr__(self, "n_agents", int(groups.size))
+        object.__setattr__(self, "group_of", groups)
+        object.__setattr__(self, "operator", operator)
+
+    @cached_property
+    def base_weights(self) -> np.ndarray:
+        """The N x N weight matrix, read-only; a group block builds it on first use."""
+        if isinstance(self.operator, Dense):
+            return self.operator.matrix
+        weights = np.where(self.group_of[:, None] == self.group_of[None, :], self.operator.weight, 0.0)
+        np.fill_diagonal(weights, 0.0)
+        weights.setflags(write=False)
+        return weights
 
     @property
     def n_groups(self) -> int:
@@ -220,21 +277,33 @@ class ContagionNetwork:
 
     @classmethod
     def full_within_groups(cls, group_of: Iterable[int], weight: float = 1.0) -> "ContagionNetwork":
-        """All-to-all weight within each group, zero across groups and on the diagonal."""
-        groups = np.asarray(list(group_of), dtype=int)
-        same = groups[:, None] == groups[None, :]
-        weights = np.where(same, float(weight), 0.0)
-        np.fill_diagonal(weights, 0.0)
-        return cls(groups.size, weights, groups)
+        """All-to-all weight within each group, zero across groups and on the diagonal.
+
+        Validates only the weight and the group ids; no N x N matrix is built.
+        """
+        ids = list(group_of)
+        weight = float(weight)
+        errors: list[str] = []
+        if not ids:
+            errors.append("n_agents must be positive (got 0)")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            errors.append(f"weight must be finite and >= 0 (got {weight!r})")
+        groups = _group_ids(len(ids), ids, errors)
+        if errors:
+            raise ValidationError(errors)
+        network = cls.__new__(cls)
+        paired = np.bincount(groups).max() > 1
+        network._assign(groups, GroupBlock(weight if paired else 0.0))
+        return network
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContagionNetwork):
             return NotImplemented
-        return (
-            self.n_agents == other.n_agents
-            and np.array_equal(self.base_weights, other.base_weights)
-            and np.array_equal(self.group_of, other.group_of)
-        )
+        if self.n_agents != other.n_agents or not np.array_equal(self.group_of, other.group_of):
+            return False
+        if isinstance(self.operator, GroupBlock) and isinstance(other.operator, GroupBlock):
+            return self.operator == other.operator
+        return np.array_equal(self.base_weights, other.base_weights)
 
 
 @dataclass(frozen=True)
@@ -291,6 +360,52 @@ class ModelParams:
         return asdict(self)
 
 
+# Group templates kept for the digest at once (each is ~4 N bytes of text).
+_DIGEST_TEMPLATES = 64
+
+
+def _hash_weight_rows(digest, network: ContagionNetwork) -> None:
+    """Feed ``digest`` the canonical JSON rows of ``base_weights``, comma-separated.
+
+    A group block's row n is its group's template (the weight's JSON text at
+    every member, ``0.0`` elsewhere) with agent n's own entry spliced to
+    ``0.0``, so no matrix is built. The most recently used templates are
+    kept; a singleton's row is the all-zero row.
+    """
+    operator = network.operator
+    if isinstance(operator, Dense):
+        for idx, row in enumerate(operator.matrix):
+            if idx:
+                digest.update(b",")
+            digest.update(json.dumps(row.tolist(), separators=(",", ":")).encode("utf-8"))
+        return
+    member = json.dumps(operator.weight).encode("utf-8")
+    groups = network.group_of
+    sizes = network.group_sizes.tolist()
+    seen = [0] * len(sizes)
+    zero_row = b"[" + b",".join([b"0.0"] * groups.size) + b"]"
+    templates: dict[int, bytes] = {}
+    for n, g in enumerate(groups.tolist()):
+        if n:
+            digest.update(b",")
+        if sizes[g] == 1:
+            digest.update(zero_row)
+            continue
+        text = templates.pop(g, None)
+        if text is None:
+            text = b"[" + b",".join([member if m else b"0.0" for m in (groups == g).tolist()]) + b"]"
+            if len(templates) == _DIGEST_TEMPLATES:
+                del templates[next(iter(templates))]
+        templates[g] = text
+        # n entries precede agent n's, seen[g] of them the weight's text.
+        start = 1 + 4 * n + (len(member) - 3) * seen[g]
+        seen[g] += 1
+        row = memoryview(text)
+        digest.update(row[:start])
+        digest.update(b"0.0")
+        digest.update(row[start + len(member) :])
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete simulation input: parameters, network, schedules, initial state."""
@@ -342,7 +457,7 @@ class Scenario:
         The hashed bytes are the canonical JSON document (sorted keys, no
         spaces) of every field. ``base_weights`` sorts first, so its rows are
         encoded and hashed one at a time and the N x N list of Python floats
-        is never built.
+        is never built; a group block's rows are hashed without its matrix.
         """
         rest = {
             "label": self.label,
@@ -353,10 +468,7 @@ class Scenario:
             "initial_dissatisfaction": self.initial_dissatisfaction.tolist(),
         }
         digest = hashlib.sha256(b'{"base_weights":[')
-        for idx, row in enumerate(self.network.base_weights):
-            if idx:
-                digest.update(b",")
-            digest.update(json.dumps(row.tolist(), separators=(",", ":")).encode("utf-8"))
+        _hash_weight_rows(digest, self.network)
         tail = json.dumps(rest, sort_keys=True, separators=(",", ":"))
         digest.update(b"]," + tail[1:].encode("utf-8"))
         return "sha256:" + digest.hexdigest()

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .core_types import (
     ContagionNetwork,
+    Dense,
     ModelParams,
     PiecewiseSchedule,
     Scenario,
@@ -102,9 +103,9 @@ def social_diffusion(
         raise ValidationError(
             [f"gamma and base must have shape ({n}, {n}) (got {gamma.shape} and {base.shape})"]
         )
-    gamma, inv_row = _contagion_operator(base, gamma)
+    gamma, inv_row = _scaled_rows(base, gamma)
     # gamma is already attenuated, so the access factors of the ratio are 1.
-    return omega2 * _contagion_ratio(gamma, inv_row, 1.0, d)
+    return omega2 * _contagion_ratio(_DenseProduct(gamma, inv_row[None]), 1.0, d[None])[0]
 
 
 def compute_target(
@@ -127,14 +128,13 @@ def contagion_snapshot(
 ) -> ContagionSnapshot:
     """The contagion pull and the response rate at one instant.
 
-    This is one step of the kernel behind :func:`simulate`, on the same
-    operator and the same product, so chaining it with :func:`compute_target`
-    and :func:`step` reproduces a run bit for bit.
+    This is one step of the kernel behind :func:`simulate`, a block of one
+    row on the network's own operator, so chaining it with
+    :func:`compute_target` and :func:`step` reproduces a run bit for bit.
     """
     access = _agent_vector(network, access, "access")
     d = _agent_vector(network, dissatisfaction, "dissatisfaction")
-    alpha, inv_row = _contagion_operator(network.base_weights)
-    ratio = _contagion_ratio(alpha, inv_row, access, d)
+    ratio = _contagion_ratio(_contagion_operator(network), access, d[None])[0]
     if params.omega2 > 0.0:
         rate = np.maximum(ratio, params.rate_floor)
     else:
@@ -205,7 +205,7 @@ def dissatisfaction_feature_model() -> FeatureModel:
 
 def normalized_contagion_weights(network: ContagionNetwork, access: Sequence[float]) -> np.ndarray:
     """Attenuated weights divided by each agent's base row sum (zero rows stay zero)."""
-    gamma, inv_row = _contagion_operator(network.base_weights, compute_contagion_weights(network, access))
+    gamma, inv_row = _scaled_rows(network.base_weights, compute_contagion_weights(network, access))
     return gamma * inv_row[:, None]
 
 
@@ -222,9 +222,7 @@ def _sample_schedules(
     return np.column_stack(columns) if columns else np.zeros((n_steps, 0))
 
 
-def _contagion_operator(
-    base: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_rows(base: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Contagion weights and the reciprocal row sums of ``base`` (0 for empty rows).
 
     ``weights`` defaults to ``base``. A row whose base sum overflows is
@@ -249,21 +247,65 @@ def _contagion_operator(
     return weights, inv_row
 
 
+class _DenseProduct(NamedTuple):
+    """A :class:`Dense` operator in kernel form: the weights, with any
+    overflowing row rescaled, and the (1, N) reciprocal base row sums."""
+
+    alpha: np.ndarray
+    inv_row: np.ndarray
+
+
+class _GroupSums(NamedTuple):
+    """A group block in kernel form for a (B, N) block of states.
+
+    ``keys[b, n] = g(n) + G * b`` numbers every (row, group) pair, so one
+    bincount gives each row's group sums. ``inv`` is (1, N): 1 / (n_g - 1)
+    per agent, 0 for singleton groups and for a zero weight. The weight
+    itself cancels from the ratio, so there is nothing to overflow.
+    """
+
+    keys: np.ndarray
+    inv: np.ndarray
+
+
+def _contagion_operator(network: ContagionNetwork, rows: int = 1) -> _DenseProduct | _GroupSums:
+    """The network's operator in kernel form, for a block of ``rows`` states."""
+    operator = network.operator
+    if isinstance(operator, Dense):
+        alpha, inv_row = _scaled_rows(operator.matrix)
+        return _DenseProduct(alpha, inv_row[None])
+    sizes = network.group_sizes
+    inv = np.zeros(sizes.size)
+    if operator.weight != 0.0:
+        np.divide(1.0, sizes - 1, out=inv, where=sizes > 1)
+    keys = network.group_of + sizes.size * np.arange(rows)[:, None]
+    return _GroupSums(keys, inv[network.group_of][None])
+
+
 def _contagion_ratio(
-    alpha: np.ndarray, inv_row: np.ndarray, access: np.ndarray | float, d: np.ndarray
+    operator: _DenseProduct | _GroupSums, access: np.ndarray | float, d: np.ndarray
 ) -> np.ndarray:
     """(gamma @ d) / row_sum with gamma = alpha * outer(i, i), i = ``access``.
 
     Factored so the attenuated matrix is never materialized:
     i * (alpha @ (i * d)) / row_sum. The contagion pull is omega2 times this
     ratio, and the response rate is the ratio lifted to the rate floor.
+
+    ``d`` is a (B, N) block of states. A group block sums each row's groups
+    with one bincount, in agent order: i * (S[g] - i * d) / (n_g - 1). A
+    dense operator multiplies a (B, N, 1) stack, one matrix-vector product
+    per row: the same call, and the same rounding, as the 1-D ``alpha @ x``.
+    Either way every row is bit-identical for any B.
     """
-    return access * (alpha @ (access * d)) * inv_row
+    if isinstance(operator, _GroupSums):
+        x = access * d
+        sums = np.bincount(operator.keys.ravel(), x.ravel())
+        return access * (sums.take(operator.keys) - x) * operator.inv
+    return access * (operator.alpha @ (access * d)[..., None])[..., 0] * operator.inv_row
 
 
 def _euler(
-    alpha: np.ndarray,
-    inv_row: np.ndarray,
+    operator: _DenseProduct | _GroupSums,
     access: np.ndarray,
     pull: np.ndarray,
     d0: np.ndarray,
@@ -272,15 +314,13 @@ def _euler(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a (B, N) block of states together on the shared step grid.
 
-    ``access`` is the (steps, N) media-access grid shared by every row.
-    ``pull`` is the deprivation term omega1 * (1 - E): a (steps, N) grid
-    shared by every row, or (steps, K) columns that ``pull_index`` (B, N)
-    picks per row. Returns the (B, reports + 1, N) trajectories recorded at
-    t = 0 and every ``steps_per_report`` steps, and each row's clamp count.
-
-    The state is a (B, N, 1) stack, so the contagion sum is one matrix-vector
-    product per row: the same call, and the same rounding, as the 1-D
-    ``alpha @ x``. Every row is therefore bit-identical for any B.
+    ``operator`` is :func:`_contagion_operator` for B rows. ``access`` is the
+    (steps, N) media-access grid shared by every row. ``pull`` is the
+    deprivation term omega1 * (1 - E): a (steps, N) grid shared by every
+    row, or (steps, K) columns that ``pull_index`` (B, N) picks per row.
+    Returns the (B, reports + 1, N) trajectories recorded at t = 0 and every
+    ``steps_per_report`` steps, and each row's clamp count. Every row is
+    bit-identical for any B (see :func:`_contagion_ratio`).
     """
     b, n = d0.shape
     dt = params.dt_hours
@@ -289,15 +329,12 @@ def _euler(
     omega2 = params.omega2
     has_contagion = omega2 > 0.0
     # Shared rows carry a leading axis of 1, so at B = 1 nothing broadcasts.
-    access = access[:, None, :, None]
-    inv_row = inv_row[None, :, None]
+    access = access[:, None]
     if pull_index is None:
-        pull = pull[:, None, :, None]
-    else:
-        pull_index = pull_index[:, :, None]
+        pull = pull[:, None]
 
-    d = np.array(d0, dtype=float)[:, :, None]
-    recorded = np.empty((b, params.n_steps // spr + 1, n, 1))
+    d = np.array(d0, dtype=float)
+    recorded = np.empty((b, params.n_steps // spr + 1, n))
     recorded[:, 0] = d
     clamp_hits = np.zeros(b, dtype=int)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
@@ -305,7 +342,7 @@ def _euler(
     for k in range(params.n_steps):
         local_pull = pull[k] if pull_index is None else pull[k][pull_index]
         if has_contagion:
-            pull_ratio = _contagion_ratio(alpha, inv_row, access[k], d)
+            pull_ratio = _contagion_ratio(operator, access[k], d)
             rate = np.maximum(pull_ratio, floor) if floor > 0.0 else pull_ratio
             target = local_pull + omega2 * pull_ratio
         else:
@@ -314,11 +351,11 @@ def _euler(
         d = d + rate * (target - d) * dt
         flat = d.ravel()
         if lowest(flat) < 0.0 or highest(flat) > 1.0:
-            clamp_hits += ((d < 0.0) | (d > 1.0)).any(axis=(1, 2))
+            clamp_hits += ((d < 0.0) | (d > 1.0)).any(axis=1)
             np.clip(d, 0.0, 1.0, out=d)
         if (k + 1) % spr == 0:
             recorded[:, (k + 1) // spr] = d
-    return recorded[..., 0], clamp_hits
+    return recorded, clamp_hits
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -333,10 +370,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
     dt = params.dt_hours
     n_steps = params.n_steps
 
-    alpha, inv_row = _contagion_operator(net.base_weights)
     recorded, clamp_hits = _euler(
-        alpha,
-        inv_row,
+        _contagion_operator(net),
         _sample_schedules(scenario.media_access, dt, n_steps),
         params.omega1 * (1.0 - _sample_schedules(scenario.electricity, dt, n_steps)),
         scenario.initial_dissatisfaction[None, :],

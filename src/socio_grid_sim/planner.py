@@ -269,6 +269,7 @@ class _LatticeSearch:
         sizes = base.network.group_sizes
         self.cell_energy = [self.granularity * float(sizes[g]) for g, _ in self.cells]
         self.max_energy = max(self.levels) * sum(self.cell_energy)
+        # Greedy passes and restarts revisit moves; exhaustive search keeps no memo.
         self._memo: dict[tuple[float, ...], PlanObjective] = {}
 
         # Every candidate is a sub-plan of the all-top-level plan, at levels
@@ -279,7 +280,6 @@ class _LatticeSearch:
 
         params = base.params
         self._members = [base.network.members(g) for g in range(self.n_groups)]
-        self._alpha, self._inv_row = _contagion_operator(base.network.base_weights)
         self._access = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
         # One block holds each row's state plus its recorded report times.
         report_times = params.n_steps // params.steps_per_report + 1
@@ -336,7 +336,7 @@ class _LatticeSearch:
             self._profile_ids[key] = np.array(ids, dtype=np.intp)
         return self._profile_ids[key]
 
-    def _score_block(self, block: Sequence[tuple[float, ...]]) -> None:
+    def _score_block(self, block: Sequence[tuple[float, ...]]) -> list[PlanObjective]:
         base = self.base
         n_slots = self.n_slots
         pull_index = np.empty((len(block), base.n_agents), dtype=np.intp)
@@ -348,16 +348,16 @@ class _LatticeSearch:
         if self._pull.shape[1] != len(self._columns):
             self._pull = np.column_stack(self._columns)
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
-        recorded, _ = _euler(
-            self._alpha, self._inv_row, self._access, self._pull, d0, base.params, pull_index
-        )
-        self._memo.update(zip(block, _block_objectives(recorded, self._members, self.fairness_weight)))
+        operator = _contagion_operator(base.network, len(block))
+        recorded, _ = _euler(operator, self._access, self._pull, d0, base.params, pull_index)
+        return _block_objectives(recorded, self._members, self.fairness_weight)
 
     def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
         """Score every assignment not yet memoised, in blocks."""
         pending = list(dict.fromkeys(a for a in assignments if a not in self._memo))
         for start in range(0, len(pending), self._block):
-            self._score_block(pending[start : start + self._block])
+            block = pending[start : start + self._block]
+            self._memo.update(zip(block, self._score_block(block)))
 
     def score(self, assignment: Sequence[float]) -> PlanObjective:
         key = tuple(assignment)
@@ -373,11 +373,15 @@ class _LatticeSearch:
                     f"{_MAX_EXHAUSTIVE}; use strategy 'greedy_restarts' or a coarser lattice"
                 ]
             )
-        feasible = [
-            a for a in itertools.product(self.levels, repeat=len(self.cells)) if self.feasible(a)
-        ]
-        self.score_all(feasible)
-        return min(feasible, key=lambda a: (self._memo[a].combined, a))
+        # The feasible lattice streams through in blocks; only the best
+        # (combined, assignment) is kept, so memory does not grow with it.
+        feasible = filter(self.feasible, itertools.product(self.levels, repeat=len(self.cells)))
+        best = None
+        while block := list(itertools.islice(feasible, self._block)):
+            for assignment, objective in zip(block, self._score_block(block)):
+                if best is None or (objective.combined, assignment) < best:
+                    best = (objective.combined, assignment)
+        return best[1]
 
     def greedy_pass(self, rng: random.Random | None) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.

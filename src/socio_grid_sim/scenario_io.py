@@ -9,7 +9,6 @@ wall-clock timestamps, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import fields
@@ -20,6 +19,7 @@ import numpy as np
 
 from .core_types import (
     ContagionNetwork,
+    GroupBlock,
     ModelParams,
     PiecewiseSchedule,
     Scenario,
@@ -227,6 +227,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             return {"broadcast": points[0]}
         return {"per_agent": points}
 
+    operator = scenario.network.operator
+    if isinstance(operator, GroupBlock):
+        network = {"full_within_groups": {"weight": operator.weight}}
+    else:
+        network = {"dense": operator.matrix.tolist()}
     return {
         "schema_version": SCHEMA_VERSION,
         "label": scenario.label,
@@ -236,7 +241,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "groups": scenario.network.group_of.tolist(),
             "initial_dissatisfaction": scenario.initial_dissatisfaction.tolist(),
         },
-        "network": {"dense": scenario.network.base_weights.tolist()},
+        "network": network,
         "schedules": {
             "electricity": sched_block(scenario.electricity),
             "media_access": sched_block(scenario.media_access),
@@ -301,29 +306,26 @@ def write_results(
     aggregates_path = out / "aggregates.csv"
     manifest_path = out / "manifest.json"
 
+    # Lines are formatted directly from Python floats, one report time at a
+    # time: every field is a number or a scope label, so none ever needs CSV
+    # quoting.
+    ids = [f",{agent},{group}," for agent, group in enumerate(result.groups.tolist())]
     with agents_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_hours", "agent_id", "group", "dissatisfaction", "satisfaction"])
-        for t_idx in range(result.n_times):
-            t = result.times[t_idx]
-            for agent in range(result.n_agents):
-                d = result.dissatisfaction[t_idx, agent]
-                writer.writerow([_fmt(t), agent, int(result.groups[agent]), _fmt(d), _fmt(1.0 - d)])
+        fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
+        for t, dissatisfaction, satisfaction in zip(result.times.tolist(), result.dissatisfaction, result.satisfaction):
+            t_text = _fmt(t)
+            values = zip(ids, dissatisfaction.tolist(), satisfaction.tolist())
+            fh.write("".join([f"{t_text}{i}{d:.9g},{s:.9g}\n" for i, d, s in values]))
 
     with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_hours", "scope", "mean_s", "min_s", "max_s", "std_s"])
-        for row in result.aggregates:
-            writer.writerow(
-                [
-                    _fmt(row.time_hours),
-                    row.scope_label,
-                    _fmt(row.mean_satisfaction),
-                    _fmt(row.min_satisfaction),
-                    _fmt(row.max_satisfaction),
-                    _fmt(row.std_satisfaction),
-                ]
+        fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")
+        fh.write(
+            "".join(
+                f"{row.time_hours:.9g},{row.scope_label},{row.mean_satisfaction:.9g},"
+                f"{row.min_satisfaction:.9g},{row.max_satisfaction:.9g},{row.std_satisfaction:.9g}\n"
+                for row in result.aggregates
             )
+        )
 
     manifest = dict(result.manifest)
     if extra_manifest:

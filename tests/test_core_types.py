@@ -17,6 +17,7 @@ from socio_grid_sim import (
     ValidationError,
     schedule_value_at,
 )
+from socio_grid_sim.core_types import Dense, GroupBlock
 
 
 class TestPiecewiseSchedule:
@@ -159,6 +160,40 @@ class TestContagionNetwork:
         net = ContagionNetwork(2, weights, np.array([0, 0]))
         assert net.base_weights[0, 1] != net.base_weights[1, 0]
 
+    def test_operator_is_a_group_block_only_for_exact_block_bits(self):
+        groups = [0, 0, 1, 1, 1, 2]
+        shorthand = ContagionNetwork.full_within_groups(groups, 2.5)
+        assert shorthand.operator == GroupBlock(2.5)
+        spelled = ContagionNetwork(6, shorthand.base_weights, groups)
+        assert spelled.operator == GroupBlock(2.5)
+        assert spelled == shorthand
+        for n, m, value in ((0, 1, 2.0), (0, 2, 1.0), (3, 0, -0.0), (5, 5, -0.0)):
+            weights = np.array(shorthand.base_weights)
+            weights[n, m] = value
+            net = ContagionNetwork(6, weights, groups)
+            assert isinstance(net.operator, Dense), (n, m, value)
+            assert net.base_weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
+        # Without a within-group pair every weight gives the same zero matrix.
+        assert ContagionNetwork.full_within_groups([0, 1, 2], 2.5).operator == GroupBlock(0.0)
+        assert ContagionNetwork(3, np.zeros((3, 3)), [0, 1, 2]).operator == GroupBlock(0.0)
+
+    def test_group_block_matrix_is_lazy_and_read_only(self):
+        net = ContagionNetwork.full_within_groups([0, 1, 0], 3.0)
+        assert "base_weights" not in vars(net)
+        weights = net.base_weights
+        assert net.base_weights is weights
+        assert weights.tolist() == [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        with pytest.raises(ValueError):
+            weights[0, 2] = 1.0
+
+    @pytest.mark.parametrize("weight", [-2.0, -1e-300, float("inf"), float("nan")])
+    def test_shorthand_rejects_bad_weight_even_without_pairs(self, weight):
+        # All-singleton groups build an all-zero matrix, but the weight is
+        # still checked.
+        for groups in ([0, 0, 1], [0, 1, 2]):
+            with pytest.raises(ValidationError, match="weight must be finite and >= 0"):
+                ContagionNetwork.full_within_groups(groups, weight)
+
 
 class TestScenario:
     def _scenario(self, **kwargs):
@@ -217,14 +252,43 @@ class TestScenario:
             initial_dissatisfaction=rng.uniform(0.0, 1.0, size=4),
             label="d\u00e9mo \"quoted\"",
         )
+        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+
+    @staticmethod
+    def _canonical_digest(scenario, weights):
         doc = {
             "label": scenario.label,
             "params": scenario.params.as_dict(),
-            "groups": [0, 0, 1, 1],
+            "groups": scenario.network.group_of.tolist(),
             "base_weights": weights.tolist(),
             "electricity": [s.breakpoints for s in scenario.electricity],
             "media_access": [s.breakpoints for s in scenario.media_access],
             "initial_dissatisfaction": scenario.initial_dissatisfaction.tolist(),
         }
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        assert scenario.content_digest() == "sha256:" + hashlib.sha256(payload).hexdigest()
+        return "sha256:" + hashlib.sha256(payload).hexdigest()
+
+    @pytest.mark.parametrize("weight", [1.0, 2.5, 1e-300, 5e-324, 0.0, -0.0, 1e308])
+    def test_group_block_digest_hashes_the_canonical_document(self, weight):
+        # The block's rows are hashed from per-group templates, without its
+        # matrix; groups 1 and 3 are singletons.
+        groups = [0, 1, 0, 2, 2, 3, 0, 2]
+        scenario = self._scenario(n=8, network=ContagionNetwork.full_within_groups(groups, weight))
+        assert isinstance(scenario.network.operator, GroupBlock)
+        digest = scenario.content_digest()
+        assert "base_weights" not in vars(scenario.network)
+        same = np.equal.outer(groups, groups) & ~np.eye(8, dtype=bool)
+        assert digest == self._canonical_digest(scenario, np.where(same, weight, 0.0))
+
+    def test_dense_digest_keeps_negative_zero(self):
+        # A block matrix with one -0.0 among its zeros is not a block: it
+        # stays dense and the digest writes -0.0 where the file has it.
+        groups = [0, 0, 1, 1]
+        weights = np.array(ContagionNetwork.full_within_groups(groups, 1.0).base_weights)
+        weights[0, 2] = -0.0
+        scenario = self._scenario(n=4, network=ContagionNetwork(4, weights, groups))
+        assert isinstance(scenario.network.operator, Dense)
+        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+        assert scenario.content_digest() != self._scenario(
+            n=4, network=ContagionNetwork.full_within_groups(groups, 1.0)
+        ).content_digest()

@@ -24,6 +24,7 @@ from socio_grid_sim import (
 )
 
 from oracles import reference_trajectory, rk4_scalar
+from property_checks import rebuild
 
 TRIAD = ContagionNetwork.full_within_groups([0, 0, 0], 1.0)
 THREE_GROUPS = ContagionNetwork.full_within_groups([0, 0, 0, 1, 1, 1, 2, 2, 2], 1.0)
@@ -327,6 +328,84 @@ class TestSimulate:
         assert np.max(np.abs(coarse.dissatisfaction - halved.dissatisfaction)) < 5e-3
 
 
+class TestGroupBlockOperator:
+    """The O(N) group-block operator against the dense product and the
+    plain-loop reference."""
+
+    def test_matches_dense_operator(self):
+        from socio_grid_sim.core_types import Dense, GroupBlock
+
+        from oracles import random_scenario
+
+        rng = np.random.default_rng(31)
+        for idx in range(30):
+            scenario = random_scenario(rng, max_horizon=24.0, cross_group_weights=False, rate_floor=0.05)
+            weight = 1e308 if idx % 10 == 0 else float(rng.uniform(0.1, 3.0))
+            block = ContagionNetwork.full_within_groups(scenario.network.group_of, weight)
+            dense = ContagionNetwork.__new__(ContagionNetwork)
+            dense._assign(block.group_of, Dense(block.base_weights))
+            runs = [simulate(rebuild(scenario, network=net)) for net in (block, dense)]
+            assert isinstance(block.operator, GroupBlock)
+            assert np.max(np.abs(runs[0].dissatisfaction - runs[1].dissatisfaction)) <= 1e-12
+
+    @pytest.mark.parametrize("weight, groups", [(0.0, [0, 0, 1, 1, 1]), (-0.0, [0, 0, 1]), (1.0, [0, 1, 2, 3])])
+    def test_zero_weight_and_singletons_give_no_contagion(self, weight, groups):
+        n = len(groups)
+        horizon = 6.0
+        scenario = Scenario(
+            params=ModelParams(horizon_hours=horizon, rate_floor=0.1),
+            network=ContagionNetwork.full_within_groups(groups, weight),
+            electricity=(PiecewiseSchedule(((0.0, 1.0), (2.0, 0.3)), horizon),) * n,
+            media_access=tuple(PiecewiseSchedule.constant(a, horizon) for a in np.linspace(0.5, 1.0, n)),
+            initial_dissatisfaction=np.linspace(0.1, 0.9, n),
+        )
+        snapshot = contagion_snapshot(scenario.network, np.full(n, 0.7), np.linspace(0.2, 1.0, n), scenario.params)
+        assert np.all(snapshot.social_term == 0.0) and np.all(snapshot.rate == 0.1)
+        _, expected = reference_trajectory(scenario)
+        assert np.max(np.abs(simulate(scenario).dissatisfaction - expected)) <= 1e-12
+
+    def test_large_shorthand_run_builds_no_matrix(self, tmp_path):
+        # 3000 agents: a dense N x N matrix alone would take 72 MB.
+        import json
+        import tracemalloc
+
+        from socio_grid_sim import load_scenario
+
+        rng = np.random.default_rng(5)
+        n = 3000
+        doc = {
+            "schema_version": 1,
+            "label": "wide",
+            "params": {"horizon_hours": 4.0},
+            "agents": {
+                "count": n,
+                "groups": rng.permutation(np.repeat(np.arange(12), n // 12)).tolist(),
+                "initial_dissatisfaction": rng.uniform(0.2, 0.8, n).tolist(),
+            },
+            "network": {"full_within_groups": {"weight": 1.0}},
+            "schedules": {
+                "electricity": {"broadcast": [[0.0, 1.0], [1.0, 0.5]]},
+                "media_access": {"broadcast": [[0.0, 0.8]]},
+            },
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        # Scattered pairs keep the most groups open while the digest walks
+        # the rows in agent order.
+        pairs = ContagionNetwork.full_within_groups(rng.permutation(np.arange(n) // 2), 1.0)
+        tracemalloc.start()
+        try:
+            scenario = load_scenario(path)
+            result = simulate(scenario)
+            pairs_digest = rebuild(scenario, network=pairs).content_digest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.manifest["clamp_activations"] == 0
+        assert pairs_digest != result.manifest["scenario_digest"]
+        assert peak < 16 * 2**20
+
+
 def replace_params(scenario: Scenario, **overrides) -> Scenario:
     return Scenario(
         params=replace(scenario.params, **overrides),
@@ -393,6 +472,9 @@ class TestFeatureModel:
 
 class TestBatchedKernel:
     def test_rows_match_single_runs_for_any_block(self):
+        # Both operators: the dense (B, N, 1) matrix-vector stack and the
+        # group block's one bincount per step. Each row of a block of 7 and
+        # of the whole block must equal its own run as a block of one.
         from socio_grid_sim.dynamics import _contagion_operator, _euler, _sample_schedules
 
         from oracles import random_scenario
@@ -402,13 +484,21 @@ class TestBatchedKernel:
             scenario = random_scenario(rng, max_agents=40, max_horizon=24.0, rate_floor=0.02)
             params = scenario.params
             n = scenario.n_agents
-            alpha, inv_row = _contagion_operator(scenario.network.base_weights)
+            block_net = ContagionNetwork.full_within_groups(scenario.network.group_of, float(rng.uniform(0.5, 2.0)))
             access = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
             pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
-            index = rng.integers(0, 3 * n, size=(int(rng.integers(2, 60)), n))
+            index = rng.integers(0, 3 * n, size=(int(rng.integers(8, 60)), n))
             d0 = rng.uniform(0.0, 1.0, size=index.shape)
-            block, hits = _euler(alpha, inv_row, access, pull, d0, params, index)
-            assert hits.tolist() == [0] * index.shape[0]
-            for row in range(index.shape[0]):
-                single, _ = _euler(alpha, inv_row, access, pull[:, index[row]], d0[row : row + 1], params)
-                assert np.array_equal(block[row], single[0])
+            for network in (scenario.network, block_net):
+                singles = [
+                    _euler(_contagion_operator(network), access, pull[:, index[row]], d0[row : row + 1], params)[0][0]
+                    for row in range(index.shape[0])
+                ]
+                for size in (7, index.shape[0]):
+                    for start in range(0, index.shape[0], size):
+                        rows = slice(start, start + size)
+                        operator = _contagion_operator(network, index[rows].shape[0])
+                        block, hits = _euler(operator, access, pull, d0[rows], params, index[rows])
+                        assert hits.tolist() == [0] * block.shape[0]
+                        for offset, single in enumerate(singles[rows]):
+                            assert np.array_equal(block[offset], single)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,28 @@ class TestPlanShedding:
         # fully symmetric instance: the relabeled search sees an identical
         # problem, so the canonical winner is identical
         assert plan_a.encoding() == plan_b.encoding()
+
+    def test_exhaustive_keeps_only_a_running_minimum(self):
+        search = _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.0, 0.5], 1.0)
+        assert search.exhaustive() == (0.0, 0.0, 0.0, 0.5) * 3
+        assert search._memo == {}
+        # 2 groups x 8 slots x 2 levels: 2**16 candidates, about 32 MB as a memo.
+        horizon = 8.0
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon, dt_hours=0.5),
+            network=ContagionNetwork.full_within_groups([0, 0, 1, 1], 1.0),
+            electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 4,
+            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 4,
+            initial_dissatisfaction=np.full(4, 0.5),
+        )
+        tracemalloc.start()
+        try:
+            plan, _ = plan_shedding(base, 0.5, 1.0, [0.0, 0.5], strategy="exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.encoding() == "0:7:1:0.5;1:7:1:0.5"
+        assert peak < 8 * 2**20
 
     def test_exhaustive_refuses_oversized_lattice(self):
         # 3 groups x 16 slots x 2 levels: 2**48 candidates.

@@ -178,6 +178,16 @@ class TestScenarioDocuments:
         with pytest.raises(OSError):
             load_scenario(tmp_path / "nope.json")
 
+    def test_network_exports_in_its_own_form(self):
+        # A group block is written as the O(N) shorthand, anything else as
+        # the matrix; both load back equal.
+        doc = minimal_doc()
+        assert scenario_to_dict(scenario_from_dict(doc))["network"] == {"full_within_groups": {"weight": 1.0}}
+        doc["network"] = {"dense": [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+        scenario = scenario_from_dict(doc)
+        assert scenario_to_dict(scenario)["network"] == doc["network"]
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
     def test_broadcast_detection_on_export(self):
         scenario = builtin_case_study("full_access")
         doc = scenario_to_dict(scenario)
@@ -230,3 +240,48 @@ class TestWriteResults:
         write_results(simulate(scenario), tmp_path / "b")
         for name in ("agents.csv", "aggregates.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_matches_a_plain_csv_writer(self, tmp_path: Path):
+        # Awkward values for 9-significant-digit text: tiny, inexact sums,
+        # exact 0 and exact 1, and their complements.
+        import csv
+
+        from socio_grid_sim import AggregateRow, aggregate_trajectory
+
+        values = np.array([[1e-10, 0.1 + 0.2, 0.0], [1.0, 1.0 - 1e-10, 1.0 / 3.0]])
+        times = np.array([0.0, 0.1 + 0.2])
+        groups = np.array([0, 1, 0])
+        rows = aggregate_trajectory(times, values, groups) + [AggregateRow(1e-10, 1, 0.0, 1.0, 0.1 + 0.2, 1e-10)]
+        result = SimulationResult(times=times, dissatisfaction=values, groups=groups, aggregates=tuple(rows))
+        write_results(result, tmp_path)
+
+        def fmt(value) -> str:
+            return format(float(value), ".9g")
+
+        expected = {}
+        for name, header, lines in (
+            (
+                "agents.csv",
+                ["t_hours", "agent_id", "group", "dissatisfaction", "satisfaction"],
+                [
+                    [fmt(t), agent, int(groups[agent]), fmt(values[i, agent]), fmt(1.0 - values[i, agent])]
+                    for i, t in enumerate(times)
+                    for agent in range(3)
+                ],
+            ),
+            (
+                "aggregates.csv",
+                ["t_hours", "scope", "mean_s", "min_s", "max_s", "std_s"],
+                [
+                    [fmt(r.time_hours), r.scope_label, fmt(r.mean_satisfaction), fmt(r.min_satisfaction),
+                     fmt(r.max_satisfaction), fmt(r.std_satisfaction)]
+                    for r in rows
+                ],
+            ),
+        ):
+            with (tmp_path / f"expected-{name}").open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(lines)
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"expected-{name}").read_bytes()
+        assert "1e-10" in (tmp_path / "agents.csv").read_text()
