@@ -29,17 +29,8 @@ from .dynamics import (
     step_feature,
 )
 from .metrics import AggregateRow, aggregate, aggregate_trajectory
-from .planner import (
-    PlanInfeasibleError,
-    PlanObjective,
-    SheddingPlan,
-    SheddingSlot,
-    apply_plan,
-    evaluate_plan,
-    plan_from_dict,
-    plan_shedding,
-    plan_to_dict,
-)
+from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
+from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
     builtin_case_study,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 from .core_types import PiecewiseSchedule, Scenario, ValidationError
 from .dynamics import simulate
-from .planner import plan_shedding, plan_to_dict
+from .planner import plan_shedding
+from .plans import plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
     _fmt,
@@ -119,6 +121,7 @@ def run_plan(args: argparse.Namespace) -> int:
         levels = [float(part) for part in args.levels.split(",") if part.strip() != ""]
     except ValueError:
         raise ValidationError([f"--levels must be comma-separated numbers (got {args.levels!r})"])
+    search: dict = {}
     plan, objective = plan_shedding(
         base,
         required_energy=args.required_energy,
@@ -127,6 +130,7 @@ def run_plan(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         seed=args.seed,
         fairness_weight=args.fairness_weight,
+        stats=search,
     )
     out.mkdir(parents=True, exist_ok=True)
     plan_path = out / "plan.json"
@@ -144,6 +148,7 @@ def run_plan(args: argparse.Namespace) -> int:
         "plan_encoding": plan.encoding(),
         "scenario_digest": base.content_digest(),
         "cli_overrides": overrides,
+        "search": search,
     }
     report_path = out / "objective.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -207,8 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Argparse objects reference each
+    other, so a parser built per call is garbage that only a full collection
+    frees, and repeated calls in one process pile it up."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except ValidationError as exc:

@@ -61,7 +61,10 @@ def aggregate_trajectory(
     """Aggregate a whole trajectory at once.
 
     One row per group followed by one global row, for each report time in
-    turn, with the statistics vectorized over the time axis.
+    turn, with the statistics vectorized over the time axis. Agents are
+    sorted by group once (stably, so each group keeps agent order), and each
+    group reduces its own contiguous columns of that one copy: the same
+    values in the same order as a masked copy of the group.
     """
     d = np.asarray(dissatisfaction, dtype=float)
     if d.ndim != 2:
@@ -70,27 +73,20 @@ def aggregate_trajectory(
     if times.shape != (d.shape[0],):
         raise ValidationError([f"times must have shape ({d.shape[0]},) (got {times.shape})"])
     groups = _checked_groups(d.shape[1], group_of)
-    satisfaction = 1.0 - d
+    order = np.argsort(groups, kind="stable")
+    by_group = 1.0 - d[:, order]
+    ends = np.cumsum(np.bincount(groups)).tolist()
 
     scopes: list[tuple[int | None, np.ndarray]] = [
-        (g, satisfaction[:, groups == g]) for g in range(int(groups.max()) + 1)
+        (g, by_group[:, start:end]) for g, (start, end) in enumerate(zip([0] + ends, ends))
     ]
-    scopes.append((None, satisfaction))
+    scopes.append((None, 1.0 - d))
     per_scope = [
-        (scope, sub.mean(axis=1), sub.min(axis=1), sub.max(axis=1), sub.std(axis=1))
+        (scope, *(stat(axis=1).tolist() for stat in (sub.mean, sub.min, sub.max, sub.std)))
         for scope, sub in scopes
     ]
-    rows: list[AggregateRow] = []
-    for t_idx, t in enumerate(times):
-        for scope, mean, mn, mx, std in per_scope:
-            rows.append(
-                AggregateRow(
-                    time_hours=float(t),
-                    scope=scope,
-                    mean_satisfaction=float(mean[t_idx]),
-                    min_satisfaction=float(mn[t_idx]),
-                    max_satisfaction=float(mx[t_idx]),
-                    std_satisfaction=float(std[t_idx]),
-                )
-            )
-    return rows
+    return [
+        AggregateRow(t, scope, mean[t_idx], mn[t_idx], mx[t_idx], std[t_idx])
+        for t_idx, t in enumerate(times.tolist())
+        for scope, mean, mn, mx, std in per_scope
+    ]

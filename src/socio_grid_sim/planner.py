@@ -10,62 +10,20 @@ checked against independent brute-force enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_types import PiecewiseSchedule, Scenario, ValidationError
+from .core_types import GroupBlock, PiecewiseSchedule, Scenario, ValidationError
 from .dynamics import _contagion_operator, _euler, _sample_schedules, simulate
-
-PLAN_SCHEMA_VERSION = 1
+from .plans import SheddingPlan, SheddingSlot, _shed_schedule, apply_plan, validate_plan
 
 
 class PlanInfeasibleError(ValidationError):
     """The energy requirement cannot be met even at maximal shedding."""
-
-
-@dataclass(frozen=True, order=True)
-class SheddingSlot:
-    """One shedding interval for one group: availability drops by ``shed_level``."""
-
-    group: int
-    start_hour: float
-    duration_hours: float
-    shed_level: float
-
-    @property
-    def end_hour(self) -> float:
-        return self.start_hour + self.duration_hours
-
-
-@dataclass(frozen=True)
-class SheddingPlan:
-    """A set of non-overlapping (per group) shedding slots on a slot lattice."""
-
-    slots: tuple[SheddingSlot, ...]
-    granularity_hours: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(sorted(self.slots)))
-
-    def total_energy(self, group_sizes: Sequence[int]) -> float:
-        """Shed energy in level x hours x agents units."""
-        sizes = np.asarray(group_sizes)
-        return float(sum(s.shed_level * s.duration_hours * sizes[s.group] for s in self.slots))
-
-    def encoding(self) -> str:
-        """Canonical text form, used for tie-breaking and byte-level comparisons."""
-        parts = [
-            f"{s.group}:{s.start_hour:.9g}:{s.duration_hours:.9g}:{s.shed_level:.9g}"
-            for s in self.slots
-        ]
-        return ";".join(parts)
-
-    @classmethod
-    def empty(cls, granularity_hours: float) -> "SheddingPlan":
-        return cls(slots=(), granularity_hours=granularity_hours)
 
 
 @dataclass(frozen=True)
@@ -78,101 +36,8 @@ class PlanObjective:
     combined: float
 
 
-def validate_plan(plan: SheddingPlan, base: Scenario) -> list[str]:
-    """Every way the plan is inconsistent with the base scenario."""
-    errors: list[str] = []
-    horizon = base.params.horizon_hours
-    n_groups = base.network.n_groups
-    if not plan.granularity_hours > 0.0:
-        errors.append(f"granularity_hours must be > 0 (got {plan.granularity_hours!r})")
-    for i, slot in enumerate(plan.slots):
-        if not 0 <= slot.group < n_groups:
-            errors.append(f"slots[{i}].group = {slot.group!r} outside 0..{n_groups - 1}")
-        if slot.start_hour < 0.0:
-            errors.append(f"slots[{i}].start_hour = {slot.start_hour!r} must be >= 0")
-        if not slot.duration_hours > 0.0:
-            errors.append(f"slots[{i}].duration_hours = {slot.duration_hours!r} must be > 0")
-        if slot.end_hour > horizon + 1e-9:
-            errors.append(
-                f"slots[{i}] ends at {slot.end_hour!r}, beyond the horizon {horizon!r}"
-            )
-        if not 0.0 <= slot.shed_level <= 1.0:
-            errors.append(f"slots[{i}].shed_level = {slot.shed_level!r} outside [0, 1]")
-    by_group: dict[int, list[SheddingSlot]] = {}
-    for slot in plan.slots:
-        by_group.setdefault(slot.group, []).append(slot)
-    for group, slots in sorted(by_group.items()):
-        slots.sort()
-        for prev, cur in zip(slots, slots[1:]):
-            if cur.start_hour < prev.end_hour - 1e-9:
-                errors.append(
-                    f"group {group} slots overlap: [{prev.start_hour!r}, {prev.end_hour!r}) and "
-                    f"[{cur.start_hour!r}, {cur.end_hour!r})"
-                )
-    return errors
-
-
-def _shed_level_at(slots: Sequence[SheddingSlot], t: float) -> float:
-    for slot in slots:
-        if slot.start_hour <= t < slot.end_hour:
-            return slot.shed_level
-    return 0.0
-
-
-def _shed_schedule(base: PiecewiseSchedule, slots: Sequence[SheddingSlot]) -> PiecewiseSchedule:
-    horizon = base.horizon_hours
-    cuts = {s for s, _ in base.breakpoints}
-    for slot in slots:
-        for edge in (slot.start_hour, slot.end_hour):
-            if 0.0 <= edge < horizon:
-                cuts.add(edge)
-    points: list[tuple[float, float]] = []
-    for t in sorted(cuts):
-        value = max(0.0, base.value_at(t) - _shed_level_at(slots, t))
-        if not points or value != points[-1][1]:
-            points.append((t, value))
-    return PiecewiseSchedule(tuple(points), horizon)
-
-
-def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
-    """Overlay the plan's shedding on the base electricity schedules.
-
-    While a slot with level L is active, its group's availability drops by L
-    (floored at 0). Raises with the full violation list for infeasible plans.
-    """
-    errors = validate_plan(plan, base)
-    if errors:
-        raise ValidationError(errors)
-    by_group: dict[int, list[SheddingSlot]] = {}
-    for slot in plan.slots:
-        by_group.setdefault(slot.group, []).append(slot)
-    # Agents in the same group with the same base schedule share the merged one.
-    cache: dict[tuple[int, PiecewiseSchedule], PiecewiseSchedule] = {}
-    merged: list[PiecewiseSchedule] = []
-    for agent, sched in enumerate(base.electricity):
-        group = int(base.network.group_of[agent])
-        slots = by_group.get(group, [])
-        if not slots:
-            merged.append(sched)
-            continue
-        key = (group, sched)
-        if key not in cache:
-            cache[key] = _shed_schedule(sched, slots)
-        merged.append(cache[key])
-    return Scenario(
-        params=base.params,
-        network=base.network,
-        electricity=tuple(merged),
-        media_access=base.media_access,
-        initial_dissatisfaction=base.initial_dissatisfaction,
-        label=base.label,
-    )
-
-
-def _block_objectives(
-    recorded: np.ndarray, members: Sequence[np.ndarray], fairness_weight: float
-) -> list[PlanObjective]:
-    """Objective of each (T, N) trajectory in a (B, T, N) block.
+def _group_time_means(recorded: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
+    """(B, G) time-mean dissatisfaction of each group in a (B, T, N) block.
 
     Each group's time-mean reduces a contiguous (T, n_g) copy of its members'
     columns, first over agents and then over time. That is the layout of
@@ -180,9 +45,8 @@ def _block_objectives(
     ``recorded[:, :, m].mean(axis=2).mean(axis=1)`` can round differently in
     the last bit once a group has 8 or more members.
     """
-    peak = recorded.mean(axis=2).max(axis=1)
     by_agent = recorded.transpose(0, 2, 1)
-    time_means = np.column_stack(
+    return np.column_stack(
         [
             np.ascontiguousarray(
                 np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2)
@@ -190,6 +54,14 @@ def _block_objectives(
             for group in members
         ]
     )
+
+
+def _block_objectives(
+    recorded: np.ndarray, members: Sequence[np.ndarray], fairness_weight: float
+) -> list[PlanObjective]:
+    """Objective of each (T, N) trajectory in a (B, T, N) block."""
+    peak = recorded.mean(axis=2).max(axis=1)
+    time_means = _group_time_means(recorded, members)
     unfairness = time_means.max(axis=1) - time_means.min(axis=1)
     combined = peak + fairness_weight * unfairness
     return [
@@ -205,8 +77,8 @@ def evaluate_plan(plan: SheddingPlan, base: Scenario, fairness_weight: float = 1
     with the spread between the most and least burdened groups (each group's
     time-mean dissatisfaction): peak + fairness_weight * spread.
     """
-    if not fairness_weight >= 0.0:
-        raise ValidationError([f"fairness_weight must be >= 0 (got {fairness_weight!r})"])
+    if not 0.0 <= fairness_weight < math.inf:
+        raise ValidationError([f"fairness_weight must be finite and >= 0 (got {fairness_weight!r})"])
     recorded = simulate(apply_plan(base, plan)).dissatisfaction[None]
     members = [base.network.members(g) for g in range(base.network.n_groups)]
     return _block_objectives(recorded, members, fairness_weight)[0]
@@ -216,8 +88,19 @@ def evaluate_plan(plan: SheddingPlan, base: Scenario, fairness_weight: float = 1
 # trajectory (512 KB), which keeps one block's working set to a few MB.
 _BLOCK_FLOATS = 1 << 16
 
-# Largest lattice ``exhaustive`` enumerates: about a minute of scoring.
+# Candidates combined together from group profiles hold about this many
+# floats of report-time sums (64 KB), so combining adds little to the peak
+# memory of a search.
+_COMBINE_FLOATS = 1 << 13
+
+# Largest lattice ``exhaustive`` enumerates. On a coupled network that is
+# about a minute of scoring; a group-isolated one simulates only each
+# group's slot profiles.
 _MAX_EXHAUSTIVE = 1 << 20
+
+# Unit roundoff of float64: a correctly rounded operation has at most this
+# relative error.
+_UNIT_ROUNDOFF = 2.0**-53
 
 # A randomized greedy move is drawn from this many best-scoring candidates.
 _SHORTLIST = 3
@@ -271,6 +154,10 @@ class _LatticeSearch:
         self.max_energy = max(self.levels) * sum(self.cell_energy)
         # Greedy passes and restarts revisit moves; exhaustive search keeps no memo.
         self._memo: dict[tuple[float, ...], PlanObjective] = {}
+        # Deterministic search counters: rows advanced through the kernel, and
+        # whether exhaustive search took the group-decomposed path.
+        self.kernel_rows = 0
+        self.decomposed = False
 
         # Every candidate is a sub-plan of the all-top-level plan, at levels
         # already checked to lie in [0, 1], so this one check covers them all.
@@ -336,7 +223,8 @@ class _LatticeSearch:
             self._profile_ids[key] = np.array(ids, dtype=np.intp)
         return self._profile_ids[key]
 
-    def _score_block(self, block: Sequence[tuple[float, ...]]) -> list[PlanObjective]:
+    def _run_block(self, block: Sequence[tuple[float, ...]]) -> np.ndarray:
+        """(B, T, N) trajectories of a block of assignments, advanced together."""
         base = self.base
         n_slots = self.n_slots
         pull_index = np.empty((len(block), base.n_agents), dtype=np.intp)
@@ -350,7 +238,11 @@ class _LatticeSearch:
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
         operator = _contagion_operator(base.network, len(block))
         recorded, _ = _euler(operator, self._access, self._pull, d0, base.params, pull_index)
-        return _block_objectives(recorded, self._members, self.fairness_weight)
+        self.kernel_rows += len(block)
+        return recorded
+
+    def _score_block(self, block: Sequence[tuple[float, ...]]) -> list[PlanObjective]:
+        return _block_objectives(self._run_block(block), self._members, self.fairness_weight)
 
     def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
         """Score every assignment not yet memoised, in blocks."""
@@ -373,15 +265,128 @@ class _LatticeSearch:
                     f"{_MAX_EXHAUSTIVE}; use strategy 'greedy_restarts' or a coarser lattice"
                 ]
             )
-        # The feasible lattice streams through in blocks; only the best
-        # (combined, assignment) is kept, so memory does not grow with it.
-        feasible = filter(self.feasible, itertools.product(self.levels, repeat=len(self.cells)))
+        # With one group the slot profiles are the candidates themselves.
+        self.decomposed = self.n_groups > 1 and self._group_isolated()
+        if self.decomposed:
+            return self._best_of(self._near_best())
+        return self._best_of(
+            filter(self.feasible, itertools.product(self.levels, repeat=len(self.cells)))
+        )
+
+    def _best_of(self, candidates: Iterator[tuple[float, ...]]) -> tuple[float, ...]:
+        """The least ``(combined, assignment)`` of the candidates.
+
+        They stream through the kernel in blocks and only the best is kept,
+        so memory does not grow with their number.
+        """
         best = None
-        while block := list(itertools.islice(feasible, self._block)):
+        while block := list(itertools.islice(candidates, self._block)):
             for assignment, objective in zip(block, self._score_block(block)):
                 if best is None or (objective.combined, assignment) < best:
                     best = (objective.combined, assignment)
         return best[1]
+
+    def _group_isolated(self) -> bool:
+        """True when no weight couples two groups.
+
+        A group's trajectory then depends only on its own slots: a group
+        block sums each group on its own, and a dense product adds exact
+        zeros for every other group's agents.
+        """
+        operator = self.base.network.operator
+        if isinstance(operator, GroupBlock):
+            return True
+        within = sum(np.count_nonzero(operator.matrix[np.ix_(m, m)]) for m in self._members)
+        return within == np.count_nonzero(operator.matrix)
+
+    def _near_best(self) -> Iterator[tuple[float, ...]]:
+        """Every feasible assignment that may be the optimum, for a group-isolated network.
+
+        All ``P = levels ** slots`` slot profiles run as one kernel block,
+        row r giving every group profile r. A group's columns in that row
+        are bit-identical to its columns in any candidate where it takes
+        profile r, so each group's time-mean, and with it every candidate's
+        unfairness, is exact. A candidate's peak is estimated from the group
+        sums at each report time, its energy from the group energies, and
+        the ``P ** G`` candidates are walked in lexicographic order, in chunks.
+
+        Both estimates sum the same nonnegative terms in another order. With
+        u = 2**-53, a sum in which no term passes through more than k
+        roundings is within gamma_k = k u / (1 - k u) of the exact sum,
+        relative to it.
+
+        - Energy: a cell's product and at most K - 1 additions over the K
+          cells, so the estimate and :meth:`energy_of` differ by at most
+          2 gamma_K times the energy, itself at most ``max_energy``. A
+          candidate whose estimate lies within ``slack = 4 (K + 2) u
+          (max_energy + 1e-9)`` of the threshold is checked with
+          :meth:`feasible`; the rest of the slack covers the roundings of
+          the two comparisons. Feasibility is therefore exactly
+          :meth:`feasible`.
+        - Peak: a global mean of N values in [0, 1] takes at most N - 1
+          additions, in the kernel's sum over agents or in each group's sum
+          followed by the sum over groups ((n_g - 1) + (G - 1) <= N - 1), and
+          one division, so each lies within gamma_N of the exact mean and
+          the two peaks differ by at most 2 gamma_N.
+        - Combined: adding the exact fairness term rounds once more on each
+          side, by at most u (1 + fairness_weight), since peak and
+          unfairness lie in [0, 1]. So ``margin = 2 gamma_N + 4 u (1 +
+          fairness_weight)`` bounds the estimate's error, with room for the
+          rounding of the fairness term and of the bound below.
+
+        The optimum's estimate is then at most the least estimate plus twice
+        the margin, so every feasible candidate under that bound is yielded,
+        in lexicographic order, for the kernel to rescore exactly.
+        """
+        n_groups, n_agents = self.n_groups, self.base.n_agents
+        profiles = list(itertools.product(self.levels, repeat=self.n_slots))
+        n_profiles = len(profiles)
+        sums, time_means = [], []
+        for start in range(0, n_profiles, self._block):
+            rows = profiles[start : start + self._block]
+            recorded = self._run_block([profile * n_groups for profile in rows])
+            sums.append(np.stack([recorded[:, :, m].sum(axis=2) for m in self._members]))
+            time_means.append(_group_time_means(recorded, self._members).T)
+        # Per group and profile: (G, P, T) sums at each report time, (G, P)
+        # time-means and (G, P) energies.
+        sums = np.concatenate(sums, axis=1)
+        time_means = np.concatenate(time_means, axis=1)
+        energy = np.reshape(self.cell_energy, (n_groups, self.n_slots)) @ np.array(profiles).T
+
+        u = _UNIT_ROUNDOFF
+        margin = 2.0 * n_agents * u / (1.0 - n_agents * u) + 4.0 * u * (1.0 + self.fairness_weight)
+        slack = 4.0 * (len(self.cells) + 2) * u * (self.max_energy + 1e-9)
+        threshold = self.required - 1e-9
+        shape = (n_profiles,) * n_groups
+        total = n_profiles**n_groups
+        chunk = max(1, _COMBINE_FLOATS // sums.shape[2])
+
+        def assignment(index: int) -> tuple[float, ...]:
+            digits = np.unravel_index(index, shape)
+            return tuple(itertools.chain.from_iterable(profiles[int(d)] for d in digits))
+
+        def estimates() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            """(flat indices, combined estimates) of each chunk's feasible candidates."""
+            for start in range(0, total, chunk):
+                flat = np.arange(start, min(start + chunk, total))
+                digits = np.unravel_index(flat, shape)
+                shed = sum(e[d] for e, d in zip(energy, digits))
+                feasible = shed >= threshold + slack
+                for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
+                    feasible[i] = self.feasible(assignment(int(flat[i])))
+                flat = flat[feasible]
+                digits = [d[feasible] for d in digits]
+                peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n_agents
+                means = np.stack([t[d] for t, d in zip(time_means, digits)])
+                yield flat, peak + self.fairness_weight * (means.max(axis=0) - means.min(axis=0))
+
+        least = min((combined.min() for _, combined in estimates() if combined.size), default=None)
+        if least is None:
+            return
+        bound = least + 2.0 * margin
+        for flat, combined in estimates():
+            for index in flat[combined <= bound].tolist():
+                yield assignment(index)
 
     def greedy_pass(self, rng: random.Random | None) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.
@@ -423,20 +428,29 @@ def plan_shedding(
     seed: int = 0,
     fairness_weight: float = 1.0,
     restarts: int = 8,
+    stats: dict | None = None,
 ) -> tuple[SheddingPlan, PlanObjective]:
     """Find a shedding plan meeting the energy requirement at minimal objective.
 
-    ``exhaustive`` enumerates the full lattice (levels ** (groups x slots)
+    ``exhaustive`` searches the full lattice (levels ** (groups x slots)
     candidates) and returns the global optimum, ties broken by the
-    lexicographically smallest assignment. ``greedy_restarts`` runs one pure
-    greedy pass plus ``restarts`` seeded randomized passes and returns the
-    best, so its objective never beats exhaustive but never trails the plain
-    greedy baseline. Identical inputs and seed give identical plans.
+    lexicographically smallest assignment. When no weight couples two
+    groups, each group's slot profiles are simulated once and combined, and
+    only the candidates within a float-error margin of the best combination
+    are simulated again to choose exactly; otherwise every feasible
+    candidate is simulated. ``greedy_restarts`` runs one pure greedy pass
+    plus ``restarts`` seeded randomized passes and returns the best, so its
+    objective never beats exhaustive but never trails the plain greedy
+    baseline. Identical inputs and seed give identical plans.
+
+    ``stats``, if given, receives the search counters: ``kernel_rows``, the
+    rows simulated (the returned plan's final scoring included), and
+    ``decomposed``, whether exhaustive search combined group profiles.
     """
     if strategy not in ("exhaustive", "greedy_restarts"):
         raise ValidationError([f"strategy must be 'exhaustive' or 'greedy_restarts' (got {strategy!r})"])
-    if not fairness_weight >= 0.0:
-        raise ValidationError([f"fairness_weight must be >= 0 (got {fairness_weight!r})"])
+    if not 0.0 <= fairness_weight < math.inf:
+        raise ValidationError([f"fairness_weight must be finite and >= 0 (got {fairness_weight!r})"])
     search = _LatticeSearch(base, required_energy, granularity_hours, shed_levels, fairness_weight)
     if search.required > search.max_energy + 1e-9:
         raise PlanInfeasibleError(
@@ -451,52 +465,7 @@ def plan_shedding(
         assignment = search.exhaustive()
     else:
         assignment = search.greedy_restarts(seed, restarts)
-    return search.plan_for(assignment), search.score(assignment)
-
-
-def plan_to_dict(plan: SheddingPlan) -> dict:
-    return {
-        "schema_version": PLAN_SCHEMA_VERSION,
-        "granularity_hours": plan.granularity_hours,
-        "slots": [
-            {
-                "group": s.group,
-                "start_hour": s.start_hour,
-                "duration_hours": s.duration_hours,
-                "shed_level": s.shed_level,
-            }
-            for s in plan.slots
-        ],
-    }
-
-
-def plan_from_dict(doc: Mapping) -> SheddingPlan:
-    errors: list[str] = []
-    if not isinstance(doc, Mapping):
-        raise ValidationError([f"plan document must be a mapping (got {type(doc).__name__})"])
-    if doc.get("schema_version") != PLAN_SCHEMA_VERSION:
-        errors.append(f"schema_version must be {PLAN_SCHEMA_VERSION} (got {doc.get('schema_version')!r})")
-    granularity = doc.get("granularity_hours")
-    if not isinstance(granularity, (int, float)) or isinstance(granularity, bool):
-        errors.append(f"granularity_hours must be a number (got {granularity!r})")
-    raw_slots = doc.get("slots")
-    slots: list[SheddingSlot] = []
-    if not isinstance(raw_slots, list):
-        errors.append("slots must be a list")
-    else:
-        keys = {"group", "start_hour", "duration_hours", "shed_level"}
-        for i, raw in enumerate(raw_slots):
-            if not isinstance(raw, Mapping) or set(raw) != keys:
-                errors.append(f"slots[{i}] must be a mapping with keys {sorted(keys)}")
-                continue
-            slots.append(
-                SheddingSlot(
-                    group=int(raw["group"]),
-                    start_hour=float(raw["start_hour"]),
-                    duration_hours=float(raw["duration_hours"]),
-                    shed_level=float(raw["shed_level"]),
-                )
-            )
-    if errors:
-        raise ValidationError(errors)
-    return SheddingPlan(slots=tuple(slots), granularity_hours=float(granularity))
+    objective = search.score(assignment)
+    if stats is not None:
+        stats.update(kernel_rows=search.kernel_rows, decomposed=search.decomposed)
+    return search.plan_for(assignment), objective

@@ -154,12 +154,35 @@ class TestPlanCommand:
         assert report["combined"] == 0.5
         assert report["strategy"] == "exhaustive"
 
+    @pytest.mark.parametrize(
+        "strategy, search",
+        [
+            # 4 slot profiles, 3 candidates tied at the optimum, the final score.
+            ("exhaustive", {"decomposed": True, "kernel_rows": 4 + 3 + 1}),
+            # The 4 one-cell moves; restarts and the final score reuse them.
+            ("greedy_restarts", {"decomposed": False, "kernel_rows": 4}),
+        ],
+    )
+    def test_objective_reports_search_counters(self, tmp_path, strategy, search):
+        out = tmp_path / "plan"
+        code = main(["plan", "--scenario", str(DATA / "planner_base.json"), "--out", str(out),
+                     "--required-energy", "2.0", "--granularity", "2.0", "--strategy", strategy])
+        assert code == 0
+        assert json.loads((out / "objective.json").read_text())["search"] == search
+
     def test_plan_accepts_parameter_overrides(self, tmp_path, capsys):
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
                      "--out", str(tmp_path / "p"), "--required-energy", "0",
                      "--granularity", "2.0", "--omega1", "0.7", "--omega2", "0.7"])
         assert code == 2
         assert "omega1 + omega2" in capsys.readouterr().err
+
+    def test_plan_rejects_infinite_lambda(self, tmp_path, capsys):
+        code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
+                     "--out", str(tmp_path / "p"), "--required-energy", "2.0",
+                     "--granularity", "2.0", "--lambda", "inf"])
+        assert code == 2
+        assert "fairness_weight must be finite" in capsys.readouterr().err
 
     def test_plan_rejects_malformed_levels(self, tmp_path, capsys):
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"),

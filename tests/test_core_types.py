@@ -280,6 +280,23 @@ class TestScenario:
         same = np.equal.outer(groups, groups) & ~np.eye(8, dtype=bool)
         assert digest == self._canonical_digest(scenario, np.where(same, weight, 0.0))
 
+    def test_dense_digest_hashes_the_canonical_document(self):
+        # Many distinct weights, with -0.0, 1e-300 and 5e-324 among them, so a
+        # digest that encodes each distinct value once must keep -0.0 apart
+        # from 0.0 and the subnormal's exact text.
+        n = 12
+        rng = np.random.default_rng(17)
+        weights = rng.uniform(0.0, 3.0, size=(n, n))
+        weights[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        for (row, col), value in zip([(0, 5), (3, 1), (7, 2), (11, 4), (2, 9)], [-0.0, 1e-300, 5e-324, -0.0, 1e-300]):
+            weights[row, col] = value
+        np.fill_diagonal(weights, 0.0)
+        network = ContagionNetwork(n, weights, [g % 3 for g in range(n)])
+        assert isinstance(network.operator, Dense)
+        assert len(np.unique(weights)) > 100
+        scenario = self._scenario(n=n, network=network)
+        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+
     def test_dense_digest_keeps_negative_zero(self):
         # A block matrix with one -0.0 among its zeros is not a block: it
         # stays dense and the digest writes -0.0 where the file has it.

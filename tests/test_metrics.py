@@ -99,3 +99,39 @@ def test_trajectory_matches_per_time_rows():
     for i, t in enumerate(times):
         flat.extend(aggregate(t, d[i], groups))
     assert aggregate_trajectory(times, d, groups) == flat
+
+
+def masked_rows(times, d, groups):
+    """Statistics over a masked (T, n_g) copy of each group's columns."""
+    s = 1.0 - d
+    scopes = [(g, s[:, groups == g]) for g in range(groups.max() + 1)] + [(None, s)]
+    stats = [(scope, sub.mean(axis=1), sub.min(axis=1), sub.max(axis=1), sub.std(axis=1)) for scope, sub in scopes]
+    return [
+        (float(t), scope, float(mean[i]), float(mn[i]), float(mx[i]), float(std[i]))
+        for i, t in enumerate(times)
+        for scope, mean, mn, mx, std in stats
+    ]
+
+
+@pytest.mark.parametrize("n_times", [1, 49])
+@pytest.mark.parametrize(
+    "sizes",
+    [[1] * 7, [3, 1, 9, 1, 12, 2], [8, 8, 8], [40], [1, 25]],
+    ids=["singletons", "mixed", "eights", "one-group", "singleton-and-wide"],
+)
+def test_trajectory_matches_masked_groups_bit_for_bit(sizes, n_times):
+    rng = np.random.default_rng(sum(sizes) + n_times)
+    groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    d = rng.uniform(0.0, 1.0, size=(n_times, groups.size))
+    times = np.arange(n_times) * 0.5
+    rows = aggregate_trajectory(times, d, groups)
+    got = [
+        (r.time_hours, r.scope, r.mean_satisfaction, r.min_satisfaction, r.max_satisfaction, r.std_satisfaction)
+        for r in rows
+    ]
+    want = masked_rows(times, d, groups)
+    assert [tuple(map(_bits, row)) for row in got] == [tuple(map(_bits, row)) for row in want]
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value

@@ -26,6 +26,7 @@ from socio_grid_sim import (
     simulate,
 )
 from socio_grid_sim import planner
+from socio_grid_sim.core_types import Dense
 from socio_grid_sim.planner import _LatticeSearch
 
 from oracles import brute_force_plan_search, reference_objective, symmetric_planner_base
@@ -265,6 +266,15 @@ class TestPlanShedding:
         with pytest.raises(ValidationError, match=f"{2**48}.*greedy_restarts"):
             plan_shedding(base, 9.0, 1.0, [0.0, 0.5], strategy="exhaustive")
 
+    @pytest.mark.parametrize("fairness_weight", [-1.0, float("inf"), float("nan")])
+    def test_rejects_non_finite_or_negative_fairness_weight(self, fairness_weight):
+        # An infinite weight would make every combined value inf or nan.
+        base = symmetric_planner_base(horizon=12.0)
+        with pytest.raises(ValidationError, match="fairness_weight must be finite"):
+            plan_shedding(base, 9.0, 3.0, [0.0, 0.5], fairness_weight=fairness_weight)
+        with pytest.raises(ValidationError, match="fairness_weight must be finite"):
+            evaluate_plan(SheddingPlan.empty(3.0), base, fairness_weight)
+
     def test_rejects_bad_granularity_and_levels(self):
         base = small_base()
         with pytest.raises(ValidationError, match="divide"):
@@ -469,6 +479,154 @@ class TestBatchedScoring:
                 small_base(n_groups=2, horizon=4.0), required_energy, 1.0, [0.0, 0.5], strategy="exhaustive"
             )
             assert calls == {"simulate": 0, "apply_plan": 0, "validate_plan": 1}, required_energy
+
+
+def isolated_base(seed: int, sizes: list[int], dense: bool, rate_floor: float, symmetric: bool = False) -> Scenario:
+    """Groups of the given sizes and no cross-group weight: a group block, or
+    a dense matrix of random within-group weights. Unless ``symmetric``,
+    groups are shuffled, base electricity has breakpoints off the slot grid
+    and media access lies below 1."""
+    rng = np.random.default_rng(seed)
+    horizon = 6.0
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    if not symmetric:
+        rng.shuffle(groups)
+    n = groups.size
+    if dense:
+        weights = np.where(groups[:, None] == groups[None, :], rng.uniform(0.2, 2.0, size=(n, n)), 0.0)
+        np.fill_diagonal(weights, 0.0)
+        if symmetric:
+            weights = np.where(weights > 0.0, 1.5, 0.0)
+        network = ContagionNetwork(n, weights, groups)
+    else:
+        network = ContagionNetwork.full_within_groups(groups, 1.0)
+    # Dissatisfaction starts low and shedding raises it, so the peak, and not
+    # only the unfairness, depends on the plan.
+    if symmetric:
+        electricity = (PiecewiseSchedule.constant(0.8, horizon),) * n
+        media = (PiecewiseSchedule.constant(0.8, horizon),) * n
+        initial = np.full(n, 0.1)
+    else:
+        electricity = tuple(
+            PiecewiseSchedule(((0.0, 0.9), (1.5, float(low)), (4.5, 0.8)), horizon)
+            for low in rng.uniform(0.3, 1.0, size=n)
+        )
+        media = tuple(PiecewiseSchedule.constant(float(a), horizon) for a in rng.uniform(0.5, 1.0, size=n))
+        initial = rng.uniform(0.0, 0.3, size=n)
+    return Scenario(
+        params=ModelParams(horizon_hours=horizon, omega1=0.6, omega2=0.4, dt_hours=0.25, rate_floor=rate_floor),
+        network=network,
+        electricity=electricity,
+        media_access=media,
+        initial_dissatisfaction=initial,
+        label="isolated",
+    )
+
+
+def streaming_best(search: _LatticeSearch) -> tuple[float, ...]:
+    """Exhaustive search without decomposition: every feasible candidate simulated."""
+    lattice = itertools.product(search.levels, repeat=len(search.cells))
+    return search._best_of(filter(search.feasible, lattice))
+
+
+class TestDecomposedSearch:
+    """On group-isolated networks exhaustive search simulates each group's
+    slot profiles once and rescores only the near-best combinations; it must
+    choose exactly what simulating every feasible candidate chooses."""
+
+    @pytest.mark.parametrize(
+        "seed, sizes, dense, rate_floor, fairness_weight, levels, granularity, share",
+        [
+            (1, [2, 3, 5], False, 0.0, 1.0, [0.5], 2.0, 0.4),
+            (2, [1, 4, 6], True, 0.05, 0.0, [0.25, 0.5], 3.0, 0.3),
+            (3, [3, 3, 2], True, 0.0, 24.0, [0.5], 2.0, 0.5),
+            (4, [5, 1, 2, 3], False, 0.05, 24.0, [0.5], 3.0, 0.25),
+            (5, [9, 2], True, 0.02, 1.0, [0.25, 0.5], 2.0, 0.6),
+            (6, [1, 1, 7], False, 0.0, 0.0, [0.25, 0.5], 3.0, 0.7),
+        ],
+    )
+    def test_matches_streaming_search(self, seed, sizes, dense, rate_floor, fairness_weight, levels, granularity, share):
+        base = isolated_base(seed, sizes, dense, rate_floor)
+        assert isinstance(base.network.operator, Dense) == dense
+        required = share * _LatticeSearch(base, 0.0, granularity, levels, fairness_weight).max_energy
+        self._check(base, required, granularity, levels, fairness_weight)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("fairness_weight, required", [(1.0, 9.0), (1.0, 13.5), (0.0, 13.5), (24.0, 4.5)])
+    def test_symmetric_ties_match_streaming_search(self, dense, fairness_weight, required):
+        # Identical groups: every permutation of a plan across groups ties.
+        base = isolated_base(0, [3, 3, 3], dense, 0.0, symmetric=True)
+        self._check(base, required, 2.0, [0.5], fairness_weight)
+
+    @staticmethod
+    def _check(base, required, granularity, levels, fairness_weight):
+        stats = {}
+        plan, objective = plan_shedding(
+            base, required, granularity, levels, fairness_weight=fairness_weight, stats=stats
+        )
+        streaming = _LatticeSearch(base, required, granularity, levels, fairness_weight)
+        expected = streaming_best(streaming)
+        assert plan.encoding() == streaming.plan_for(expected).encoding()
+        assert objective == streaming.score(expected)
+        assert stats["decomposed"]
+
+    def test_c6_simulates_profiles_and_ties_only(self):
+        stats = {}
+        plan, _ = plan_shedding(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.0, 0.5], stats=stats)
+        assert plan.encoding() == "0:9:3:0.5;1:9:3:0.5;2:9:3:0.5"
+        # 16 slot profiles, the 15 candidates tied at the optimum, and the
+        # final score; simulating every feasible candidate takes 4083 + 1.
+        assert stats == {"kernel_rows": 16 + 15 + 1, "decomposed": True}
+
+    def test_eighteen_cell_lattice(self):
+        # 3 groups x 6 slots x 2 levels: 2**18 candidates, 249528 of them
+        # feasible. Streaming every one gives this same plan.
+        search = _LatticeSearch(symmetric_planner_base(horizon=6.0), 9.0, 1.0, [0.0, 0.5], 1.0)
+        assert search.exhaustive() == (0.0, 0.0, 0.0, 0.0, 0.5, 0.5) * 3
+        assert search.decomposed
+        # 64 slot profiles and the 57 candidates tied at the optimum.
+        assert search.kernel_rows == 64 + 57
+
+    def test_coupled_network_streams_every_feasible_candidate(self):
+        base = coupled_base(seed=3)
+        search = _LatticeSearch(base, 0.0, 6.0, [0.0, 0.5], 1.0)
+        required = 0.3 * search.max_energy
+        feasible = sum(
+            _LatticeSearch(base, required, 6.0, [0.0, 0.5], 1.0).feasible(a)
+            for a in itertools.product(search.levels, repeat=len(search.cells))
+        )
+        stats = {}
+        plan_shedding(base, required, 6.0, [0.0, 0.5], stats=stats)
+        assert stats == {"kernel_rows": feasible + 1, "decomposed": False}
+
+    def test_feasibility_is_exactly_the_cell_order_sum(self):
+        # 0.1 h slots and levels {0.1, 0.3}: the cell-order energy sums of
+        # candidates with one true energy round to different floats, and the
+        # requirement sits on one of them. Without deprivation (omega1 = 0)
+        # every candidate ties, so the search yields every candidate it takes
+        # to be feasible.
+        horizon = 0.4
+        groups = [0, 1, 1]
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon, omega1=0.0, omega2=0.5, report_every_hours=0.2),
+            network=ContagionNetwork.full_within_groups(groups, 1.0),
+            electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
+            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
+            initial_dissatisfaction=np.array([0.2, 0.5, 0.9]),
+        )
+        probe = _LatticeSearch(base, 0.0, 0.1, [0.1, 0.3], 1.0)
+        lattice = list(itertools.product(probe.levels, repeat=len(probe.cells)))
+        near = [a for a in lattice if abs(probe.energy_of(a) - 0.12) < 1e-12]
+        # Summed group by group, these energies round differently again.
+        by_group = [probe.energy_of(a[:4] + (0.0,) * 4) + probe.energy_of((0.0,) * 4 + a[4:]) for a in near]
+        assert by_group != [probe.energy_of(a) for a in near]
+        energies = sorted({probe.energy_of(a) for a in near})
+        assert len(energies) == 3
+        search = _LatticeSearch(base, energies[1] + 1e-9, 0.1, [0.1, 0.3], 1.0)
+        feasible = [a for a in lattice if search.feasible(a)]
+        assert {search.feasible(a) for a in near} == {True, False}
+        assert list(search._near_best()) == feasible
+        assert search.kernel_rows == 3**4
 
 
 class TestPlanDocuments:
