@@ -5,14 +5,12 @@ shedding planner."""
 from ._version import __version__
 from .core_types import (
     AgentId,
-    AgentState,
     ContagionNetwork,
     ModelParams,
     PiecewiseSchedule,
     Scenario,
     SimulationResult,
     ValidationError,
-    schedule_value_at,
 )
 from .dynamics import (
     ContagionSnapshot,
@@ -44,7 +42,6 @@ from .scenario_io import (
 __all__ = [
     "__version__",
     "AgentId",
-    "AgentState",
     "AggregateRow",
     "ContagionNetwork",
     "ContagionSnapshot",
@@ -76,7 +73,6 @@ __all__ = [
     "plan_to_dict",
     "scenario_from_dict",
     "scenario_to_dict",
-    "schedule_value_at",
     "simulate",
     "social_diffusion",
     "step",

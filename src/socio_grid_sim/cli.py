@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from .core_types import PiecewiseSchedule, Scenario, ValidationError
+from .core_types import PiecewiseSchedule, Scenario, ValidationError, _once_per_object
 from .dynamics import simulate
 from .planner import plan_shedding
 from .plans import plan_to_dict
@@ -46,9 +46,12 @@ def _apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenari
         electricity = scenario.electricity
         media = scenario.media_access
     else:
-        horizon = params.horizon_hours
-        electricity = tuple(_with_horizon(s, horizon) for s in scenario.electricity)
-        media = tuple(_with_horizon(s, horizon) for s in scenario.media_access)
+        # Each distinct schedule object is cut once, so agents keep sharing.
+        n = scenario.n_agents
+        cut = _once_per_object(
+            lambda s: _with_horizon(s, params.horizon_hours), scenario.electricity + scenario.media_access
+        )
+        electricity, media = tuple(cut[:n]), tuple(cut[n:])
     return Scenario(
         params=params,
         network=scenario.network,

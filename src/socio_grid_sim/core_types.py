@@ -13,8 +13,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,44 +42,6 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=float, copy=True)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Validated population state: one dissatisfaction value per agent.
-
-    Rejects any value outside [0, 1] on construction. Satisfaction is the
-    derived view ``1 - dissatisfaction``.
-    """
-
-    dissatisfaction: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.dissatisfaction, dtype=float))
-        errors: list[str] = []
-        if values.ndim != 1:
-            errors.append(f"dissatisfaction must be one value per agent (got shape {values.shape})")
-        elif values.size == 0:
-            errors.append("dissatisfaction must be nonempty")
-        else:
-            for idx in np.flatnonzero(~((values >= 0.0) & (values <= 1.0))):
-                errors.append(f"dissatisfaction[{idx}] = {values[idx]!r} outside [0, 1]")
-        if errors:
-            raise ValidationError(errors)
-        object.__setattr__(self, "dissatisfaction", _readonly(values))
-
-    @property
-    def n_agents(self) -> int:
-        return int(self.dissatisfaction.size)
-
-    @property
-    def satisfaction(self) -> np.ndarray:
-        return 1.0 - self.dissatisfaction
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AgentState):
-            return NotImplemented
-        return np.array_equal(self.dissatisfaction, other.dissatisfaction)
 
 
 @dataclass(frozen=True)
@@ -141,9 +103,13 @@ class PiecewiseSchedule:
         return cls(((0.0, value),), horizon_hours)
 
 
-def schedule_value_at(schedule: PiecewiseSchedule, t: float) -> float:
-    """Functional alias for :meth:`PiecewiseSchedule.value_at`."""
-    return schedule.value_at(t)
+def _once_per_object(func: Callable, items: Sequence) -> list:
+    """``[func(x) for x in items]``, calling ``func`` once per distinct object.
+
+    Objects are told apart by identity, so shared schedules cost one call.
+    """
+    done = {key: func(x) for key, x in dict(zip(map(id, items), items)).items()}
+    return list(map(done.__getitem__, map(id, items)))
 
 
 @dataclass(frozen=True)
@@ -458,19 +424,25 @@ class Scenario:
         spaces) of every field. ``base_weights`` sorts first, so its rows are
         encoded and hashed one at a time and the N x N list of Python floats
         is never built; a group block's rows are hashed without its matrix.
+        Each distinct schedule object's breakpoints are encoded once.
         """
+        dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+        def schedules(items: tuple[PiecewiseSchedule, ...]) -> str:
+            return "[" + ",".join(_once_per_object(lambda s: dumps(s.breakpoints), items)) + "]"
+
         rest = {
-            "label": self.label,
-            "params": self.params.as_dict(),
-            "groups": self.network.group_of.tolist(),
-            "electricity": [s.breakpoints for s in self.electricity],
-            "media_access": [s.breakpoints for s in self.media_access],
-            "initial_dissatisfaction": self.initial_dissatisfaction.tolist(),
+            "label": dumps(self.label),
+            "params": dumps(self.params.as_dict()),
+            "groups": dumps(self.network.group_of.tolist()),
+            "electricity": schedules(self.electricity),
+            "media_access": schedules(self.media_access),
+            "initial_dissatisfaction": dumps(self.initial_dissatisfaction.tolist()),
         }
         digest = hashlib.sha256(b'{"base_weights":[')
         _hash_weight_rows(digest, self.network)
-        tail = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-        digest.update(b"]," + tail[1:].encode("utf-8"))
+        tail = ",".join(f'"{key}":{text}' for key, text in sorted(rest.items()))
+        digest.update(b"]," + tail.encode("utf-8") + b"}")
         return "sha256:" + digest.hexdigest()
 
     def __eq__(self, other: object) -> bool:

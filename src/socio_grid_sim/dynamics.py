@@ -29,6 +29,7 @@ from .core_types import (
     Scenario,
     SimulationResult,
     ValidationError,
+    _once_per_object,
 )
 from .metrics import aggregate_trajectory
 
@@ -212,14 +213,19 @@ def normalized_contagion_weights(network: ContagionNetwork, access: Sequence[flo
 def _sample_schedules(
     schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
 ) -> np.ndarray:
-    """Sample per-agent schedules on the step grid; equal schedules sampled once."""
-    cache: dict[PiecewiseSchedule, np.ndarray] = {}
-    columns = []
-    for sched in schedules:
-        if sched not in cache:
-            cache[sched] = sched.sample(dt, n_steps)
-        columns.append(cache[sched])
-    return np.column_stack(columns) if columns else np.zeros((n_steps, 0))
+    """Sample per-agent schedules on the step grid; equal schedules sampled once.
+
+    Agents that share a schedule object share a column, found by ``id``
+    without hashing the schedule; equal objects then share one by value.
+    The (n_steps, N) grid is one ``take`` of the distinct columns, and is
+    C-contiguous so that the kernel reads each step's row in one run.
+    """
+    by_value: dict[PiecewiseSchedule, int] = {}
+    picks = _once_per_object(lambda s: by_value.setdefault(s, len(by_value)), schedules)
+    table = np.zeros((n_steps, len(by_value)))
+    for sched, k in by_value.items():
+        table[:, k] = sched.sample(dt, n_steps)
+    return table.take(picks, axis=1)
 
 
 def _scaled_rows(base: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -53,6 +55,11 @@ def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> l
     return [(float(s), float(v)) for s, v in block]
 
 
+def _bits(points: Sequence[tuple[float, float]]) -> bytes:
+    """The breakpoints' float bits, so that ``-0.0`` and ``0.0`` differ."""
+    return struct.pack(f"{2 * len(points)}d", *chain.from_iterable(points))
+
+
 def _schedules_from_block(
     block: object, context: str, count: int, horizon: float | None, errors: list[str]
 ) -> tuple[PiecewiseSchedule, ...] | None:
@@ -67,15 +74,23 @@ def _schedules_from_block(
             errors.append(f"{context}.per_agent must list one breakpoint list per agent ({count} expected)")
             return None
         entries, copies = [(f"{context}.per_agent[{idx}]", entry) for idx, entry in enumerate(per_agent)], 1
+    # Agents whose entries hold the same float bits share one schedule object.
+    # Bits, not values: a -0.0 entry keeps its own object and its own digest.
+    # Only valid schedules are kept, so a repeated bad entry reports every agent.
     out: list[PiecewiseSchedule] = []
+    interned: dict[bytes, PiecewiseSchedule] = {}
     for where, entry in entries:
         points = _breakpoints_from_block(entry, where, errors)
         if points is None or horizon is None:  # horizon None: params block already failed
             continue
-        try:
-            out.append(PiecewiseSchedule(tuple(points), horizon))
-        except ValidationError as exc:
-            errors.extend(f"{where}: {v}" for v in exc.violations)
+        key = _bits(points)
+        if key not in interned:
+            try:
+                interned[key] = PiecewiseSchedule(tuple(points), horizon)
+            except ValidationError as exc:
+                errors.extend(f"{where}: {v}" for v in exc.violations)
+                continue
+        out.append(interned[key])
     return tuple(out) * copies if len(out) == len(entries) else None
 
 
@@ -223,7 +238,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical on-disk form; inverse of :func:`scenario_from_dict`."""
     def sched_block(schedules: Sequence[PiecewiseSchedule]) -> dict:
         points = [[list(p) for p in s.breakpoints] for s in schedules]
-        if all(p == points[0] for p in points):
+        first = _bits(schedules[0].breakpoints)
+        if all(s is schedules[0] or _bits(s.breakpoints) == first for s in schedules):
             return {"broadcast": points[0]}
         return {"per_agent": points}
 
@@ -308,14 +324,25 @@ def write_results(
 
     # Lines are formatted directly from Python floats, one report time at a
     # time: every field is a number or a scope label, so none ever needs CSV
-    # quoting.
+    # quoting. Each distinct value of a time, told apart by its float bits so
+    # that -0.0 keeps its text "-0", is formatted once, ending in "\n" and the
+    # next line's time. A time's lines are then one join of alternating agent
+    # ids and value texts, led by the time and with it cut from the end.
     ids = [f",{agent},{group}," for agent, group in enumerate(result.groups.tolist())]
+    parts = [""] * (2 * len(ids))
+    parts[::2] = ids
+    traj = result.dissatisfaction
     with agents_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
-        for t, dissatisfaction, satisfaction in zip(result.times.tolist(), result.dissatisfaction, result.satisfaction):
+        for t, values, bits in zip(result.times.tolist(), traj, traj.view(np.uint64)) if ids else ():
             t_text = _fmt(t)
-            values = zip(ids, dissatisfaction.tolist(), satisfaction.tolist())
-            fh.write("".join([f"{t_text}{i}{d:.9g},{s:.9g}\n" for i, d, s in values]))
+            bits = bits.tolist()
+            texts = dict(zip(bits, values.tolist()))
+            texts.update(zip(texts, [f"{d:.9g},{1.0 - d:.9g}\n{t_text}" for d in texts.values()]))
+            parts[1::2] = map(texts.__getitem__, bits)
+            parts[-1] = parts[-1][: -len(t_text)]
+            fh.write(t_text)
+            fh.write("".join(parts))
 
     with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")

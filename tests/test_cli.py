@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from socio_grid_sim import builtin_case_study, write_scenario
-from socio_grid_sim.cli import main
+from socio_grid_sim import builtin_case_study, load_scenario, write_scenario
+from socio_grid_sim.cli import _apply_overrides, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +63,39 @@ class TestSimulateCommand:
                      "--horizon", "10"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["horizon_hours"] == 10.0
+
+    def test_horizon_override_keeps_shared_schedules(self, tmp_path):
+        # --horizon cuts each distinct schedule object once, so agents keep
+        # sharing them, and the run equals that of the document cut by hand.
+        def doc(horizon):
+            def keep(points):
+                return [p for p in points if p[0] < horizon]
+
+            a, b = keep([[0.0, 1.0], [4.0, 0.5], [12.0, 1.0]]), keep([[0.0, 0.75], [6.0, 0.25], [18.0, 0.5]])
+            media = keep([[0.0, 1.0], [8.0, 0.5], [20.0, 1.0]])
+            return {
+                "schema_version": 1,
+                "label": "shared",
+                "params": {"horizon_hours": horizon},
+                "agents": {"count": 6, "groups": [0, 1, 0, 1, 0, 1], "initial_dissatisfaction": [0.2, 0.7] * 3},
+                "network": {"full_within_groups": {"weight": 1.0}},
+                "schedules": {"electricity": {"per_agent": [a, b] * 3}, "media_access": {"per_agent": [media] * 6}},
+            }
+
+        full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+        full.write_text(json.dumps(doc(24.0)))
+        cut.write_text(json.dumps(doc(10.0)))
+        scenario = _apply_overrides(load_scenario(full), {"horizon_hours": 10.0})
+        elec, media = scenario.electricity, scenario.media_access
+        assert elec[0] is elec[2] is elec[4] and elec[1] is elec[3] is elec[5] and elec[0] is not elec[1]
+        assert all(m is media[0] for m in media)
+        assert scenario == load_scenario(cut)
+        assert main(["simulate", "--scenario", str(full), "--out", str(tmp_path / "a"), "--horizon", "10"]) == 0
+        assert main(["simulate", "--scenario", str(cut), "--out", str(tmp_path / "b")]) == 0
+        for name in ("agents.csv", "aggregates.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        digests = [json.loads((tmp_path / side / "manifest.json").read_text())["scenario_digest"] for side in "ab"]
+        assert digests[0] == digests[1]
 
     def test_unknown_flag_rejected(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socio_grid_sim import (
-    AgentState,
     ContagionNetwork,
     ModelParams,
     PiecewiseSchedule,
     Scenario,
+    SimulationResult,
     ValidationError,
-    schedule_value_at,
+    scenario_from_dict,
 )
 from socio_grid_sim.core_types import Dense, GroupBlock
 
@@ -28,6 +28,7 @@ class TestPiecewiseSchedule:
     def test_single_segment_identity(self):
         sched = PiecewiseSchedule(((0.0, 1.0),), 48.0)
         assert sched.value_at(0.0) == 1.0
+        assert sched.value_at(5.0) == 1.0
 
     def test_left_closed_boundary(self):
         sched = PiecewiseSchedule(((0.0, 0.0), (17.0, 0.5), (34.0, 0.0)), 48.0)
@@ -41,10 +42,6 @@ class TestPiecewiseSchedule:
             sched.value_at(48.0)
         with pytest.raises(ValueError, match="outside"):
             sched.value_at(-0.1)
-
-    def test_functional_alias(self):
-        sched = PiecewiseSchedule(((0.0, 0.25),), 10.0)
-        assert schedule_value_at(sched, 5.0) == 0.25
 
     def test_rejects_bad_breakpoints(self):
         with pytest.raises(ValidationError, match="start at hour 0"):
@@ -77,24 +74,6 @@ class TestPiecewiseSchedule:
         grid = sched.sample(0.1, 480)
         for k in (0, 7, 169, 170, 340, 479):
             assert grid[k] == sched.value_at(k * 0.1)
-
-
-class TestAgentState:
-    def test_rejects_out_of_bounds(self):
-        with pytest.raises(ValidationError) as excinfo:
-            AgentState(np.array([0.2, 1.5, -0.1]))
-        message = str(excinfo.value)
-        assert "dissatisfaction[1]" in message and "dissatisfaction[2]" in message
-
-    def test_satisfaction_is_derived(self):
-        state = AgentState(np.array([0.0, 0.25, 1.0]))
-        assert np.array_equal(state.satisfaction, np.array([1.0, 0.75, 0.0]))
-        assert state.n_agents == 3
-
-    def test_immutable(self):
-        state = AgentState(np.array([0.5]))
-        with pytest.raises(ValueError):
-            state.dissatisfaction[0] = 0.9
 
 
 class TestModelParams:
@@ -223,8 +202,16 @@ class TestScenario:
             self._scenario(media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 2)
 
     def test_rejects_out_of_bounds_initial_state(self):
-        with pytest.raises(ValidationError, match=r"initial_dissatisfaction\[1\]"):
-            self._scenario(initial_dissatisfaction=np.array([0.5, 1.5, 0.5]))
+        with pytest.raises(ValidationError) as excinfo:
+            self._scenario(initial_dissatisfaction=np.array([0.2, 1.5, -0.1]))
+        message = str(excinfo.value)
+        assert "initial_dissatisfaction[1]" in message and "initial_dissatisfaction[2]" in message
+        assert "initial_dissatisfaction[0]" not in message
+
+    def test_initial_state_is_read_only(self):
+        scenario = self._scenario()
+        with pytest.raises(ValueError):
+            scenario.initial_dissatisfaction[0] = 0.9
 
     def test_lists_all_violations_at_once(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -297,6 +284,26 @@ class TestScenario:
         scenario = self._scenario(n=n, network=network)
         assert scenario.content_digest() == self._canonical_digest(scenario, weights)
 
+    def test_per_agent_negative_zero_keeps_its_own_schedule(self):
+        # Entries equal by value but not by bits load as separate objects, so
+        # the digest writes -0.0 where the file has it.
+        plain, signed = [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.0]]
+        scenario = scenario_from_dict({
+            "schema_version": 1,
+            "params": {"horizon_hours": 2.0},
+            "agents": {"count": 4, "groups": [0, 0, 1, 1], "initial_dissatisfaction": 0.5},
+            "network": {"full_within_groups": {"weight": 1.0}},
+            "schedules": {
+                "electricity": {"per_agent": [plain, signed, plain, signed]},
+                "media_access": {"broadcast": [[0.0, 1.0]]},
+            },
+        })
+        elec = scenario.electricity
+        assert elec[0] is elec[2] and elec[1] is elec[3] and elec[0] is not elec[1]
+        assert str(elec[1].breakpoints[1][1]) == "-0.0"
+        weights = ContagionNetwork.full_within_groups([0, 0, 1, 1], 1.0).base_weights
+        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+
     def test_dense_digest_keeps_negative_zero(self):
         # A block matrix with one -0.0 among its zeros is not a block: it
         # stays dense and the digest writes -0.0 where the file has it.
@@ -309,3 +316,12 @@ class TestScenario:
         assert scenario.content_digest() != self._scenario(
             n=4, network=ContagionNetwork.full_within_groups(groups, 1.0)
         ).content_digest()
+
+
+class TestSimulationResult:
+    def test_satisfaction_is_derived(self):
+        result = SimulationResult(
+            times=[0.0], dissatisfaction=[[0.0, 0.25, 1.0]], groups=[0, 0, 1], aggregates=()
+        )
+        assert np.array_equal(result.satisfaction, np.array([[1.0, 0.75, 0.0]]))
+        assert result.n_agents == 3

@@ -294,6 +294,19 @@ class TestSimulate:
         simulate(scenario)
         assert len(calls) == 3
 
+    def test_sampled_grid_is_c_contiguous_columns(self):
+        # One column per agent, as a column_stack of every agent's samples,
+        # laid out row-major so that each step's row is contiguous.
+        from socio_grid_sim.dynamics import _sample_schedules
+
+        horizon = 6.0
+        a = PiecewiseSchedule(((0.0, 1.0), (2.0, 0.5)), horizon)
+        b = PiecewiseSchedule(((0.0, 0.25), (0.35, 0.75)), horizon)
+        schedules = (a, b, a, PiecewiseSchedule(a.breakpoints, horizon), b, a)
+        grid = _sample_schedules(schedules, 0.1, 60)
+        assert grid.flags.c_contiguous
+        assert np.array_equal(grid, np.column_stack([s.sample(0.1, 60) for s in schedules]))
+
     def test_step_chain_reproduces_simulate(self):
         # contagion_snapshot -> compute_target -> step is one step of the
         # kernel behind simulate, so chaining it over a run is bit-identical.

@@ -100,6 +100,37 @@ class TestScenarioDocuments:
         assert scenario.network.base_weights[0, 1] == 2.0
         assert scenario.electricity[2].value_at(2.0) == 0.75
 
+    def test_equal_per_agent_entries_load_as_one_object(self):
+        doc = minimal_doc()
+        doc["schedules"]["electricity"] = {
+            "per_agent": [[[0.0, 1.0], [2.0, 0.5]], [[0.0, 0.25]], [[0, 1], [2, 0.5]]]
+        }
+        elec = scenario_from_dict(doc).electricity
+        assert elec[0] is elec[2] and elec[0] is not elec[1]
+
+    @pytest.mark.parametrize("bad", [[[0.0, True]], [[0.0, 1.0], [1.0, 1.5]]])
+    def test_repeated_invalid_entry_names_every_agent(self, bad):
+        doc = minimal_doc()
+        doc["schedules"]["media_access"] = {"per_agent": [bad, [[0.0, 1.0]], bad]}
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(doc)
+        text = "\n".join(excinfo.value.violations)
+        assert "media_access.per_agent[0]" in text and "media_access.per_agent[2]" in text
+        assert "media_access.per_agent[1]" not in text
+
+    def test_round_trip_keeps_negative_zero_schedules(self, tmp_path: Path):
+        # Schedules equal by value but not by bits are not folded into one
+        # broadcast, so the reloaded scenario has the same digest.
+        doc = minimal_doc()
+        doc["schedules"]["electricity"] = {
+            "per_agent": [[[0.0, 1.0], [2.0, 0.0]], [[0.0, 1.0], [2.0, -0.0]], [[0.0, 1.0], [2.0, 0.0]]]
+        }
+        original = scenario_from_dict(doc)
+        write_scenario(original, tmp_path / "out.json")
+        reloaded = load_scenario(tmp_path / "out.json")
+        assert reloaded.content_digest() == original.content_digest()
+        assert [str(s.breakpoints[1][1]) for s in reloaded.electricity] == ["0.0", "-0.0", "0.0"]
+
     def test_initial_state_violation_names_agent_and_bound(self):
         doc = minimal_doc()
         doc["agents"]["initial_dissatisfaction"] = [0.5, 1.5, 0.5]
@@ -285,3 +316,45 @@ class TestWriteResults:
                 writer.writerows(lines)
             assert (tmp_path / name).read_bytes() == (tmp_path / f"expected-{name}").read_bytes()
         assert "1e-10" in (tmp_path / "agents.csv").read_text()
+
+
+def reference_agents_csv(result: SimulationResult) -> str:
+    """agents.csv formatted one line at a time."""
+    lines = ["t_hours,agent_id,group,dissatisfaction,satisfaction\n"]
+    for t, d_row, s_row in zip(result.times.tolist(), result.dissatisfaction, result.satisfaction):
+        for agent, (group, d, s) in enumerate(zip(result.groups.tolist(), d_row.tolist(), s_row.tolist())):
+            lines.append(f"{t:.9g},{agent},{group},{d:.9g},{s:.9g}\n")
+    return "".join(lines)
+
+
+_RNG = np.random.default_rng(23)
+_AGENTS_CSV_CASES = {
+    "all_distinct": (_RNG.uniform(size=(6, 11)), _RNG.integers(0, 3, size=11)),
+    "repeated": (_RNG.choice([0.1, 0.25, 1.0 / 3.0], size=(6, 11)), np.arange(11) % 4),
+    "signed_zeros_in_one_row": (np.array([[0.0, -0.0, 0.0, -0.0, 0.5], [-0.0, -0.0, 0.0, 0.0, 0.0]]), np.zeros(5)),
+    "tiny_and_exact": (np.array([[5e-324, 1e-300, 0.0, 1.0], [1.0, 0.0, 1e-300, 5e-324]]), np.array([0, 1, 0, 1])),
+    "one_time": (np.array([[0.3, 0.3, 0.7]]), np.array([0, 0, 1])),
+    "one_agent": (np.array([[0.2], [0.4], [0.2]]), np.array([0])),
+    "no_agents": (np.zeros((2, 0)), np.zeros(0, dtype=int)),
+}
+
+
+class TestAgentsCsv:
+    """agents.csv matches the line-at-a-time reference byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(_AGENTS_CSV_CASES))
+    def test_matches_reference_formatter(self, tmp_path: Path, case):
+        values, groups = _AGENTS_CSV_CASES[case]
+        times = np.arange(values.shape[0]) * 0.1
+        result = SimulationResult(times=times, dissatisfaction=values, groups=groups, aggregates=())
+        write_results(result, tmp_path)
+        assert (tmp_path / "agents.csv").read_text() == reference_agents_csv(result)
+
+    def test_negative_zero_initial_state_writes_minus_zero(self, tmp_path: Path):
+        doc = minimal_doc()
+        doc["agents"]["initial_dissatisfaction"] = [-0.0, 0.0, 0.5]
+        result = simulate(scenario_from_dict(doc))
+        write_results(result, tmp_path)
+        text = (tmp_path / "agents.csv").read_text()
+        assert text == reference_agents_csv(result)
+        assert text.splitlines()[1:3] == ["0,0,0,-0,1", "0,1,0,0,1"]
