@@ -174,6 +174,23 @@ class TestContagionNetwork:
                 ContagionNetwork.full_within_groups(groups, weight)
 
 
+class TestAgentState:
+    """The agents' initial dissatisfaction state, carried by a Scenario."""
+
+    def test_rejects_out_of_bounds(self):
+        with pytest.raises(ValidationError) as excinfo:
+            Scenario(
+                params=ModelParams(horizon_hours=2.0),
+                network=ContagionNetwork.full_within_groups([0, 0, 0]),
+                electricity=(PiecewiseSchedule.constant(1.0, 2.0),) * 3,
+                media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 3,
+                initial_dissatisfaction=np.array([0.2, 1.5, -0.1]),
+            )
+        message = str(excinfo.value)
+        assert "initial_dissatisfaction[1]" in message and "initial_dissatisfaction[2]" in message
+        assert "initial_dissatisfaction[0]" not in message
+
+
 class TestScenario:
     def _scenario(self, **kwargs):
         horizon = kwargs.pop("horizon", 2.0)
@@ -202,11 +219,8 @@ class TestScenario:
             self._scenario(media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 2)
 
     def test_rejects_out_of_bounds_initial_state(self):
-        with pytest.raises(ValidationError) as excinfo:
-            self._scenario(initial_dissatisfaction=np.array([0.2, 1.5, -0.1]))
-        message = str(excinfo.value)
-        assert "initial_dissatisfaction[1]" in message and "initial_dissatisfaction[2]" in message
-        assert "initial_dissatisfaction[0]" not in message
+        with pytest.raises(ValidationError, match=r"initial_dissatisfaction\[1\]"):
+            self._scenario(initial_dissatisfaction=np.array([0.5, 1.5, 0.5]))
 
     def test_initial_state_is_read_only(self):
         scenario = self._scenario()
