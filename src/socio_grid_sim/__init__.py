@@ -12,21 +12,8 @@ from .core_types import (
     SimulationResult,
     ValidationError,
 )
-from .dynamics import (
-    ContagionSnapshot,
-    FeatureContractError,
-    FeatureModel,
-    compute_contagion_weights,
-    compute_target,
-    contagion_snapshot,
-    dissatisfaction_feature_model,
-    normalized_contagion_weights,
-    simulate,
-    social_diffusion,
-    step,
-    step_feature,
-)
-from .metrics import AggregateRow, aggregate, aggregate_trajectory
+from .dynamics import ContagionSnapshot, compute_target, contagion_snapshot, simulate, step
+from .metrics import AggregateRow, aggregate_trajectory
 from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
 from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
 from .scenario_io import (
@@ -45,8 +32,6 @@ __all__ = [
     "AggregateRow",
     "ContagionNetwork",
     "ContagionSnapshot",
-    "FeatureContractError",
-    "FeatureModel",
     "ModelParams",
     "PiecewiseSchedule",
     "PlanInfeasibleError",
@@ -57,26 +42,20 @@ __all__ = [
     "SheddingSlot",
     "SimulationResult",
     "ValidationError",
-    "aggregate",
     "aggregate_trajectory",
     "apply_plan",
     "builtin_case_study",
-    "compute_contagion_weights",
     "compute_target",
     "contagion_snapshot",
-    "dissatisfaction_feature_model",
     "evaluate_plan",
     "load_scenario",
-    "normalized_contagion_weights",
     "plan_from_dict",
     "plan_shedding",
     "plan_to_dict",
     "scenario_from_dict",
     "scenario_to_dict",
     "simulate",
-    "social_diffusion",
     "step",
-    "step_feature",
     "write_results",
     "write_scenario",
 ]

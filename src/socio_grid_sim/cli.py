@@ -10,7 +10,6 @@ subcommand writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -23,7 +22,6 @@ from .planner import plan_shedding
 from .plans import plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
-    _fmt,
     builtin_case_study,
     load_scenario,
     write_results,
@@ -103,14 +101,14 @@ def run_casestudy(args: argparse.Namespace) -> int:
     if len(results) == 2:
         comparison = out / "comparison.csv"
         full = results["full"]
-        limited = results["limited"]
+        columns = zip(
+            full.times.tolist(),
+            full.global_mean_satisfaction().tolist(),
+            results["limited"].global_mean_satisfaction().tolist(),
+        )
         with comparison.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t_hours", "mean_s_full", "mean_s_limited"])
-            full_mean = full.global_mean_satisfaction()
-            limited_mean = limited.global_mean_satisfaction()
-            for t, sf, sl in zip(full.times, full_mean, limited_mean):
-                writer.writerow([_fmt(t), _fmt(sf), _fmt(sl)])
+            fh.write("t_hours,mean_s_full,mean_s_limited\n")
+            fh.write("".join(f"{t:.9g},{sf:.9g},{sl:.9g}\n" for t, sf, sl in columns))
         print(f"wrote {comparison}")
     print(f"case study variants {', '.join(variants)} written to {out}")
     return 0
@@ -175,7 +173,11 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=float, default=None, help="horizon override, hours")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Argparse objects reference each
+    other, so a parser built per call is garbage that only a full collection
+    frees, and repeated calls in one process pile it up."""
     parser = argparse.ArgumentParser(
         prog="socio-grid-sim",
         description="Simulate electricity-driven dissatisfaction with media contagion.",
@@ -215,16 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process. Argparse objects reference each
-    other, so a parser built per call is garbage that only a full collection
-    frees, and repeated calls in one process pile it up."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except ValidationError as exc:

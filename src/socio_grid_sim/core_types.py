@@ -33,8 +33,13 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _is_number(value: object) -> bool:
+    """A finite int or float, and not a bool (JSON ``true`` is not 1)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_unit(value: float, name: str, errors: list[str]) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
         errors.append(f"{name} must be in [0, 1] (got {value!r})")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,66 +47,11 @@ class ContagionSnapshot:
     rate: np.ndarray
 
 
-class FeatureContractError(ValueError):
-    """A feature-model rule produced a value outside [0, 1]."""
-
-
-@dataclass(frozen=True)
-class FeatureModel:
-    """Pluggable update rules for a generic social feature in [0, 1].
-
-    ``local_term(cyber, physical, own)`` scores the agent's own situation;
-    ``social_term(features, weight_row)`` scores the influence of everyone
-    else. Both must map [0, 1] inputs to [0, 1] outputs.
-    """
-
-    local_term: Callable[[float, float, float], float]
-    social_term: Callable[[np.ndarray, np.ndarray], float]
-
-
-def compute_contagion_weights(network: ContagionNetwork, access: Sequence[float]) -> np.ndarray:
-    """Attenuate base weights by both endpoints' media access.
-
-    gamma[n, m] = base_weights[n, m] * access[n] * access[m]. An agent with
-    zero access is severed in both directions; the diagonal stays zero.
-    """
-    access = _agent_vector(network, access, "access")
-    return network.base_weights * np.outer(access, access)
-
-
 def _agent_vector(network: ContagionNetwork, values: Sequence[float], name: str) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     if out.shape != (network.n_agents,):
         raise ValidationError([f"{name} must have shape ({network.n_agents},) (got {out.shape})"])
     return out
-
-
-def social_diffusion(
-    gamma: np.ndarray,
-    base: np.ndarray,
-    dissatisfaction: Sequence[float],
-    omega2: float,
-) -> np.ndarray:
-    """Per-agent contagion pull g.
-
-    g[n] = omega2 * (sum_m gamma[n, m] * D[m]) / (sum_m base[n, m]), and 0
-    for agents whose base row sums to zero (nobody influences them).
-    Normalizing by the base row sum rather than the attenuated one is what
-    lets limited media access damp the pull instead of cancelling out of the
-    ratio; under full access the two coincide and g is exactly omega2 times
-    the weighted mean dissatisfaction of the neighbors.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    base = np.asarray(base, dtype=float)
-    d = np.asarray(dissatisfaction, dtype=float)
-    n = d.shape[0]
-    if gamma.shape != (n, n) or base.shape != (n, n):
-        raise ValidationError(
-            [f"gamma and base must have shape ({n}, {n}) (got {gamma.shape} and {base.shape})"]
-        )
-    gamma, inv_row = _scaled_rows(base, gamma)
-    # gamma is already attenuated, so the access factors of the ratio are 1.
-    return omega2 * _contagion_ratio(_DenseProduct(gamma, inv_row[None]), 1.0, d[None])[0]
 
 
 def compute_target(
@@ -160,56 +105,6 @@ def step(
     return np.clip(nxt, 0.0, 1.0)
 
 
-def step_feature(
-    model: FeatureModel,
-    state: Sequence[float],
-    cyber: Sequence[float],
-    physical: Sequence[float],
-    weights: np.ndarray,
-    omega1: float,
-    omega2: float,
-    dt: float,
-) -> np.ndarray:
-    """Generic Euler step for any social feature.
-
-    S'[n] = S[n] + (omega1 * local + omega2 * social - S[n]) * dt, clamped.
-    Raises :class:`FeatureContractError` if either rule leaves [0, 1].
-    """
-    s = np.asarray(state, dtype=float)
-    c = np.asarray(cyber, dtype=float)
-    p = np.asarray(physical, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    nxt = np.empty_like(s)
-    for n in range(s.shape[0]):
-        local = float(model.local_term(c[n], p[n], s[n]))
-        social = float(model.social_term(s, w[n]))
-        if not 0.0 <= local <= 1.0:
-            raise FeatureContractError(f"local_term returned {local!r} for agent {n}, outside [0, 1]")
-        if not 0.0 <= social <= 1.0:
-            raise FeatureContractError(f"social_term returned {social!r} for agent {n}, outside [0, 1]")
-        nxt[n] = s[n] + (omega1 * local + omega2 * social - s[n]) * dt
-    return np.clip(nxt, 0.0, 1.0)
-
-
-def dissatisfaction_feature_model() -> FeatureModel:
-    """The dissatisfaction dynamics expressed as a generic feature model.
-
-    Pair with :func:`normalized_contagion_weights` rows; the step target then
-    equals :func:`compute_target` exactly, so :func:`step_feature` reproduces
-    :func:`step` with the response rate fixed at 1.
-    """
-    return FeatureModel(
-        local_term=lambda cyber, physical, own: 1.0 - physical,
-        social_term=lambda features, weight_row: float(weight_row @ features),
-    )
-
-
-def normalized_contagion_weights(network: ContagionNetwork, access: Sequence[float]) -> np.ndarray:
-    """Attenuated weights divided by each agent's base row sum (zero rows stay zero)."""
-    gamma, inv_row = _scaled_rows(network.base_weights, compute_contagion_weights(network, access))
-    return gamma * inv_row[:, None]
-
-
 def _sample_schedules(
     schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
 ) -> np.ndarray:
@@ -228,16 +123,14 @@ def _sample_schedules(
     return table.take(picks, axis=1)
 
 
-def _scaled_rows(base: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_rows(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Contagion weights and the reciprocal row sums of ``base`` (0 for empty rows).
 
-    ``weights`` defaults to ``base``. A row whose base sum overflows is
-    scaled, in both arrays (in a copy), by a power of two that brings its
-    sum below 1. The scaling is exact and cancels in the contagion ratio, so
-    huge weights act like any other multiple of the same row. Rows with a
-    finite sum are used as they are, without a copy.
+    A row whose sum overflows is scaled, in a copy, by a power of two that
+    brings its sum below 1. The scaling is exact and cancels in the
+    contagion ratio, so huge weights act like any other multiple of the same
+    row. Rows with a finite sum are used as they are, without a copy.
     """
-    weights = base if weights is None else weights
     with np.errstate(over="ignore"):
         row_sum = base.sum(axis=1)
     overflow = ~np.isfinite(row_sum)
@@ -246,11 +139,11 @@ def _scaled_rows(base: np.ndarray, weights: np.ndarray | None = None) -> tuple[n
         exponent = np.frexp(base[overflow].max(axis=1))[1] + math.ceil(math.log2(base.shape[0]))
         scale = np.ldexp(1.0, -exponent)[:, None]
         row_sum[overflow] = (base[overflow] * scale).sum(axis=1)
-        weights = weights.copy()
-        weights[overflow] *= scale
+        base = base.copy()
+        base[overflow] *= scale
     inv_row = np.zeros(base.shape[0])
     np.divide(1.0, row_sum, out=inv_row, where=row_sum > 0.0)
-    return weights, inv_row
+    return base, inv_row
 
 
 class _DenseProduct(NamedTuple):

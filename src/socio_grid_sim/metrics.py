@@ -44,24 +44,15 @@ def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
     return groups
 
 
-def aggregate(
-    time_hours: float, dissatisfaction: Sequence[float], group_of: Sequence[int]
-) -> list[AggregateRow]:
-    """One row per group followed by one global row.
-
-    Statistics are computed on satisfaction = 1 - dissatisfaction, so the
-    mean commutes with the flip while min and max swap roles.
-    """
-    return aggregate_trajectory([time_hours], np.reshape(dissatisfaction, (1, -1)), group_of)
-
-
 def aggregate_trajectory(
     times: Sequence[float], dissatisfaction: np.ndarray, group_of: Sequence[int]
 ) -> list[AggregateRow]:
     """Aggregate a whole trajectory at once.
 
     One row per group followed by one global row, for each report time in
-    turn, with the statistics vectorized over the time axis. Agents are
+    turn, with the statistics vectorized over the time axis. Statistics are
+    computed on satisfaction = 1 - dissatisfaction, so the mean commutes
+    with the flip while min and max swap roles. Agents are
     sorted by group once (stably, so each group keeps agent order), and each
     group reduces its own contiguous columns of that one copy: the same
     values in the same order as a masked copy of the group.

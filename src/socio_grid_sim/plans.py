@@ -8,9 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .core_types import PiecewiseSchedule, Scenario, ValidationError
+from .core_types import PiecewiseSchedule, Scenario, ValidationError, _is_number
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -39,11 +37,6 @@ class SheddingPlan:
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(sorted(self.slots)))
 
-    def total_energy(self, group_sizes: Sequence[int]) -> float:
-        """Shed energy in level x hours x agents units."""
-        sizes = np.asarray(group_sizes)
-        return float(sum(s.shed_level * s.duration_hours * sizes[s.group] for s in self.slots))
-
     def encoding(self) -> str:
         """Canonical text form, used for tie-breaking and byte-level comparisons."""
         parts = [
@@ -67,7 +60,7 @@ def validate_plan(plan: SheddingPlan, base: Scenario) -> list[str]:
     for i, slot in enumerate(plan.slots):
         if not 0 <= slot.group < n_groups:
             errors.append(f"slots[{i}].group = {slot.group!r} outside 0..{n_groups - 1}")
-        if slot.start_hour < 0.0:
+        if not slot.start_hour >= 0.0:
             errors.append(f"slots[{i}].start_hour = {slot.start_hour!r} must be >= 0")
         if not slot.duration_hours > 0.0:
             errors.append(f"slots[{i}].duration_hours = {slot.duration_hours!r} must be > 0")
@@ -171,26 +164,28 @@ def plan_from_dict(doc: Mapping) -> SheddingPlan:
     if doc.get("schema_version") != PLAN_SCHEMA_VERSION:
         errors.append(f"schema_version must be {PLAN_SCHEMA_VERSION} (got {doc.get('schema_version')!r})")
     granularity = doc.get("granularity_hours")
-    if not isinstance(granularity, (int, float)) or isinstance(granularity, bool):
+    if not _is_number(granularity):
         errors.append(f"granularity_hours must be a number (got {granularity!r})")
     raw_slots = doc.get("slots")
     slots: list[SheddingSlot] = []
     if not isinstance(raw_slots, list):
         errors.append("slots must be a list")
     else:
-        keys = {"group", "start_hour", "duration_hours", "shed_level"}
+        keys = ("group", "start_hour", "duration_hours", "shed_level")
         for i, raw in enumerate(raw_slots):
-            if not isinstance(raw, Mapping) or set(raw) != keys:
+            if not isinstance(raw, Mapping) or set(raw) != set(keys):
                 errors.append(f"slots[{i}] must be a mapping with keys {sorted(keys)}")
                 continue
-            slots.append(
-                SheddingSlot(
-                    group=int(raw["group"]),
-                    start_hour=float(raw["start_hour"]),
-                    duration_hours=float(raw["duration_hours"]),
-                    shed_level=float(raw["shed_level"]),
-                )
-            )
+            # No coercion: 1.7 or true is not group 1, and "2" is not hour 2.
+            bad = [
+                f"slots[{i}].{key} must be {'an integer' if key == 'group' else 'a finite number'}"
+                f" (got {raw[key]!r})"
+                for key in keys
+                if not _is_number(raw[key]) or (key == "group" and not isinstance(raw[key], int))
+            ]
+            errors.extend(bad)
+            if not bad:
+                slots.append(SheddingSlot(raw["group"], *(float(raw[key]) for key in keys[1:])))
     if errors:
         raise ValidationError(errors)
     return SheddingPlan(slots=tuple(slots), granularity_hours=float(granularity))

@@ -10,7 +10,6 @@ wall-clock timestamps, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import fields
 from itertools import chain
@@ -27,6 +26,7 @@ from .core_types import (
     Scenario,
     SimulationResult,
     ValidationError,
+    _is_number,
 )
 
 SCHEMA_VERSION = 1
@@ -40,10 +40,6 @@ class ScenarioParseError(ValueError):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> list[tuple[float, float]] | None:

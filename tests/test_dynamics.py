@@ -6,21 +6,14 @@ from dataclasses import replace
 
 from socio_grid_sim import (
     ContagionNetwork,
-    FeatureContractError,
-    FeatureModel,
     ModelParams,
     PiecewiseSchedule,
     Scenario,
     ValidationError,
-    compute_contagion_weights,
     compute_target,
     contagion_snapshot,
-    dissatisfaction_feature_model,
-    normalized_contagion_weights,
     simulate,
-    social_diffusion,
     step,
-    step_feature,
 )
 
 from oracles import reference_trajectory, rk4_scalar
@@ -49,16 +42,31 @@ def homogeneous_scenario(
     )
 
 
+def social_term(network: ContagionNetwork, access, d, omega2: float = 0.5) -> np.ndarray:
+    return contagion_snapshot(network, access, d, ModelParams(1.0, omega1=0.5, omega2=omega2)).social_term
+
+
 class TestContagionWeights:
+    """Media-access attenuation of the base weights, seen through the
+    contagion term of :func:`contagion_snapshot`."""
+
     def test_identity_access(self):
-        gamma = compute_contagion_weights(THREE_GROUPS, np.ones(9))
-        assert np.array_equal(gamma, THREE_GROUPS.base_weights)
-        assert gamma[0, 1] == 1.0 and gamma[0, 3] == 0.0 and gamma[0, 0] == 0.0
+        # Full access: omega2 times the mean of the agent's group neighbours,
+        # and nothing from the other groups.
+        d = np.linspace(0.1, 0.9, 9)
+        term = social_term(THREE_GROUPS, np.ones(9), d)
+        neighbours = [(d[THREE_GROUPS.members(g)].sum() - d[n]) / 2 for n, g in enumerate(THREE_GROUPS.group_of)]
+        assert np.max(np.abs(term - 0.5 * np.array(neighbours))) <= 1e-15
+        other_groups_moved = np.concatenate([d[:3], 1.0 - d[3:]])
+        assert np.array_equal(social_term(THREE_GROUPS, np.ones(9), other_groups_moved)[:3], term[:3])
 
     def test_half_access_product(self):
-        gamma = compute_contagion_weights(TRIAD, np.full(3, 0.5))
-        off_diagonal = gamma[~np.eye(3, dtype=bool)]
-        assert np.all(off_diagonal == 0.25)
+        # gamma[n, m] = alpha[n, m] * I[n] * I[m]: both endpoints attenuate.
+        access = np.array([1.0, 0.5, 0.25])
+        d = np.array([0.2, 0.6, 1.0])
+        term = social_term(TRIAD, access, d)
+        expected = [0.5 * access[n] * sum(access[m] * d[m] for m in range(3) if m != n) / 2 for n in range(3)]
+        assert np.max(np.abs(term - expected)) <= 1e-15
 
     def test_zero_access_severs_agent(self):
         rng = np.random.default_rng(0)
@@ -66,30 +74,32 @@ class TestContagionWeights:
         np.fill_diagonal(weights, 0.0)
         net = ContagionNetwork(4, weights, np.zeros(4, dtype=int))
         access = np.array([1.0, 0.0, 0.7, 1.0])
-        gamma = compute_contagion_weights(net, access)
-        assert np.all(gamma[1, :] == 0.0) and np.all(gamma[:, 1] == 0.0)
+        d = np.array([0.3, 0.9, 0.5, 0.1])
+        term = social_term(net, access, d)
+        assert term[1] == 0.0
+        for moved in (0.0, 0.4, 1.0):
+            assert np.array_equal(social_term(net, access, np.where(np.arange(4) == 1, moved, d)), term)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):
-            compute_contagion_weights(TRIAD, np.ones(4))
+            social_term(TRIAD, np.ones(4), np.full(3, 0.5))
 
 
 class TestSocialDiffusion:
+    """The contagion pull g of :func:`contagion_snapshot`, normalized by the
+    base row sums."""
+
     def test_full_access_homogeneous(self):
-        gamma = TRIAD.base_weights
-        g = social_diffusion(gamma, TRIAD.base_weights, np.full(3, 0.5), 0.5)
-        assert np.all(g == 0.25)
+        assert np.all(social_term(TRIAD, np.ones(3), np.full(3, 0.5)) == 0.25)
 
     def test_half_access_homogeneous(self):
-        gamma = compute_contagion_weights(TRIAD, np.full(3, 0.5))
-        g = social_diffusion(gamma, TRIAD.base_weights, np.full(3, 0.5), 0.5)
-        assert np.all(g == 0.0625)
+        assert np.all(social_term(TRIAD, np.full(3, 0.5), np.full(3, 0.5)) == 0.0625)
 
     def test_isolated_agent_empty_sum(self):
         weights = np.zeros((3, 3))
         weights[0, 1] = 1.0  # agent 0 listens to 1; agent 2 is isolated
         net = ContagionNetwork(3, weights, np.zeros(3, dtype=int))
-        g = social_diffusion(net.base_weights, net.base_weights, np.array([0.2, 0.8, 0.9]), 0.5)
+        g = social_term(net, np.ones(3), np.array([0.2, 0.8, 0.9]))
         assert g[2] == 0.0
         assert g[0] == pytest.approx(0.5 * 0.8)
 
@@ -99,25 +109,19 @@ class TestSocialDiffusion:
         np.fill_diagonal(weights, 0.0)
         net = ContagionNetwork(5, weights, np.zeros(5, dtype=int))
         d = rng.uniform(0.0, 1.0, size=5)
-        g = social_diffusion(net.base_weights, net.base_weights, d, 0.4)
+        g = social_term(net, np.ones(5), d, omega2=0.4)
         expected = 0.4 * (weights @ d) / weights.sum(axis=1)
-        assert np.allclose(g, expected, atol=1e-15)
+        assert np.max(np.abs(g - expected)) <= 1e-15
 
     def test_huge_weights_match_unit_weights(self):
-        # Row sums of 1e308 weights overflow to inf; the per-step functions
-        # must still give the unit-weight values instead of zeros.
+        # Row sums of 1e308 weights overflow to inf; the contagion term must
+        # still give the unit-weight values instead of zeros.
         access = np.array([0.9, 0.6, 0.3])
         d = np.array([0.2, 0.5, 0.9])
-        views = {}
-        for weight in (1.0, 1e308):
-            net = ContagionNetwork.full_within_groups([0, 0, 0], weight)
-            views[weight] = (
-                contagion_snapshot(net, access, d, ModelParams(1.0)).social_term,
-                social_diffusion(compute_contagion_weights(net, access), net.base_weights, d, 0.5),
-                normalized_contagion_weights(net, access),
-            )
-        for huge, unit in zip(views[1e308], views[1.0]):
-            assert np.max(np.abs(huge - unit)) <= 1e-9
+        huge, unit = (
+            social_term(ContagionNetwork.full_within_groups([0, 0, 0], weight), access, d) for weight in (1e308, 1.0)
+        )
+        assert np.max(np.abs(huge - unit)) <= 1e-9
 
 
 class TestComputeTarget:
@@ -217,12 +221,12 @@ class TestSimulate:
         assert np.max(np.abs(result.dissatisfaction - expected)) <= 1e-12
 
     def test_aggregates_recomputable_from_trajectories(self):
-        from socio_grid_sim import aggregate
+        from socio_grid_sim import aggregate_trajectory
 
         result = simulate(homogeneous_scenario(electricity=0.4, access=0.6, horizon=6.0))
         recomputed = []
         for idx, t in enumerate(result.times):
-            recomputed.extend(aggregate(t, result.dissatisfaction[idx], result.groups))
+            recomputed.extend(aggregate_trajectory([t], result.dissatisfaction[idx][None], result.groups))
         assert len(recomputed) == len(result.aggregates)
         for ours, theirs in zip(result.aggregates, recomputed):
             assert abs(ours.mean_satisfaction - theirs.mean_satisfaction) <= 1e-12
@@ -428,59 +432,6 @@ def replace_params(scenario: Scenario, **overrides) -> Scenario:
         initial_dissatisfaction=scenario.initial_dissatisfaction,
         label=scenario.label,
     )
-
-
-class TestFeatureModel:
-    def test_identity_rules_are_stationary(self):
-        model = FeatureModel(
-            local_term=lambda c, p, s: s,
-            social_term=lambda feats, w: feats[0],
-        )
-        state = np.array([0.3, 0.3, 0.3])
-        weights = np.zeros((3, 3))
-        for dt in (0.1, 0.5, 1.0):
-            nxt = step_feature(model, state, state, state, weights, 0.5, 0.5, dt)
-            assert np.array_equal(nxt, state)
-
-    def test_full_pull_step(self):
-        model = FeatureModel(local_term=lambda c, p, s: 1.0, social_term=lambda f, w: 0.0)
-        nxt = step_feature(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros((2, 2)), 1.0, 0.0, 1.0)
-        assert np.all(nxt == 1.0)
-
-    def test_direct_substitution(self):
-        model = FeatureModel(local_term=lambda c, p, s: 0.8, social_term=lambda f, w: 0.4)
-        nxt = step_feature(
-            model, np.full(1, 0.2), np.zeros(1), np.zeros(1), np.zeros((1, 1)), 0.5, 0.5, 0.5
-        )
-        assert nxt[0] == pytest.approx(0.4, abs=1e-12)
-
-    def test_rule_contract_enforced(self):
-        bad_local = FeatureModel(local_term=lambda c, p, s: 1.2, social_term=lambda f, w: 0.0)
-        with pytest.raises(FeatureContractError, match="local_term"):
-            step_feature(bad_local, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)), 0.5, 0.5, 1.0)
-        bad_social = FeatureModel(local_term=lambda c, p, s: 0.0, social_term=lambda f, w: -0.1)
-        with pytest.raises(FeatureContractError, match="social_term"):
-            step_feature(bad_social, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)), 0.5, 0.5, 1.0)
-
-    def test_dissatisfaction_model_matches_rate_one_step(self):
-        rng = np.random.default_rng(7)
-        n = 6
-        weights = rng.uniform(0.0, 2.0, size=(n, n))
-        np.fill_diagonal(weights, 0.0)
-        net = ContagionNetwork(n, weights, np.zeros(n, dtype=int))
-        params = ModelParams(horizon_hours=1.0, dt_hours=0.5)
-        d = rng.uniform(0.0, 1.0, size=n)
-        elec = rng.uniform(0.0, 1.0, size=n)
-        access = rng.uniform(0.0, 1.0, size=n)
-
-        model = dissatisfaction_feature_model()
-        w_rows = normalized_contagion_weights(net, access)
-        via_feature = step_feature(model, d, access, elec, w_rows, 0.5, 0.5, 0.5)
-
-        snapshot = contagion_snapshot(net, access, d, params)
-        target = compute_target(elec, snapshot.social_term, 0.5)
-        via_target = np.clip(d + (target - d) * 0.5, 0.0, 1.0)
-        assert np.allclose(via_feature, via_target, atol=1e-12)
 
 
 class TestBatchedKernel:

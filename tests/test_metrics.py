@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socio_grid_sim import ValidationError, aggregate, aggregate_trajectory
+from socio_grid_sim import ValidationError, aggregate_trajectory
 
 
 def test_neutral_population():
-    rows = aggregate(0.0, np.full(9, 0.5), [0, 0, 0, 1, 1, 1, 2, 2, 2])
+    rows = aggregate_trajectory([0.0], np.full((1, 9), 0.5), [0, 0, 0, 1, 1, 1, 2, 2, 2])
     assert len(rows) == 4
     for row in rows:
         assert row.mean_satisfaction == 0.5
@@ -19,7 +19,7 @@ def test_neutral_population():
 
 
 def test_spread_population():
-    rows = aggregate(1.0, np.array([0.0, 0.5, 1.0]), [0, 0, 0])
+    rows = aggregate_trajectory([1.0], np.array([[0.0, 0.5, 1.0]]), [0, 0, 0])
     global_row = rows[-1]
     assert global_row.scope is None and global_row.scope_label == "global"
     assert global_row.mean_satisfaction == pytest.approx(0.5, abs=1e-15)
@@ -29,7 +29,7 @@ def test_spread_population():
 
 
 def test_singleton_group():
-    rows = aggregate(2.0, np.array([0.3]), [0])
+    rows = aggregate_trajectory([2.0], np.array([[0.3]]), [0])
     for row in rows:
         assert row.mean_satisfaction == row.min_satisfaction == row.max_satisfaction == 0.7
         assert row.std_satisfaction == 0.0
@@ -37,7 +37,7 @@ def test_singleton_group():
 
 def test_satisfaction_stats_mirror_dissatisfaction():
     d = np.array([0.1, 0.4, 0.9, 0.2])
-    row = aggregate(0.0, d, [0, 0, 0, 0])[-1]
+    row = aggregate_trajectory([0.0], d[None], [0, 0, 0, 0])[-1]
     assert row.mean_satisfaction == pytest.approx(1.0 - d.mean(), abs=1e-12)
     assert row.min_satisfaction == pytest.approx(1.0 - d.max(), abs=1e-12)
     assert row.max_satisfaction == pytest.approx(1.0 - d.min(), abs=1e-12)
@@ -46,12 +46,12 @@ def test_satisfaction_stats_mirror_dissatisfaction():
 
 def test_empty_group_rejected():
     with pytest.raises(ValidationError, match="group 1 has no members"):
-        aggregate(0.0, np.array([0.5, 0.5]), [0, 2])
+        aggregate_trajectory([0.0], np.array([[0.5, 0.5]]), [0, 2])
 
 
 def test_empty_population_rejected():
     with pytest.raises(ValidationError, match="nonempty"):
-        aggregate(0.0, np.array([]), [])
+        aggregate_trajectory([0.0], np.empty((1, 0)), [])
 
 
 @given(
@@ -63,8 +63,8 @@ def test_permutation_invariant_within_group(d, seed):
     values = np.asarray(d)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(values.size)
-    base = aggregate(0.0, values, np.zeros(values.size, dtype=int))
-    shuffled = aggregate(0.0, values[perm], np.zeros(values.size, dtype=int))
+    base = aggregate_trajectory([0.0], values[None], np.zeros(values.size, dtype=int))
+    shuffled = aggregate_trajectory([0.0], values[perm][None], np.zeros(values.size, dtype=int))
     for a, b in zip(base, shuffled):
         assert a.mean_satisfaction == pytest.approx(b.mean_satisfaction, abs=1e-12)
         assert a.min_satisfaction == b.min_satisfaction
@@ -81,7 +81,7 @@ def test_global_mean_is_size_weighted_group_mean(sizes, seed):
     rng = np.random.default_rng(seed)
     groups = np.repeat(np.arange(len(sizes)), sizes)
     d = rng.uniform(0.0, 1.0, size=groups.size)
-    rows = aggregate(0.0, d, groups)
+    rows = aggregate_trajectory([0.0], d[None], groups)
     group_rows = [r for r in rows if r.scope is not None]
     weighted = sum(r.mean_satisfaction * s for r, s in zip(group_rows, sizes)) / sum(sizes)
     assert rows[-1].mean_satisfaction == pytest.approx(weighted, abs=1e-12)
@@ -91,13 +91,14 @@ def test_global_mean_is_size_weighted_group_mean(sizes, seed):
 
 
 def test_trajectory_matches_per_time_rows():
+    # The trajectory equals its one-row calls, one report time each.
     rng = np.random.default_rng(3)
     d = rng.uniform(0.0, 1.0, size=(5, 7))
     groups = np.array([0, 0, 1, 1, 1, 2, 2])
     times = np.arange(5.0)
     flat = []
     for i, t in enumerate(times):
-        flat.extend(aggregate(t, d[i], groups))
+        flat.extend(aggregate_trajectory([t], d[i][None], groups))
     assert aggregate_trajectory(times, d, groups) == flat
 
 

@@ -95,6 +95,18 @@ class TestApplyPlan:
         assert "beyond the horizon" in text
         assert "group" in text
 
+    def test_rejects_non_finite_start(self):
+        # A NaN start compares false with every bound, so it must be caught
+        # as "not >= 0" rather than pass as an empty slot.
+        plan = SheddingPlan(
+            slots=(SheddingSlot(group=0, start_hour=float("nan"), duration_hours=2.0, shed_level=0.5),),
+            granularity_hours=1.0,
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            apply_plan(small_base(), plan)
+        assert len(excinfo.value.violations) == 1
+        assert excinfo.value.violations[0].startswith("slots[0].start_hour = nan")
+
 
 class TestEvaluatePlan:
     def test_empty_plan_equals_baseline(self):
@@ -660,12 +672,23 @@ class TestPlanDocuments:
             plan_from_dict({"schema_version": 2, "granularity_hours": "x", "slots": [{"group": 0}]})
         assert len(excinfo.value.violations) == 3
 
-    def test_total_energy(self):
-        plan = SheddingPlan(
-            slots=(
-                SheddingSlot(group=0, start_hour=0.0, duration_hours=2.0, shed_level=0.5),
-                SheddingSlot(group=1, start_hour=0.0, duration_hours=1.0, shed_level=1.0),
-            ),
-            granularity_hours=1.0,
-        )
-        assert plan.total_energy([3, 2]) == 0.5 * 2.0 * 3 + 1.0 * 1.0 * 2
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("group", 1.7),
+            ("group", True),
+            ("group", "x"),
+            ("group", 1.0),
+            ("start_hour", "2"),
+            ("start_hour", float("nan")),
+            ("duration_hours", float("inf")),
+            ("shed_level", None),
+        ],
+    )
+    def test_rejects_slot_fields_without_coercion(self, field, value):
+        slot = {"group": 1, "start_hour": 0.0, "duration_hours": 3.0, "shed_level": 0.5}
+        doc = {"schema_version": 1, "granularity_hours": 3.0, "slots": [slot, {**slot, field: value}]}
+        with pytest.raises(ValidationError) as excinfo:
+            plan_from_dict(doc)
+        assert len(excinfo.value.violations) == 1
+        assert excinfo.value.violations[0].startswith(f"slots[1].{field} must be ")
