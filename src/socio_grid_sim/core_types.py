@@ -303,14 +303,14 @@ class ModelParams:
             errors.append(
                 f"omega1 + omega2 must be <= 1 (got {self.omega1!r} + {self.omega2!r} = {self.omega1 + self.omega2!r})"
             )
-        if not (math.isfinite(self.dt_hours) and 0.0 < self.dt_hours <= 1.0):
+        if not (_is_number(self.dt_hours) and 0.0 < self.dt_hours <= 1.0):
             errors.append(f"dt_hours must be in (0, 1] (got {self.dt_hours!r})")
         _check_unit(self.rate_floor, "rate_floor", errors)
-        if not (math.isfinite(self.horizon_hours) and self.horizon_hours > 0.0):
+        if not (_is_number(self.horizon_hours) and self.horizon_hours > 0.0):
             errors.append(f"horizon_hours must be > 0 (got {self.horizon_hours!r})")
-        if not (math.isfinite(self.report_every_hours) and self.report_every_hours > 0.0):
+        if not (_is_number(self.report_every_hours) and self.report_every_hours > 0.0):
             errors.append(f"report_every_hours must be > 0 (got {self.report_every_hours!r})")
-        elif math.isfinite(self.dt_hours) and 0.0 < self.dt_hours <= 1.0:
+        elif _is_number(self.dt_hours) and 0.0 < self.dt_hours <= 1.0:
             steps = round(self.report_every_hours / self.dt_hours)
             if steps < 1 or abs(steps * self.dt_hours - self.report_every_hours) > 1e-9:
                 errors.append(

@@ -107,20 +107,21 @@ def step(
 
 def _sample_schedules(
     schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
-) -> np.ndarray:
-    """Sample per-agent schedules on the step grid; equal schedules sampled once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the distinct schedules on the step grid, and pick one per agent.
 
     Agents that share a schedule object share a column, found by ``id``
     without hashing the schedule; equal objects then share one by value.
-    The (n_steps, N) grid is one ``take`` of the distinct columns, and is
-    C-contiguous so that the kernel reads each step's row in one run.
+    Returns the C-contiguous (n_steps, K) table of the K distinct columns,
+    so that the kernel reads each step's row in one run, and the (N,) intp
+    column index of every agent. No (n_steps, N) grid is built.
     """
     by_value: dict[PiecewiseSchedule, int] = {}
     picks = _once_per_object(lambda s: by_value.setdefault(s, len(by_value)), schedules)
     table = np.zeros((n_steps, len(by_value)))
     for sched, k in by_value.items():
         table[:, k] = sched.sample(dt, n_steps)
-    return table.take(picks, axis=1)
+    return table, np.array(picks, dtype=np.intp)
 
 
 def _scaled_rows(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,20 +204,37 @@ def _contagion_ratio(
     return access * (operator.alpha @ (access * d)[..., None])[..., 0] * operator.inv_row
 
 
+# Floats gathered per table at once: a few steps' rows when N is large, the
+# whole horizon of a small network, so that small runs pay one gather.
+_GATHER_FLOATS = 2**14
+
+
+def _picked_rows(table: np.ndarray, index: np.ndarray):
+    """Each step's row ``table[k].take(index)``, gathered a few steps at a time."""
+    chunk = max(1, _GATHER_FLOATS // index.size)
+    for start in range(0, table.shape[0], chunk):
+        yield from table[start : start + chunk].take(index, axis=1)
+
+
 def _euler(
     operator: _DenseProduct | _GroupSums,
     access: np.ndarray,
+    access_index: np.ndarray,
     pull: np.ndarray,
+    pull_index: np.ndarray,
     d0: np.ndarray,
     params: ModelParams,
-    pull_index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a (B, N) block of states together on the shared step grid.
 
-    ``operator`` is :func:`_contagion_operator` for B rows. ``access`` is the
-    (steps, N) media-access grid shared by every row. ``pull`` is the
-    deprivation term omega1 * (1 - E): a (steps, N) grid shared by every
-    row, or (steps, K) columns that ``pull_index`` (B, N) picks per row.
+    ``operator`` is :func:`_contagion_operator` for B rows. ``access`` is a
+    (steps, K) table of distinct media-access columns and ``pull`` a
+    (steps, K') table of distinct deprivation columns omega1 * (1 - E).
+    ``access_index`` and ``pull_index`` pick each agent's column: (1, N) when
+    every row shares the pick, (B, N) when each row has its own. Step k reads
+    ``access[k].take(access_index)``, gathered a few steps at a time
+    (:func:`_picked_rows`), so the kernel holds O(steps * K) floats of
+    input, never a (steps, N) grid.
     Returns the (B, reports + 1, N) trajectories recorded at t = 0 and every
     ``steps_per_report`` steps, and each row's clamp count. Every row is
     bit-identical for any B (see :func:`_contagion_ratio`).
@@ -227,10 +245,6 @@ def _euler(
     floor = params.rate_floor
     omega2 = params.omega2
     has_contagion = omega2 > 0.0
-    # Shared rows carry a leading axis of 1, so at B = 1 nothing broadcasts.
-    access = access[:, None]
-    if pull_index is None:
-        pull = pull[:, None]
 
     d = np.array(d0, dtype=float)
     recorded = np.empty((b, params.n_steps // spr + 1, n))
@@ -238,10 +252,10 @@ def _euler(
     clamp_hits = np.zeros(b, dtype=int)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
 
-    for k in range(params.n_steps):
-        local_pull = pull[k] if pull_index is None else pull[k][pull_index]
+    steps = zip(_picked_rows(access, access_index), _picked_rows(pull, pull_index))
+    for k, (local_access, local_pull) in enumerate(steps):
         if has_contagion:
-            pull_ratio = _contagion_ratio(operator, access[k], d)
+            pull_ratio = _contagion_ratio(operator, local_access, d)
             rate = np.maximum(pull_ratio, floor) if floor > 0.0 else pull_ratio
             target = local_pull + omega2 * pull_ratio
         else:
@@ -269,10 +283,14 @@ def simulate(scenario: Scenario) -> SimulationResult:
     dt = params.dt_hours
     n_steps = params.n_steps
 
+    access, access_index = _sample_schedules(scenario.media_access, dt, n_steps)
+    electricity, pull_index = _sample_schedules(scenario.electricity, dt, n_steps)
     recorded, clamp_hits = _euler(
         _contagion_operator(net),
-        _sample_schedules(scenario.media_access, dt, n_steps),
-        params.omega1 * (1.0 - _sample_schedules(scenario.electricity, dt, n_steps)),
+        access,
+        access_index[None],
+        params.omega1 * (1.0 - electricity),
+        pull_index[None],
         scenario.initial_dissatisfaction[None, :],
         params,
     )

@@ -112,7 +112,8 @@ class _LatticeSearch:
     Candidates are scored in blocks by the simulation kernel directly: no
     candidate builds a shed ``Scenario`` or a ``SimulationResult``. Each
     agent's deprivation column is sampled once per (base schedule, slot
-    profile of its group) and gathered per candidate.
+    profile of its group); a candidate is a row of column indices into the
+    table of those columns, which the kernel reads step by step.
     """
 
     def __init__(
@@ -167,7 +168,8 @@ class _LatticeSearch:
 
         params = base.params
         self._members = [base.network.members(g) for g in range(self.n_groups)]
-        self._access = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
+        self._access, access_index = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
+        self._access_index = access_index[None]
         # One block holds each row's state plus its recorded report times.
         report_times = params.n_steps // params.steps_per_report + 1
         self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (report_times + 1)))
@@ -237,7 +239,7 @@ class _LatticeSearch:
             self._pull = np.column_stack(self._columns)
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
         operator = _contagion_operator(base.network, len(block))
-        recorded, _ = _euler(operator, self._access, self._pull, d0, base.params, pull_index)
+        recorded, _ = _euler(operator, self._access, self._access_index, self._pull, pull_index, d0, base.params)
         self.kernel_rows += len(block)
         return recorded
 

@@ -6,6 +6,7 @@ the plan document.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from .core_types import PiecewiseSchedule, Scenario, ValidationError, _is_number
@@ -58,7 +59,9 @@ def validate_plan(plan: SheddingPlan, base: Scenario) -> list[str]:
     if not plan.granularity_hours > 0.0:
         errors.append(f"granularity_hours must be > 0 (got {plan.granularity_hours!r})")
     for i, slot in enumerate(plan.slots):
-        if not 0 <= slot.group < n_groups:
+        if not isinstance(slot.group, Integral) or isinstance(slot.group, bool):
+            errors.append(f"slots[{i}].group = {slot.group!r} must be an integer")
+        elif not 0 <= slot.group < n_groups:
             errors.append(f"slots[{i}].group = {slot.group!r} outside 0..{n_groups - 1}")
         if not slot.start_hour >= 0.0:
             errors.append(f"slots[{i}].start_hour = {slot.start_hour!r} must be >= 0")

@@ -98,6 +98,12 @@ class TestModelParams:
         with pytest.raises(ValidationError, match="horizon_hours"):
             ModelParams(horizon_hours=-5.0)
 
+    @pytest.mark.parametrize("field", ["horizon_hours", "dt_hours", "report_every_hours"])
+    def test_rejects_non_numeric_time_fields(self, field):
+        # A string must be a named violation, not a TypeError from math.isfinite.
+        with pytest.raises(ValidationError, match=f"^{field} .*'0.5'"):
+            ModelParams(**{"horizon_hours": 1.0, field: "0.5"})
+
     def test_rejects_indivisible_report_interval(self):
         with pytest.raises(ValidationError, match="divide"):
             ModelParams(horizon_hours=10.0, dt_hours=0.3, report_every_hours=1.0)

@@ -299,17 +299,48 @@ class TestSimulate:
         assert len(calls) == 3
 
     def test_sampled_grid_is_c_contiguous_columns(self):
-        # One column per agent, as a column_stack of every agent's samples,
-        # laid out row-major so that each step's row is contiguous.
+        # The (steps, K) table of distinct columns and each agent's pick into
+        # it. Picking every agent's column gives the column_stack of every
+        # agent's samples; the table is row-major so that each step's row is
+        # contiguous.
         from socio_grid_sim.dynamics import _sample_schedules
 
         horizon = 6.0
         a = PiecewiseSchedule(((0.0, 1.0), (2.0, 0.5)), horizon)
         b = PiecewiseSchedule(((0.0, 0.25), (0.35, 0.75)), horizon)
         schedules = (a, b, a, PiecewiseSchedule(a.breakpoints, horizon), b, a)
-        grid = _sample_schedules(schedules, 0.1, 60)
-        assert grid.flags.c_contiguous
-        assert np.array_equal(grid, np.column_stack([s.sample(0.1, 60) for s in schedules]))
+        table, picks = _sample_schedules(schedules, 0.1, 60)
+        assert table.shape == (60, 2)
+        assert table.flags.c_contiguous
+        assert picks.dtype == np.intp and picks.tolist() == [0, 1, 0, 0, 1, 0]
+        assert np.array_equal(table.take(picks, axis=1), np.column_stack([s.sample(0.1, 60) for s in schedules]))
+
+    def test_peak_memory_below_one_agent_grid(self):
+        # 3000 agents in 12 groups with 12 distinct schedules per set: the
+        # kernel reads (steps, 12) tables through per-agent picks, so the
+        # whole call stays below a single (steps, N) float64 grid.
+        import tracemalloc
+
+        n, horizon = 3000, 48.0
+        params = ModelParams(horizon_hours=horizon, dt_hours=0.1)
+        groups = np.arange(n) % 12
+        electricity = [PiecewiseSchedule(((0.0, 1.0), (1.0 + k, 0.2 + 0.05 * k)), horizon) for k in range(12)]
+        access = [PiecewiseSchedule(((0.0, 0.3 + 0.05 * k), (30.0 - k, 1.0)), horizon) for k in range(12)]
+        scenario = Scenario(
+            params=params,
+            network=ContagionNetwork.full_within_groups(groups, 1.0),
+            electricity=tuple(electricity[g] for g in groups),
+            media_access=tuple(access[5 * g % 12] for g in groups),
+            initial_dissatisfaction=np.linspace(0.0, 1.0, n),
+        )
+        simulate(scenario)
+        tracemalloc.start()
+        try:
+            simulate(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.n_steps * n * np.dtype(float).itemsize
 
     def test_step_chain_reproduces_simulate(self):
         # contagion_snapshot -> compute_target -> step is one step of the
@@ -438,7 +469,8 @@ class TestBatchedKernel:
     def test_rows_match_single_runs_for_any_block(self):
         # Both operators: the dense (B, N, 1) matrix-vector stack and the
         # group block's one bincount per step. Each row of a block of 7 and
-        # of the whole block must equal its own run as a block of one.
+        # of the whole block, read through access and pull picks, must equal
+        # its own run as a block of one on the gathered grids.
         from socio_grid_sim.dynamics import _contagion_operator, _euler, _sample_schedules
 
         from oracles import random_scenario
@@ -449,20 +481,26 @@ class TestBatchedKernel:
             params = scenario.params
             n = scenario.n_agents
             block_net = ContagionNetwork.full_within_groups(scenario.network.group_of, float(rng.uniform(0.5, 2.0)))
-            access = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
+            table, _ = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
+            # Extra access columns and a random pick, shared and out of agent order.
+            access = np.hstack([table, rng.uniform(0.0, 1.0, size=(params.n_steps, n))])
+            access_index = rng.integers(0, access.shape[1], size=(1, n))
             pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
             index = rng.integers(0, 3 * n, size=(int(rng.integers(8, 60)), n))
             d0 = rng.uniform(0.0, 1.0, size=index.shape)
+            identity = np.arange(n)[None]
             for network in (scenario.network, block_net):
+                # Each row alone, on its own gathered (steps, N) grids read in agent order.
                 singles = [
-                    _euler(_contagion_operator(network), access, pull[:, index[row]], d0[row : row + 1], params)[0][0]
+                    _euler(_contagion_operator(network), access[:, access_index[0]], identity,
+                           pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
                     for row in range(index.shape[0])
                 ]
                 for size in (7, index.shape[0]):
                     for start in range(0, index.shape[0], size):
                         rows = slice(start, start + size)
                         operator = _contagion_operator(network, index[rows].shape[0])
-                        block, hits = _euler(operator, access, pull, d0[rows], params, index[rows])
+                        block, hits = _euler(operator, access, access_index, pull, index[rows], d0[rows], params)
                         assert hits.tolist() == [0] * block.shape[0]
                         for offset, single in enumerate(singles[rows]):
                             assert np.array_equal(block[offset], single)

@@ -27,6 +27,7 @@ from socio_grid_sim import (
 )
 from socio_grid_sim import planner
 from socio_grid_sim.core_types import Dense
+from socio_grid_sim.plans import validate_plan
 from socio_grid_sim.planner import _LatticeSearch
 
 from oracles import brute_force_plan_search, reference_objective, symmetric_planner_base
@@ -106,6 +107,28 @@ class TestApplyPlan:
             apply_plan(small_base(), plan)
         assert len(excinfo.value.violations) == 1
         assert excinfo.value.violations[0].startswith("slots[0].start_hour = nan")
+
+
+    @pytest.mark.parametrize("group", [1.7, 1.0, True, "1"])
+    def test_rejects_non_integer_group(self, group):
+        # A fractional group lies inside 0..G-1 but matches no agent, so it
+        # would be scored as the empty plan if the range check let it pass.
+        base = builtin_case_study("full_access")
+        plan = SheddingPlan(
+            slots=(SheddingSlot(group=group, start_hour=0.0, duration_hours=6.0, shed_level=0.5),),
+            granularity_hours=6.0,
+        )
+        assert validate_plan(plan, base) == [f"slots[0].group = {group!r} must be an integer"]
+        with pytest.raises(ValidationError, match=r"slots\[0\]\.group"):
+            evaluate_plan(plan, base)
+
+    def test_accepts_numpy_integer_group(self):
+        base = builtin_case_study("full_access")
+        plan = SheddingPlan(
+            slots=(SheddingSlot(group=np.int64(1), start_hour=0.0, duration_hours=6.0, shed_level=0.5),),
+            granularity_hours=6.0,
+        )
+        assert validate_plan(plan, base) == []
 
 
 class TestEvaluatePlan:
