@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from socio_grid_sim import builtin_case_study, load_scenario, write_scenario
+from socio_grid_sim import builtin_case_study, load_scenario, simulate, write_scenario
 from socio_grid_sim.cli import _apply_overrides, main
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +51,15 @@ class TestSimulateCommand:
             "aggregates.csv": "09feb74d42f315b51e703834a7f25824b1fa3b2a58f0dc6a22faeec7de2047d3",
             "manifest.json": "c8267aee513315421507df918aa77b93a649633115e73087c79732843ecd93fd",
         }
+
+    def test_raw_trajectory_matches_golden_digest(self):
+        # The CSVs hold 9 significant digits, so a last-bit drift in the
+        # kernel passes the test above; this sha256 of the little-endian
+        # float64 trajectory does not. Recorded before digest format 2.
+        result = simulate(load_scenario(DATA / "golden_simulate.json"))
+        raw = np.ascontiguousarray(result.dissatisfaction, dtype="<f8")
+        assert raw.shape == (13, 8)
+        assert hashlib.sha256(raw).hexdigest() == "247f3544c5d7628e21dfaf71df071cd98c0529297b39e832b5c827245f1ff548"
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -612,6 +613,17 @@ class TestDecomposedSearch:
         # 16 slot profiles, the 15 candidates tied at the optimum, and the
         # final score; simulating every feasible candidate takes 4083 + 1.
         assert stats == {"kernel_rows": 16 + 15 + 1, "decomposed": True}
+
+    def test_c6_profile_block_matches_golden_digest(self):
+        # The (B, T, N) block of every slot profile that _near_best runs on
+        # c6, pinned to the bit across commits by the sha256 of its
+        # little-endian float64 bytes.
+        search = _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.0, 0.5], 1.0)
+        profiles = itertools.product(search.levels, repeat=search.n_slots)
+        block = search._run_block([profile * search.n_groups for profile in profiles])
+        raw = np.ascontiguousarray(block, dtype="<f8")
+        assert raw.shape == (16, 13, 9)
+        assert hashlib.sha256(raw).hexdigest() == "7be76e227635f88906eaedc37e0155177985052d4f72f5cc605b1fff3c6c0cd4"
 
     def test_eighteen_cell_lattice(self):
         # 3 groups x 6 slots x 2 levels: 2**18 candidates, 249528 of them
