@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from .core_types import PiecewiseSchedule, Scenario, ValidationError, _once_per_object
+from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _once_per_object
 from .dynamics import simulate
 from .planner import plan_shedding
 from .plans import plan_to_dict
@@ -148,6 +148,7 @@ def run_plan(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "plan_encoding": plan.encoding(),
         "scenario_digest": base.content_digest(),
+        "digest_format": DIGEST_FORMAT,
         "cli_overrides": overrides,
         "search": search,
     }

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +25,9 @@ if TYPE_CHECKING:
 
 # Agent ids are dense indices 0..N-1, stable for the lifetime of a scenario.
 AgentId = int
+
+# The byte encoding that Scenario.content_digest hashes; manifests record it.
+DIGEST_FORMAT = 2
 
 
 class ValidationError(ValueError):
@@ -35,12 +40,20 @@ class ValidationError(ValueError):
 
 def _is_number(value: object) -> bool:
     """A finite int or float, and not a bool (JSON ``true`` is not 1)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_unit(value: float, name: str, errors: list[str]) -> None:
     if not (_is_number(value) and 0.0 <= value <= 1.0):
         errors.append(f"{name} must be in [0, 1] (got {value!r})")
+
+
+def _bits(points: Sequence[tuple[float, float]]) -> bytes:
+    """The breakpoints' little-endian float64 bits, so that ``-0.0`` and ``0.0`` differ."""
+    return struct.pack(f"<{2 * len(points)}d", *chain.from_iterable(points))
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -63,26 +76,32 @@ class PiecewiseSchedule:
 
     def __post_init__(self):
         try:
-            points = tuple((float(s), float(v)) for s, v in self.breakpoints)
+            pairs = tuple((s, v) for s, v in self.breakpoints)
         except (TypeError, ValueError):
             raise ValidationError([f"breakpoints must be (start_hour, value) pairs (got {self.breakpoints!r})"])
+        errors: list[str] = []
+        for i, (start, value) in enumerate(pairs):
+            if not _is_number(start):
+                errors.append(f"breakpoints[{i}].start_hour must be a finite number (got {start!r})")
+            _check_unit(value, f"breakpoints[{i}].value", errors)
+        if not (_is_number(self.horizon_hours) and self.horizon_hours > 0.0):
+            errors.append(f"horizon_hours must be > 0 (got {self.horizon_hours!r})")
+        if errors:
+            raise ValidationError(errors)
+        points = tuple((float(s), float(v)) for s, v in pairs)
         object.__setattr__(self, "breakpoints", points)
         object.__setattr__(self, "horizon_hours", float(self.horizon_hours))
-        errors: list[str] = []
-        if not (math.isfinite(self.horizon_hours) and self.horizon_hours > 0.0):
-            errors.append(f"horizon_hours must be > 0 (got {self.horizon_hours!r})")
         if not points:
             errors.append("breakpoints must be nonempty")
         else:
             if points[0][0] != 0.0:
                 errors.append(f"first breakpoint must start at hour 0 (got {points[0][0]!r})")
-            for i, (start, value) in enumerate(points):
-                _check_unit(value, f"breakpoints[{i}].value", errors)
+            for i, (start, _) in enumerate(points):
                 if i > 0 and not (start > points[i - 1][0]):
                     errors.append(
                         f"breakpoints[{i}].start_hour = {start!r} must exceed the previous start {points[i - 1][0]!r}"
                     )
-                if math.isfinite(self.horizon_hours) and start >= self.horizon_hours and i > 0:
+                if start >= self.horizon_hours and i > 0:
                     errors.append(
                         f"breakpoints[{i}].start_hour = {start!r} must lie inside [0, {self.horizon_hours!r})"
                     )
@@ -142,7 +161,7 @@ def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None
             errors.append("group_of must hold integer group ids")
             return None
         groups = np.array(groups, dtype=int, copy=True)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"group_of must hold integer group ids (got {group_of!r})")
         return None
     if (groups < 0).any():
@@ -253,15 +272,15 @@ class ContagionNetwork:
         Validates only the weight and the group ids; no N x N matrix is built.
         """
         ids = list(group_of)
-        weight = float(weight)
         errors: list[str] = []
         if not ids:
             errors.append("n_agents must be positive (got 0)")
-        if not (math.isfinite(weight) and weight >= 0.0):
+        if not (_is_number(weight) and weight >= 0.0):
             errors.append(f"weight must be finite and >= 0 (got {weight!r})")
         groups = _group_ids(len(ids), ids, errors)
         if errors:
             raise ValidationError(errors)
+        weight = float(weight)
         network = cls.__new__(cls)
         paired = np.bincount(groups).max() > 1
         network._assign(groups, GroupBlock(weight if paired else 0.0))
@@ -331,50 +350,11 @@ class ModelParams:
         return asdict(self)
 
 
-# Group templates kept for the digest at once (each is ~4 N bytes of text).
-_DIGEST_TEMPLATES = 64
-
-
-def _hash_weight_rows(digest, network: ContagionNetwork) -> None:
-    """Feed ``digest`` the canonical JSON rows of ``base_weights``, comma-separated.
-
-    A group block's row n is its group's template (the weight's JSON text at
-    every member, ``0.0`` elsewhere) with agent n's own entry spliced to
-    ``0.0``, so no matrix is built. The most recently used templates are
-    kept; a singleton's row is the all-zero row.
-    """
-    operator = network.operator
-    if isinstance(operator, Dense):
-        for idx, row in enumerate(operator.matrix):
-            if idx:
-                digest.update(b",")
-            digest.update(json.dumps(row.tolist(), separators=(",", ":")).encode("utf-8"))
-        return
-    member = json.dumps(operator.weight).encode("utf-8")
-    groups = network.group_of
-    sizes = network.group_sizes.tolist()
-    seen = [0] * len(sizes)
-    zero_row = b"[" + b",".join([b"0.0"] * groups.size) + b"]"
-    templates: dict[int, bytes] = {}
-    for n, g in enumerate(groups.tolist()):
-        if n:
-            digest.update(b",")
-        if sizes[g] == 1:
-            digest.update(zero_row)
-            continue
-        text = templates.pop(g, None)
-        if text is None:
-            text = b"[" + b",".join([member if m else b"0.0" for m in (groups == g).tolist()]) + b"]"
-            if len(templates) == _DIGEST_TEMPLATES:
-                del templates[next(iter(templates))]
-        templates[g] = text
-        # n entries precede agent n's, seen[g] of them the weight's text.
-        start = 1 + 4 * n + (len(member) - 3) * seen[g]
-        seen[g] += 1
-        row = memoryview(text)
-        digest.update(row[:start])
-        digest.update(b"0.0")
-        digest.update(row[start + len(member) :])
+def _feed(digest, data: bytes | np.ndarray, dtype=None) -> None:
+    """Feed ``digest`` the byte length of ``data``, then its bytes (as ``dtype``), read in place."""
+    view = memoryview(data if dtype is None else np.ascontiguousarray(data, dtype=dtype)).cast("B")
+    digest.update(struct.pack("<q", view.nbytes))
+    digest.update(view)
 
 
 @dataclass(frozen=True)
@@ -423,31 +403,43 @@ class Scenario:
         return errors
 
     def content_digest(self) -> str:
-        """Stable sha256 over the resolved scenario content, for manifests.
+        """Stable sha256 over the scenario in digest format 2, for manifests.
 
-        The hashed bytes are the canonical JSON document (sorted keys, no
-        spaces) of every field. ``base_weights`` sorts first, so its rows are
-        encoded and hashed one at a time and the N x N list of Python floats
-        is never built; a group block's rows are hashed without its matrix.
-        Each distinct schedule object's breakpoints are encoded once.
+        Each section of the hashed stream leads with its byte length or
+        count, so no two scenarios give the same bytes: a canonical JSON
+        header (format, N, label, params, network kind and a group block's
+        weight bits); the group ids as little-endian int64; a dense matrix's
+        float64 buffer, read in place; per schedule set, each distinct
+        schedule's breakpoint bits in order of first appearance and every
+        agent's int64 index into them; the initial state's float64 bits.
+        Schedules are told apart by bits, not by object, so ``-0.0`` stays
+        apart from ``0.0``.
         """
-        dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-
-        def schedules(items: tuple[PiecewiseSchedule, ...]) -> str:
-            return "[" + ",".join(_once_per_object(lambda s: dumps(s.breakpoints), items)) + "]"
-
-        rest = {
-            "label": dumps(self.label),
-            "params": dumps(self.params.as_dict()),
-            "groups": dumps(self.network.group_of.tolist()),
-            "electricity": schedules(self.electricity),
-            "media_access": schedules(self.media_access),
-            "initial_dissatisfaction": dumps(self.initial_dissatisfaction.tolist()),
+        network, operator = self.network, self.network.operator
+        if isinstance(operator, Dense):
+            kind = {"kind": "dense"}
+        else:
+            kind = {"kind": "group_block", "weight_bits": int.from_bytes(struct.pack("<d", operator.weight), "little")}
+        header = {
+            "digest_format": DIGEST_FORMAT,
+            "n_agents": network.n_agents,
+            "label": self.label,
+            "params": {key: float(value) for key, value in self.params.as_dict().items()},
+            "network": kind,
         }
-        digest = hashlib.sha256(b'{"base_weights":[')
-        _hash_weight_rows(digest, self.network)
-        tail = ",".join(f'"{key}":{text}' for key, text in sorted(rest.items()))
-        digest.update(b"]," + tail.encode("utf-8") + b"}")
+        digest = hashlib.sha256()
+        _feed(digest, json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        _feed(digest, network.group_of, "<i8")
+        if "weight_bits" not in kind:
+            _feed(digest, operator.matrix, "<f8")
+        for schedules in (self.electricity, self.media_access):
+            keys = _once_per_object(lambda s: _bits(s.breakpoints), schedules)
+            numbers = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+            digest.update(struct.pack("<q", len(numbers)))
+            for key in numbers:
+                _feed(digest, key)
+            _feed(digest, list(map(numbers.__getitem__, keys)), "<i8")
+        _feed(digest, self.initial_dissatisfaction, "<f8")
         return "sha256:" + digest.hexdigest()
 
     def __eq__(self, other: object) -> bool:

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .core_types import (
+    DIGEST_FORMAT,
     ContagionNetwork,
     Dense,
     ModelParams,
@@ -307,6 +308,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
         "n_groups": net.n_groups,
         "groups": net.group_of.tolist(),
         "scenario_digest": scenario.content_digest(),
+        "digest_format": DIGEST_FORMAT,
         "aggregation_std": "population",
         "rate_floor_active": params.rate_floor > 0.0,
         "clamp_activations": int(clamp_hits[0]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import fields
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,6 +26,7 @@ from .core_types import (
     Scenario,
     SimulationResult,
     ValidationError,
+    _bits,
     _is_number,
 )
 
@@ -51,9 +52,28 @@ def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> l
     return [(float(s), float(v)) for s, v in block]
 
 
-def _bits(points: Sequence[tuple[float, float]]) -> bytes:
-    """The breakpoints' float bits, so that ``-0.0`` and ``0.0`` differ."""
-    return struct.pack(f"{2 * len(points)}d", *chain.from_iterable(points))
+def _entry_bits(entries: list) -> list[bytes] | None:
+    """Each entry's float64 bits, if every entry is a list of pairs of Python ints and floats.
+
+    Such entries pass or fail the same checks, with the same schedule, when
+    their bits are equal: ``True``, ``"1"``, numpy scalars, nested junk and
+    ints too large for a float all give None, and bits keep ``-0.0`` apart
+    from ``0.0``. The types are checked in one pass over the whole block.
+    """
+    if set(map(type, entries)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(entries))
+    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+        return None
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        blob = struct.pack(f"<{len(numbers)}d", *numbers)
+    except struct.error:  # an int too large for a float
+        return None
+    ends = list(accumulate(map(len, entries), initial=0))
+    return [blob[16 * start : 16 * end] for start, end in zip(ends, ends[1:])]
 
 
 def _schedules_from_block(
@@ -63,31 +83,57 @@ def _schedules_from_block(
         errors.append(f"{context} must contain exactly one of 'broadcast' or 'per_agent'")
         return None
     if "broadcast" in block:
-        entries, copies = [(f"{context}.broadcast", block["broadcast"])], count
+        entries, copies, where = [block["broadcast"]], count, f"{context}.broadcast"
     else:
-        per_agent = block["per_agent"]
-        if not isinstance(per_agent, list) or len(per_agent) != count:
+        entries, copies, where = block["per_agent"], 1, f"{context}.per_agent[{{}}]"
+        if not isinstance(entries, list) or len(entries) != count:
             errors.append(f"{context}.per_agent must list one breakpoint list per agent ({count} expected)")
             return None
-        entries, copies = [(f"{context}.per_agent[{idx}]", entry) for idx, entry in enumerate(per_agent)], 1
     # Agents whose entries hold the same float bits share one schedule object.
-    # Bits, not values: a -0.0 entry keeps its own object and its own digest.
-    # Only valid schedules are kept, so a repeated bad entry reports every agent.
+    # Bits, not values: a -0.0 entry keeps its own object. An entry whose raw
+    # bits (from _entry_bits) name a schedule already built is not checked
+    # again; without them every entry is checked. Only valid schedules are
+    # kept, so a repeated bad entry reports every agent.
     out: list[PiecewiseSchedule] = []
-    interned: dict[bytes, PiecewiseSchedule] = {}
-    for where, entry in entries:
-        points = _breakpoints_from_block(entry, where, errors)
-        if points is None or horizon is None:  # horizon None: params block already failed
-            continue
-        key = _bits(points)
-        if key not in interned:
-            try:
-                interned[key] = PiecewiseSchedule(tuple(points), horizon)
-            except ValidationError as exc:
-                errors.extend(f"{where}: {v}" for v in exc.violations)
+    interned: dict[bytes | None, PiecewiseSchedule] = {}
+    for idx, (entry, bits) in enumerate(zip(entries, _entry_bits(entries) or [None] * len(entries))):
+        if bits not in interned:
+            points = _breakpoints_from_block(entry, where.format(idx), errors)
+            if points is None or horizon is None:  # horizon None: params block already failed
                 continue
-        out.append(interned[key])
+            bits = _bits(points)
+            if bits not in interned:
+                try:
+                    interned[bits] = PiecewiseSchedule(tuple(points), horizon)
+                except ValidationError as exc:
+                    errors.extend(f"{where.format(idx)}: {v}" for v in exc.violations)
+                    continue
+        out.append(interned[bits])
     return tuple(out) * copies if len(out) == len(entries) else None
+
+
+def _dense_matrix(dense: object, count: int) -> np.ndarray | None:
+    """``dense`` as a float array if it is a ``count`` x ``count`` list of finite numbers.
+
+    Python ints and floats alone take one vectorized check: ``np.asarray``
+    would turn ``True`` and ``"1"`` into numbers, so the types are checked
+    first. Any other type, numpy scalars included, is checked entry by entry.
+    """
+    if not (
+        isinstance(dense, list)
+        and len(dense) == count
+        and all(isinstance(row, list) and len(row) == count for row in dense)
+    ):
+        return None
+    if set(map(type, chain.from_iterable(dense))) <= {int, float}:
+        try:
+            matrix = np.asarray(dense, dtype=float)
+        except OverflowError:  # an int too large for a float
+            return None
+        return matrix if np.isfinite(matrix).all() else None
+    if all(_is_number(v) for row in dense for v in row):
+        return np.asarray(dense, dtype=float)
+    return None
 
 
 def scenario_from_dict(doc: object) -> Scenario:
@@ -189,16 +235,11 @@ def scenario_from_dict(doc: object) -> Scenario:
                 else:
                     network = ContagionNetwork.full_within_groups(groups, float(weight))
             else:
-                dense = raw_network["dense"]
-                if (
-                    not isinstance(dense, list)
-                    or len(dense) != count
-                    or not all(isinstance(row, list) and len(row) == count for row in dense)
-                    or not all(_is_number(v) for row in dense for v in row)
-                ):
+                matrix = _dense_matrix(raw_network["dense"], count)
+                if matrix is None:
                     errors.append(f"network.dense must be a {count} x {count} matrix of numbers")
                 else:
-                    network = ContagionNetwork(count, np.asarray(dense, dtype=float), np.asarray(groups))
+                    network = ContagionNetwork(count, matrix, np.asarray(groups))
         except ValidationError as exc:
             errors.extend(f"network: {v}" for v in exc.violations)
 

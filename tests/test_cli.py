@@ -41,15 +41,16 @@ class TestSimulateCommand:
         # one build. The document holds 8 agents on a dense network with
         # several distinct, partly shared per_agent schedules and one -0.0
         # availability; its values were drawn once from a seeded generator
-        # and stored. The sha256 values were recorded before the kernel read
-        # distinct-schedule tables through per-agent picks.
+        # and stored. The CSV sha256 values were recorded before the kernel
+        # read distinct-schedule tables through per-agent picks; the
+        # manifest's was re-recorded for digest format 2.
         out = tmp_path / "results"
         assert main(["simulate", "--scenario", str(DATA / "golden_simulate.json"), "--out", str(out)]) == 0
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
         assert digests == {
             "agents.csv": "46ce6ec9bb72210f53a3a6171c1704c43b87fa3c5d2fc061cb71e911d03ed9a2",
             "aggregates.csv": "09feb74d42f315b51e703834a7f25824b1fa3b2a58f0dc6a22faeec7de2047d3",
-            "manifest.json": "c8267aee513315421507df918aa77b93a649633115e73087c79732843ecd93fd",
+            "manifest.json": "fb0eedb31066f640d39e0af6e648951ac86bd587cf6f30755d8204aa55dd6597",
         }
 
     def test_raw_trajectory_matches_golden_digest(self):
@@ -277,6 +278,43 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "initial_dissatisfaction[1]" in err
         assert "initial_dissatisfaction[3]" in err
+
+    @pytest.mark.parametrize(
+        "field, expected",
+        [
+            ("horizon", "params.horizon_hours must be a finite number"),
+            ("breakpoint", "schedules.electricity.per_agent[1] must be a list of [start_hour, value] pairs"),
+            ("initial", "agents.initial_dissatisfaction must be a number or a list of numbers"),
+            ("dense", "network.dense must be a 3 x 3 matrix of numbers"),
+            ("group", "group_of must hold integer group ids"),
+        ],
+    )
+    def test_huge_integer_is_named_not_a_crash(self, tmp_path, capsys, field, expected):
+        # A 400-digit JSON integer has no float value.
+        huge = 10**400
+        doc = {
+            "schema_version": 1,
+            "params": {"horizon_hours": huge if field == "horizon" else 4.0},
+            "agents": {
+                "count": 3,
+                "groups": [0, huge if field == "group" else 0, 1],
+                "initial_dissatisfaction": [0.5, huge, 0.5] if field == "initial" else 0.5,
+            },
+            "network": (
+                {"dense": [[0, huge, 0], [1, 0, 0], [0, 0, 0]]}
+                if field == "dense"
+                else {"full_within_groups": {"weight": 1.0}}
+            ),
+            "schedules": {
+                "electricity": {"per_agent": [[[0, 1]], [[0, 1], [huge if field == "breakpoint" else 2, 0.5]], [[0, 1]]]},
+                "media_access": {"broadcast": [[0.0, 1.0]]},
+            },
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert expected in err and "internal error" not in err
 
     def test_unparseable_scenario(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

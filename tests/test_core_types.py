@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +56,21 @@ class TestPiecewiseSchedule:
             PiecewiseSchedule(((0.0, 0.5), (10.0, 0.2)), 10.0)
         with pytest.raises(ValidationError, match="horizon_hours"):
             PiecewiseSchedule(((0.0, 0.5),), 0.0)
+
+    @pytest.mark.parametrize("bad", ["4", "x", True, None])
+    def test_rejects_non_numeric_fields_without_coercion(self, bad):
+        with pytest.raises(ValidationError, match="horizon_hours"):
+            PiecewiseSchedule(((0.0, 0.5),), bad)
+        with pytest.raises(ValidationError, match=r"breakpoints\[1\]\.start_hour"):
+            PiecewiseSchedule(((0.0, 0.5), (bad, 0.5)), 10.0)
+        with pytest.raises(ValidationError, match=r"breakpoints\[0\]\.value"):
+            PiecewiseSchedule(((0.0, bad),), 10.0)
+
+    def test_accepts_numpy_floats(self):
+        # The planner builds schedules from numpy floats.
+        sched = PiecewiseSchedule(((np.float64(0.0), np.float64(0.5)), (2, 1)), np.float64(10.0))
+        assert sched.breakpoints == ((0.0, 0.5), (2.0, 1.0)) and sched.horizon_hours == 10.0
+        assert {type(x) for pair in sched.breakpoints for x in pair} == {float}
 
     @given(
         starts=st.lists(st.floats(0.001, 99.0), min_size=0, max_size=6, unique=True),
@@ -162,6 +179,10 @@ class TestContagionNetwork:
         assert ContagionNetwork.full_within_groups([0, 1, 2], 2.5).operator == GroupBlock(0.0)
         assert ContagionNetwork(3, np.zeros((3, 3)), [0, 1, 2]).operator == GroupBlock(0.0)
 
+    def test_shorthand_accepts_numpy_float_weight(self):
+        net = ContagionNetwork.full_within_groups([0, 0, 1], np.float64(2.0))
+        assert net.operator == GroupBlock(2.0) and type(net.operator.weight) is float
+
     def test_group_block_matrix_is_lazy_and_read_only(self):
         net = ContagionNetwork.full_within_groups([0, 1, 0], 3.0)
         assert "base_weights" not in vars(net)
@@ -171,7 +192,7 @@ class TestContagionNetwork:
         with pytest.raises(ValueError):
             weights[0, 2] = 1.0
 
-    @pytest.mark.parametrize("weight", [-2.0, -1e-300, float("inf"), float("nan")])
+    @pytest.mark.parametrize("weight", [-2.0, -1e-300, float("inf"), float("nan"), "1", "x", True, None])
     def test_shorthand_rejects_bad_weight_even_without_pairs(self, weight):
         # All-singleton groups build an all-zero matrix, but the weight is
         # still checked.
@@ -259,38 +280,63 @@ class TestScenario:
             initial_dissatisfaction=rng.uniform(0.0, 1.0, size=4),
             label="d\u00e9mo \"quoted\"",
         )
-        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+        assert scenario.content_digest() == self._format2_digest(scenario, weights)
 
     @staticmethod
-    def _canonical_digest(scenario, weights):
-        doc = {
+    def _format2_digest(scenario, weights):
+        """Digest format 2, encoded here from the scenario's public fields.
+
+        ``weights`` is the group block's weight, or the dense matrix the test
+        built. Every section leads with its byte length or count.
+        """
+        def section(data):
+            return struct.pack("<q", len(data)) + data
+
+        def f64(values):
+            return struct.pack(f"<{len(values)}d", *values)
+
+        if isinstance(weights, float):
+            network = {"kind": "group_block", "weight_bits": struct.unpack("<Q", struct.pack("<d", weights))[0]}
+        else:
+            network = {"kind": "dense"}
+        header = {
+            "digest_format": 2,
+            "n_agents": scenario.n_agents,
             "label": scenario.label,
-            "params": scenario.params.as_dict(),
-            "groups": scenario.network.group_of.tolist(),
-            "base_weights": weights.tolist(),
-            "electricity": [s.breakpoints for s in scenario.electricity],
-            "media_access": [s.breakpoints for s in scenario.media_access],
-            "initial_dissatisfaction": scenario.initial_dissatisfaction.tolist(),
+            "params": {key: float(value) for key, value in scenario.params.as_dict().items()},
+            "network": network,
         }
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        groups = scenario.network.group_of.tolist()
+        payload = section(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        payload += section(struct.pack(f"<{len(groups)}q", *groups))
+        if network["kind"] == "dense":
+            payload += section(f64([w for row in weights.tolist() for w in row]))
+        for schedules in (scenario.electricity, scenario.media_access):
+            bits = [f64([x for pair in s.breakpoints for x in pair]) for s in schedules]
+            distinct = list(dict.fromkeys(bits))
+            payload += struct.pack("<q", len(distinct)) + b"".join(map(section, distinct))
+            payload += section(struct.pack(f"<{len(bits)}q", *map(distinct.index, bits)))
+        payload += section(f64(scenario.initial_dissatisfaction.tolist()))
         return "sha256:" + hashlib.sha256(payload).hexdigest()
 
     @pytest.mark.parametrize("weight", [1.0, 2.5, 1e-300, 5e-324, 0.0, -0.0, 1e308])
     def test_group_block_digest_hashes_the_canonical_document(self, weight):
-        # The block's rows are hashed from per-group templates, without its
-        # matrix; groups 1 and 3 are singletons.
+        # The block's weight is hashed by its bits, without its matrix;
+        # groups 1 and 3 are singletons.
         groups = [0, 1, 0, 2, 2, 3, 0, 2]
         scenario = self._scenario(n=8, network=ContagionNetwork.full_within_groups(groups, weight))
         assert isinstance(scenario.network.operator, GroupBlock)
         digest = scenario.content_digest()
         assert "base_weights" not in vars(scenario.network)
+        assert digest == self._format2_digest(scenario, weight)
+        # A dense spelling of the same block is the same operator and digest.
         same = np.equal.outer(groups, groups) & ~np.eye(8, dtype=bool)
-        assert digest == self._canonical_digest(scenario, np.where(same, weight, 0.0))
+        spelled = self._scenario(n=8, network=ContagionNetwork(8, np.where(same, weight, 0.0), groups))
+        assert spelled.content_digest() == digest
 
     def test_dense_digest_hashes_the_canonical_document(self):
-        # Many distinct weights, with -0.0, 1e-300 and 5e-324 among them, so a
-        # digest that encodes each distinct value once must keep -0.0 apart
-        # from 0.0 and the subnormal's exact text.
+        # Many distinct weights, with -0.0, 1e-300 and 5e-324 among them: the
+        # matrix's float64 bits keep -0.0 apart from 0.0 and the subnormal exact.
         n = 12
         rng = np.random.default_rng(17)
         weights = rng.uniform(0.0, 3.0, size=(n, n))
@@ -302,11 +348,43 @@ class TestScenario:
         assert isinstance(network.operator, Dense)
         assert len(np.unique(weights)) > 100
         scenario = self._scenario(n=n, network=network)
-        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+        assert scenario.content_digest() == self._format2_digest(scenario, weights)
+
+    def test_equal_schedules_hash_alike_shared_or_not(self):
+        # Schedules are numbered by bits, not by object: unshared equal
+        # objects hash like the one object a loaded file interns, and a
+        # -0.0 value does not.
+        def points(zero):
+            return ((0.0, 1.0), (1.0, zero))
+
+        shared = PiecewiseSchedule(points(0.0), 2.0)
+        interned = self._scenario(n=4, electricity=(shared,) * 4)
+        unshared = self._scenario(n=4, electricity=tuple(PiecewiseSchedule(points(0.0), 2.0) for _ in range(4)))
+        signed = self._scenario(n=4, electricity=(shared,) * 3 + (PiecewiseSchedule(points(-0.0), 2.0),))
+        assert unshared.content_digest() == interned.content_digest()
+        assert interned.content_digest() == self._format2_digest(interned, 1.0)
+        assert signed.content_digest() == self._format2_digest(signed, 1.0)
+        assert signed.content_digest() != interned.content_digest()
+
+    def test_dense_digest_reads_the_matrix_in_place(self):
+        # N = 1000: one copy of the matrix would be 8 MB.
+        n = 1000
+        rng = np.random.default_rng(3)
+        weights = np.where(rng.uniform(size=(n, n)) < 0.02, rng.uniform(0.0, 1.0, size=(n, n)), 0.0)
+        np.fill_diagonal(weights, 0.0)
+        scenario = self._scenario(n=n, network=ContagionNetwork(n, weights, [g % 10 for g in range(n)]))
+        assert isinstance(scenario.network.operator, Dense)
+        tracemalloc.start()
+        try:
+            scenario.content_digest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_per_agent_negative_zero_keeps_its_own_schedule(self):
         # Entries equal by value but not by bits load as separate objects, so
-        # the digest writes -0.0 where the file has it.
+        # the digest hashes the -0.0 bits where the file has them.
         plain, signed = [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.0]]
         scenario = scenario_from_dict({
             "schema_version": 1,
@@ -321,18 +399,17 @@ class TestScenario:
         elec = scenario.electricity
         assert elec[0] is elec[2] and elec[1] is elec[3] and elec[0] is not elec[1]
         assert str(elec[1].breakpoints[1][1]) == "-0.0"
-        weights = ContagionNetwork.full_within_groups([0, 0, 1, 1], 1.0).base_weights
-        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+        assert scenario.content_digest() == self._format2_digest(scenario, 1.0)
 
     def test_dense_digest_keeps_negative_zero(self):
         # A block matrix with one -0.0 among its zeros is not a block: it
-        # stays dense and the digest writes -0.0 where the file has it.
+        # stays dense and the digest hashes the -0.0 bits where the file has them.
         groups = [0, 0, 1, 1]
         weights = np.array(ContagionNetwork.full_within_groups(groups, 1.0).base_weights)
         weights[0, 2] = -0.0
         scenario = self._scenario(n=4, network=ContagionNetwork(4, weights, groups))
         assert isinstance(scenario.network.operator, Dense)
-        assert scenario.content_digest() == self._canonical_digest(scenario, weights)
+        assert scenario.content_digest() == self._format2_digest(scenario, weights)
         assert scenario.content_digest() != self._scenario(
             n=4, network=ContagionNetwork.full_within_groups(groups, 1.0)
         ).content_digest()

@@ -438,8 +438,8 @@ class TestGroupBlockOperator:
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        # Scattered pairs keep the most groups open while the digest walks
-        # the rows in agent order.
+        # 1500 scattered pairs: the digest of a group block hashes its
+        # weight's bits and the group ids, never a row of the matrix.
         pairs = ContagionNetwork.full_within_groups(rng.permutation(np.arange(n) // 2), 1.0)
         tracemalloc.start()
         try:

@@ -108,7 +108,7 @@ class TestScenarioDocuments:
         elec = scenario_from_dict(doc).electricity
         assert elec[0] is elec[2] and elec[0] is not elec[1]
 
-    @pytest.mark.parametrize("bad", [[[0.0, True]], [[0.0, 1.0], [1.0, 1.5]]])
+    @pytest.mark.parametrize("bad", [[[0.0, True]], [[0.0, 1.0], [1.0, 1.5]], [[0.0, float("nan")]]])
     def test_repeated_invalid_entry_names_every_agent(self, bad):
         doc = minimal_doc()
         doc["schedules"]["media_access"] = {"per_agent": [bad, [[0.0, 1.0]], bad]}
@@ -117,6 +117,56 @@ class TestScenarioDocuments:
         text = "\n".join(excinfo.value.violations)
         assert "media_access.per_agent[0]" in text and "media_access.per_agent[2]" in text
         assert "media_access.per_agent[1]" not in text
+
+    @pytest.mark.parametrize("look_alike", [[[0, True]], [[0, "1"]], [[0, 1, 1]], [[0, [1]]]])
+    def test_checked_entry_does_not_pass_a_look_alike(self, look_alike):
+        # A valid entry checked once must not vouch for a later entry that
+        # only resembles it: the later agent is rejected by name.
+        doc = minimal_doc()
+        doc["schedules"]["electricity"] = {"per_agent": [[[0, 1]], look_alike, [[0, 1]]]}
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(doc)
+        text = "\n".join(excinfo.value.violations)
+        assert "electricity.per_agent[1]" in text
+        assert "electricity.per_agent[0]" not in text and "electricity.per_agent[2]" not in text
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_negative_zero_entry_keeps_its_own_schedule_in_either_order(self, first):
+        second = -first if first == 0.0 and str(first) == "0.0" else 0.0
+        doc = minimal_doc()
+        doc["schedules"]["electricity"] = {"per_agent": [[[0.0, first]], [[0.0, second]], [[0.0, first]]]}
+        elec = scenario_from_dict(doc).electricity
+        assert elec[0] is elec[2] and elec[0] is not elec[1]
+        assert [str(s.breakpoints[0][1]) for s in elec] == [str(first), str(second), str(first)]
+
+    def test_numpy_scalars_load_like_floats(self):
+        # Python callers may pass numpy floats; they take the entry-by-entry
+        # checks and load equal to the plain document.
+        doc = minimal_doc()
+        doc["network"] = {"dense": [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+        doc["schedules"]["electricity"] = {"per_agent": [[[0.0, 1.0]], [[0.0, 0.5]], [[0.0, 1.0]]]}
+        plain = scenario_from_dict(doc)
+        doc["network"]["dense"][0] = list(np.array(doc["network"]["dense"][0]))
+        doc["schedules"]["electricity"]["per_agent"][1] = [list(np.array([0.0, 0.5]))]
+        assert scenario_from_dict(doc) == plain
+
+    @pytest.mark.parametrize("entry", [True, "1"])
+    def test_dense_rejects_non_numbers(self, entry):
+        doc = minimal_doc()
+        doc["network"] = {"dense": [[0.0, entry, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+        with pytest.raises(ValidationError, match=r"network\.dense must be a 3 x 3 matrix of numbers"):
+            scenario_from_dict(doc)
+
+    def test_dense_negative_zero_weight_keeps_its_digest(self, tmp_path: Path):
+        doc = minimal_doc()
+        doc["network"] = {"dense": [[0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+        original = scenario_from_dict(doc)
+        write_scenario(original, tmp_path / "out.json")
+        reloaded = load_scenario(tmp_path / "out.json")
+        assert str(reloaded.network.base_weights[0, 2]) == "-0.0"
+        assert reloaded.content_digest() == original.content_digest()
+        doc["network"]["dense"][0][2] = 0.0
+        assert scenario_from_dict(doc).content_digest() != original.content_digest()
 
     def test_round_trip_keeps_negative_zero_schedules(self, tmp_path: Path):
         # Schedules equal by value but not by bits are not folded into one
