@@ -430,7 +430,7 @@ class Scenario:
         digest = hashlib.sha256()
         _feed(digest, json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         _feed(digest, network.group_of, "<i8")
-        if "weight_bits" not in kind:
+        if isinstance(operator, Dense):
             _feed(digest, operator.matrix, "<f8")
         for schedules in (self.electricity, self.media_access):
             keys = _once_per_object(lambda s: _bits(s.breakpoints), schedules)

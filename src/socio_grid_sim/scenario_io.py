@@ -14,7 +14,7 @@ import struct
 from dataclasses import fields
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> l
     return [(float(s), float(v)) for s, v in block]
 
 
-def _entry_bits(entries: list) -> list[bytes] | None:
+def _entry_bits(entries: list) -> Iterator[bytes] | None:
     """Each entry's float64 bits, if every entry is a list of pairs of Python ints and floats.
 
     Such entries pass or fail the same checks, with the same schedule, when
@@ -65,15 +65,14 @@ def _entry_bits(entries: list) -> list[bytes] | None:
     pairs = list(chain.from_iterable(entries))
     if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
         return None
-    numbers = list(chain.from_iterable(pairs))
-    if not set(map(type, numbers)) <= {int, float}:
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
         return None
     try:
-        blob = struct.pack(f"<{len(numbers)}d", *numbers)
+        blob = struct.pack(f"<{2 * len(pairs)}d", *chain.from_iterable(pairs))
     except struct.error:  # an int too large for a float
         return None
     ends = list(accumulate(map(len, entries), initial=0))
-    return [blob[16 * start : 16 * end] for start, end in zip(ends, ends[1:])]
+    return (blob[16 * start : 16 * end] for start, end in zip(ends, ends[1:]))
 
 
 def _schedules_from_block(
