@@ -55,10 +55,11 @@ def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> l
 def _entry_bits(entries: list) -> Iterator[bytes] | None:
     """Each entry's float64 bits, if every entry is a list of pairs of Python ints and floats.
 
-    Such entries pass or fail the same checks, with the same schedule, when
-    their bits are equal: ``True``, ``"1"``, numpy scalars, nested junk and
-    ints too large for a float all give None, and bits keep ``-0.0`` apart
-    from ``0.0``. The types are checked in one pass over the whole block.
+    Such entries with equal bits pass or fail the same checks and give the
+    same schedule, and bits keep ``-0.0`` apart from ``0.0``. The types are
+    checked in one pass over the whole block; a block holding ``True``,
+    ``"1"``, a numpy scalar, nested junk or an int too large for a float
+    gives None, and then each of its entries is checked on its own.
     """
     if set(map(type, entries)) != {list}:
         return None
@@ -206,6 +207,10 @@ def scenario_from_dict(doc: object) -> Scenario:
             errors.append(f"agents.groups must have length {count} (got {len(raw_groups)})")
         else:
             groups = list(raw_groups)
+        if groups is None:
+            # Only a group list of that length bounds the count by the file's
+            # size; an unconfirmed 10**9 would otherwise size broadcasts.
+            count = None
         raw_initial = raw_agents.get("initial_dissatisfaction")
         if _is_number(raw_initial):
             raw_initial = [float(raw_initial)] * (count or 0)

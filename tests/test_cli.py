@@ -287,6 +287,7 @@ class TestValidateCommand:
             ("initial", "agents.initial_dissatisfaction must be a number or a list of numbers"),
             ("dense", "network.dense must be a 3 x 3 matrix of numbers"),
             ("group", "group_of must hold integer group ids"),
+            ("count", "agents.groups must have length"),
         ],
     )
     def test_huge_integer_is_named_not_a_crash(self, tmp_path, capsys, field, expected):
@@ -296,7 +297,7 @@ class TestValidateCommand:
             "schema_version": 1,
             "params": {"horizon_hours": huge if field == "horizon" else 4.0},
             "agents": {
-                "count": 3,
+                "count": huge if field == "count" else 3,
                 "groups": [0, huge if field == "group" else 0, 1],
                 "initial_dissatisfaction": [0.5, huge, 0.5] if field == "initial" else 0.5,
             },

@@ -130,9 +130,8 @@ class TestScenarioDocuments:
         assert "electricity.per_agent[1]" in text
         assert "electricity.per_agent[0]" not in text and "electricity.per_agent[2]" not in text
 
-    @pytest.mark.parametrize("first", [0.0, -0.0])
-    def test_negative_zero_entry_keeps_its_own_schedule_in_either_order(self, first):
-        second = -first if first == 0.0 and str(first) == "0.0" else 0.0
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_negative_zero_entry_keeps_its_own_schedule_in_either_order(self, first, second):
         doc = minimal_doc()
         doc["schedules"]["electricity"] = {"per_agent": [[[0.0, first]], [[0.0, second]], [[0.0, first]]]}
         elec = scenario_from_dict(doc).electricity
