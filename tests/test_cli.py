@@ -62,6 +62,17 @@ class TestSimulateCommand:
         assert raw.shape == (13, 8)
         assert hashlib.sha256(raw).hexdigest() == "247f3544c5d7628e21dfaf71df071cd98c0529297b39e832b5c827245f1ff548"
 
+    def test_raw_aggregates_match_golden_digest(self):
+        # The same pin for the aggregates: the sha256 of the little-endian
+        # float64 (stat, time, scope) block, with stats mean, min, max and
+        # std of satisfaction and the global scope last. Recorded while
+        # aggregation still built one row object per (time, scope).
+        result = simulate(load_scenario(DATA / "golden_simulate.json"))
+        stats = ("mean_satisfaction", "min_satisfaction", "max_satisfaction", "std_satisfaction")
+        raw = np.array([[getattr(row, stat) for row in result.aggregates] for stat in stats], dtype="<f8")
+        raw = raw.reshape(4, 13, 4)
+        assert hashlib.sha256(raw).hexdigest() == "ea02cae86c79f86c98f6bac8a1b3bb0dcbeb3109186796f633ac5430e83be968"
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "o")])

@@ -117,8 +117,8 @@ def masked_rows(times, d, groups):
 @pytest.mark.parametrize("n_times", [1, 49])
 @pytest.mark.parametrize(
     "sizes",
-    [[1] * 7, [3, 1, 9, 1, 12, 2], [8, 8, 8], [40], [1, 25]],
-    ids=["singletons", "mixed", "eights", "one-group", "singleton-and-wide"],
+    [[1] * 7, [3, 1, 9, 1, 12, 2], [8, 8, 8], [40], [1, 25], [5] * 40, [2, 2, 3, 3, 3], [9]],
+    ids=["singletons", "mixed", "eights", "one-group", "singleton-and-wide", "forty-fives", "twos-and-threes", "nine"],
 )
 def test_trajectory_matches_masked_groups_bit_for_bit(sizes, n_times):
     rng = np.random.default_rng(sum(sizes) + n_times)
