@@ -13,7 +13,7 @@ from .core_types import (
     ValidationError,
 )
 from .dynamics import ContagionSnapshot, compute_target, contagion_snapshot, simulate, step
-from .metrics import AggregateRow, aggregate_trajectory
+from .metrics import aggregate_trajectory
 from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
 from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
 from .scenario_io import (
@@ -29,7 +29,6 @@ from .scenario_io import (
 __all__ = [
     "__version__",
     "AgentId",
-    "AggregateRow",
     "ContagionNetwork",
     "ContagionSnapshot",
     "ModelParams",

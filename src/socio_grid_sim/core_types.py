@@ -16,12 +16,9 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .metrics import AggregateRow
 
 # Agent ids are dense indices 0..N-1, stable for the lifetime of a scenario.
 AgentId = int
@@ -459,15 +456,17 @@ class Scenario:
 class SimulationResult:
     """Per-agent dissatisfaction trajectories plus per-report aggregates.
 
-    ``dissatisfaction`` has one row per report time; ``aggregates`` holds the
-    per-group and global satisfaction statistics for the same times. The
-    manifest records every resolved parameter needed to reproduce the run.
+    ``dissatisfaction`` has one row per report time. ``aggregates`` is the
+    (4, T, G + 1) array of :func:`~socio_grid_sim.aggregate_trajectory` for
+    the same times: mean, min, max and population std of satisfaction, per
+    group and, in the last column, for the whole population. The manifest
+    records every resolved parameter needed to reproduce the run.
     """
 
     times: np.ndarray
     dissatisfaction: np.ndarray
     groups: np.ndarray
-    aggregates: tuple["AggregateRow", ...]
+    aggregates: np.ndarray
     manifest: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -479,10 +478,17 @@ class SimulationResult:
             )
         groups = np.array(np.asarray(self.groups), dtype=int, copy=True)
         groups.setflags(write=False)
+        aggregates = _readonly(self.aggregates)
+        scopes = int(groups.max()) + 2 if groups.size else 1
+        if aggregates.shape != (4, times.size, scopes):
+            raise ValidationError(
+                [f"aggregates must have shape (4, {times.size}, {scopes}): 4 statistics per report time"
+                 f" of each group and the population (got {aggregates.shape})"]
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "dissatisfaction", _readonly(traj))
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "aggregates", tuple(self.aggregates))
+        object.__setattr__(self, "aggregates", aggregates)
 
     @property
     def n_times(self) -> int:
@@ -497,6 +503,5 @@ class SimulationResult:
         return 1.0 - self.dissatisfaction
 
     def global_mean_satisfaction(self) -> np.ndarray:
-        """Global mean satisfaction per report time, from the aggregate rows."""
-        values = [row.mean_satisfaction for row in self.aggregates if row.scope is None]
-        return np.asarray(values)
+        """Global mean satisfaction per report time: the aggregates' global mean column."""
+        return self.aggregates[0, :, -1]

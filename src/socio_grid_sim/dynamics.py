@@ -297,7 +297,6 @@ def simulate(scenario: Scenario) -> SimulationResult:
     )
     recorded = recorded[0]
     times = np.arange(recorded.shape[0]) * params.report_every_hours
-    rows = aggregate_trajectory(times, recorded, net.group_of)
 
     manifest = {
         "tool": "socio-grid-sim",
@@ -318,6 +317,6 @@ def simulate(scenario: Scenario) -> SimulationResult:
         times=times,
         dissatisfaction=recorded,
         groups=net.group_of,
-        aggregates=tuple(rows),
+        aggregates=aggregate_trajectory(times, recorded, net.group_of),
         manifest=manifest,
     )

@@ -2,30 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core_types import ValidationError
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Satisfaction statistics for one scope (a group, or the whole population)
-    at one report time. ``scope`` is a group index, or None for the global row.
-    Standard deviation is the population form (divide by N, not N - 1)."""
-
-    time_hours: float
-    scope: int | None
-    mean_satisfaction: float
-    min_satisfaction: float
-    max_satisfaction: float
-    std_satisfaction: float
-
-    @property
-    def scope_label(self) -> str:
-        return "global" if self.scope is None else f"group_{self.scope}"
 
 
 def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
@@ -44,18 +25,23 @@ def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
     return groups
 
 
+def _stats(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    return s.mean(axis=-1), s.min(axis=-1), s.max(axis=-1), s.std(axis=-1)
+
+
 def aggregate_trajectory(
     times: Sequence[float], dissatisfaction: np.ndarray, group_of: Sequence[int]
-) -> list[AggregateRow]:
-    """Aggregate a whole trajectory at once.
+) -> np.ndarray:
+    """Aggregate a whole trajectory at once, into a (4, T, G + 1) array.
 
-    One row per group followed by one global row, for each report time in
-    turn, with the statistics vectorized over the time axis. Statistics are
-    computed on satisfaction = 1 - dissatisfaction, so the mean commutes
-    with the flip while min and max swap roles. Agents are
-    sorted by group once (stably, so each group keeps agent order), and each
-    group reduces its own contiguous columns of that one copy: the same
-    values in the same order as a masked copy of the group.
+    ``out[i, t, scope]`` is statistic i (mean, min, max and population std,
+    in that order) at report time t, for group ``scope``; the last column,
+    ``scope == G``, is the whole population. Statistics are computed on
+    satisfaction = 1 - dissatisfaction, so the mean commutes with the flip
+    while min and max swap roles. Groups of equal size reduce together:
+    their members, by group and in agent order within a group, form one
+    (T, k, size) copy, and each statistic reduces its contiguous last axis.
+    That is the same values in the same order as a masked copy of each group.
     """
     d = np.asarray(dissatisfaction, dtype=float)
     if d.ndim != 2:
@@ -64,20 +50,15 @@ def aggregate_trajectory(
     if times.shape != (d.shape[0],):
         raise ValidationError([f"times must have shape ({d.shape[0]},) (got {times.shape})"])
     groups = _checked_groups(d.shape[1], group_of)
+    sizes = np.bincount(groups)
     order = np.argsort(groups, kind="stable")
-    by_group = 1.0 - d[:, order]
-    ends = np.cumsum(np.bincount(groups)).tolist()
-
-    scopes: list[tuple[int | None, np.ndarray]] = [
-        (g, by_group[:, start:end]) for g, (start, end) in enumerate(zip([0] + ends, ends))
-    ]
-    scopes.append((None, 1.0 - d))
-    per_scope = [
-        (scope, *(stat(axis=1).tolist() for stat in (sub.mean, sub.min, sub.max, sub.std)))
-        for scope, sub in scopes
-    ]
-    return [
-        AggregateRow(t, scope, mean[t_idx], mn[t_idx], mx[t_idx], std[t_idx])
-        for t_idx, t in enumerate(times.tolist())
-        for scope, mean, mn, mx, std in per_scope
-    ]
+    starts = np.cumsum(sizes) - sizes
+    s = 1.0 - d
+    out = np.empty((4, d.shape[0], sizes.size + 1))
+    for size in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == size)
+        for column, stat in zip(out, _stats(s[:, order[starts[same, None] + np.arange(size)]])):
+            column[:, same] = stat
+    for column, stat in zip(out, _stats(s)):
+        column[:, -1] = stat
+    return out

@@ -39,10 +39,6 @@ class ScenarioParseError(ValueError):
     """The file is not parseable as a scenario document at all."""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
 def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> list[tuple[float, float]] | None:
     if not isinstance(block, list) or not all(
         isinstance(p, (list, tuple)) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1]) for p in block
@@ -349,6 +345,33 @@ def builtin_case_study(variant: str = "full_access") -> Scenario:
     )
 
 
+# Floats of trajectory indexed at once when writing agents.csv: a few report
+# times of a large population, so the sort's temporaries stay small.
+_BLOCK_FLOATS = 2**14
+
+
+def _value_texts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Format each distinct value of a nonempty float64 block once, as the
+    ``dissatisfaction,satisfaction`` end of an agents.csv line.
+
+    Values are told apart by their bits, so -0.0 keeps its text "-0". The
+    bits are sorted once, and each entry's rank among the distinct patterns
+    indexes the returned object array of texts. Returns the texts and the
+    ranks, shaped like ``block``.
+    """
+    bits = block.view(np.uint64).ravel()
+    order = bits.argsort()
+    sorted_bits = bits[order]
+    first = np.empty(bits.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
+    rank = np.empty(bits.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    distinct = block.ravel()[order[first]].tolist()
+    texts = np.array([f"{d:.9g},{1.0 - d:.9g}\n" for d in distinct], dtype=object)
+    return texts, rank.reshape(block.shape)
+
+
 def write_results(
     result: SimulationResult, out_dir: str | Path, extra_manifest: Mapping | None = None
 ) -> list[Path]:
@@ -363,35 +386,32 @@ def write_results(
     aggregates_path = out / "aggregates.csv"
     manifest_path = out / "manifest.json"
 
-    # Lines are formatted directly from Python floats, one report time at a
-    # time: every field is a number or a scope label, so none ever needs CSV
-    # quoting. Each distinct value of a time, told apart by its float bits so
-    # that -0.0 keeps its text "-0", is formatted once, ending in "\n" and the
-    # next line's time. A time's lines are then one join of alternating agent
-    # ids and value texts, led by the time and with it cut from the end.
+    # Every field is a number or a scope label, so none ever needs CSV
+    # quoting. agents.csv is written a block of report times at a time, with
+    # each distinct value of a block formatted once (_value_texts). A report
+    # time's lines are one join of alternating time, agent id and value texts.
     ids = [f",{agent},{group}," for agent, group in enumerate(result.groups.tolist())]
-    parts = [""] * (2 * len(ids))
-    parts[::2] = ids
+    parts = [""] * (3 * len(ids))
+    parts[1::3] = ids
     traj = result.dissatisfaction
+    rows = max(1, _BLOCK_FLOATS // max(len(ids), 1))
     with agents_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
-        for t, values, bits in zip(result.times.tolist(), traj, traj.view(np.uint64)) if ids else ():
-            t_text = _fmt(t)
-            bits = bits.tolist()
-            texts = dict(zip(bits, values.tolist()))
-            texts.update(zip(texts, [f"{d:.9g},{1.0 - d:.9g}\n{t_text}" for d in texts.values()]))
-            parts[1::2] = map(texts.__getitem__, bits)
-            parts[-1] = parts[-1][: -len(t_text)]
-            fh.write(t_text)
-            fh.write("".join(parts))
+        for start in range(0, traj.shape[0], rows) if ids else ():
+            texts, ranks = _value_texts(traj[start : start + rows])
+            for t, rank in zip(result.times[start : start + rows].tolist(), ranks):
+                parts[::3] = [f"{t:.9g}"] * len(ids)
+                parts[2::3] = texts.take(rank).tolist()
+                fh.write("".join(parts))
 
+    labels = [f"group_{g}," for g in range(result.aggregates.shape[2] - 1)] + ["global,"]
     with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")
         fh.write(
             "".join(
-                f"{row.time_hours:.9g},{row.scope_label},{row.mean_satisfaction:.9g},"
-                f"{row.min_satisfaction:.9g},{row.max_satisfaction:.9g},{row.std_satisfaction:.9g}\n"
-                for row in result.aggregates
+                f"{t:.9g},{label}{mean:.9g},{low:.9g},{high:.9g},{std:.9g}\n"
+                for t, stats in zip(result.times.tolist(), result.aggregates.transpose(1, 2, 0).tolist())
+                for label, (mean, low, high, std) in zip(labels, stats)
             )
         )
 

@@ -217,3 +217,13 @@ def random_scenario(
         initial_dissatisfaction=rng.uniform(0.0, 1.0, size=n),
         label="random",
     )
+
+
+def reference_agents_csv(times, dissatisfaction, groups) -> str:
+    """agents.csv written one agent line at a time, from plain floats."""
+    lines = ["t_hours,agent_id,group,dissatisfaction,satisfaction\n"]
+    for t, row in zip(list(times), [list(r) for r in dissatisfaction]):
+        for a, (g, d) in enumerate(zip(list(groups), row)):
+            t, g, d = float(t), int(g), float(d)
+            lines.append(f"{t:.9g},{a},{g},{d:.9g},{1 - d:.9g}\n")
+    return "".join(lines)

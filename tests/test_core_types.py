@@ -17,6 +17,7 @@ from socio_grid_sim import (
     Scenario,
     SimulationResult,
     ValidationError,
+    aggregate_trajectory,
     scenario_from_dict,
 )
 from socio_grid_sim.core_types import Dense, GroupBlock
@@ -417,8 +418,27 @@ class TestScenario:
 
 class TestSimulationResult:
     def test_satisfaction_is_derived(self):
+        d = [[0.0, 0.25, 1.0]]
         result = SimulationResult(
-            times=[0.0], dissatisfaction=[[0.0, 0.25, 1.0]], groups=[0, 0, 1], aggregates=()
+            times=[0.0], dissatisfaction=d, groups=[0, 0, 1], aggregates=aggregate_trajectory([0.0], d, [0, 0, 1])
         )
         assert np.array_equal(result.satisfaction, np.array([[1.0, 0.75, 0.0]]))
         assert result.n_agents == 3
+        assert result.global_mean_satisfaction().tolist() == [pytest.approx(1.75 / 3)]
+
+    @pytest.mark.parametrize(
+        "aggregates",
+        [(), np.zeros((4, 2, 2)), np.zeros((4, 1, 3)), np.zeros((3, 1, 2)), np.zeros((1, 4, 2))],
+        ids=["empty", "times", "scopes", "stats", "transposed"],
+    )
+    def test_rejects_aggregates_of_the_wrong_shape(self, aggregates):
+        with pytest.raises(ValidationError, match=r"aggregates must have shape \(4, 1, 2\)"):
+            SimulationResult(times=[0.0], dissatisfaction=[[0.5, 0.5]], groups=[0, 0], aggregates=aggregates)
+
+    def test_aggregates_are_read_only(self):
+        aggregates = np.zeros((4, 1, 2))
+        result = SimulationResult(times=[0.0], dissatisfaction=[[0.5]], groups=[0], aggregates=aggregates)
+        aggregates[0, 0, 1] = 1.0
+        assert result.global_mean_satisfaction().tolist() == [0.0]
+        with pytest.raises(ValueError):
+            result.aggregates[0, 0, 1] = 1.0

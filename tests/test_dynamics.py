@@ -224,15 +224,19 @@ class TestSimulate:
         from socio_grid_sim import aggregate_trajectory
 
         result = simulate(homogeneous_scenario(electricity=0.4, access=0.6, horizon=6.0))
-        recomputed = []
-        for idx, t in enumerate(result.times):
-            recomputed.extend(aggregate_trajectory([t], result.dissatisfaction[idx][None], result.groups))
-        assert len(recomputed) == len(result.aggregates)
-        for ours, theirs in zip(result.aggregates, recomputed):
-            assert abs(ours.mean_satisfaction - theirs.mean_satisfaction) <= 1e-12
-            assert abs(ours.std_satisfaction - theirs.std_satisfaction) <= 1e-12
-            assert ours.min_satisfaction == theirs.min_satisfaction
-            assert ours.max_satisfaction == theirs.max_satisfaction
+        recomputed = np.concatenate(
+            [
+                aggregate_trajectory([t], result.dissatisfaction[idx][None], result.groups)
+                for idx, t in enumerate(result.times)
+            ],
+            axis=1,
+        )
+        assert result.aggregates.shape == recomputed.shape == (4, result.n_times, 2)
+        mean, low, high, std = result.aggregates
+        assert np.max(np.abs(mean - recomputed[0])) <= 1e-12
+        assert np.max(np.abs(std - recomputed[3])) <= 1e-12
+        assert np.array_equal(low, recomputed[1])
+        assert np.array_equal(high, recomputed[2])
 
     def test_records_hourly_with_default_params(self):
         result = simulate(homogeneous_scenario(horizon=48.0))

@@ -10,38 +10,39 @@ from hypothesis import strategies as st
 from socio_grid_sim import ValidationError, aggregate_trajectory
 
 
+MEAN, MIN, MAX, STD = range(4)
+
+
 def test_neutral_population():
-    rows = aggregate_trajectory([0.0], np.full((1, 9), 0.5), [0, 0, 0, 1, 1, 1, 2, 2, 2])
-    assert len(rows) == 4
-    for row in rows:
-        assert row.mean_satisfaction == 0.5
-        assert row.std_satisfaction == 0.0
+    stats = aggregate_trajectory([0.0], np.full((1, 9), 0.5), [0, 0, 0, 1, 1, 1, 2, 2, 2])
+    assert stats.shape == (4, 1, 4)
+    assert np.all(stats[MEAN] == 0.5)
+    assert np.all(stats[STD] == 0.0)
 
 
 def test_spread_population():
-    rows = aggregate_trajectory([1.0], np.array([[0.0, 0.5, 1.0]]), [0, 0, 0])
-    global_row = rows[-1]
-    assert global_row.scope is None and global_row.scope_label == "global"
-    assert global_row.mean_satisfaction == pytest.approx(0.5, abs=1e-15)
-    assert global_row.min_satisfaction == 0.0
-    assert global_row.max_satisfaction == 1.0
-    assert global_row.std_satisfaction == pytest.approx(math.sqrt(1.0 / 6.0), abs=1e-15)
+    stats = aggregate_trajectory([1.0], np.array([[0.0, 0.5, 1.0]]), [0, 0, 0])
+    assert stats.shape == (4, 1, 2)
+    mean, low, high, std = stats[:, 0, -1]
+    assert mean == pytest.approx(0.5, abs=1e-15)
+    assert low == 0.0
+    assert high == 1.0
+    assert std == pytest.approx(math.sqrt(1.0 / 6.0), abs=1e-15)
 
 
 def test_singleton_group():
-    rows = aggregate_trajectory([2.0], np.array([[0.3]]), [0])
-    for row in rows:
-        assert row.mean_satisfaction == row.min_satisfaction == row.max_satisfaction == 0.7
-        assert row.std_satisfaction == 0.0
+    stats = aggregate_trajectory([2.0], np.array([[0.3]]), [0])
+    assert np.all(stats[[MEAN, MIN, MAX]] == 0.7)
+    assert np.all(stats[STD] == 0.0)
 
 
 def test_satisfaction_stats_mirror_dissatisfaction():
     d = np.array([0.1, 0.4, 0.9, 0.2])
-    row = aggregate_trajectory([0.0], d[None], [0, 0, 0, 0])[-1]
-    assert row.mean_satisfaction == pytest.approx(1.0 - d.mean(), abs=1e-12)
-    assert row.min_satisfaction == pytest.approx(1.0 - d.max(), abs=1e-12)
-    assert row.max_satisfaction == pytest.approx(1.0 - d.min(), abs=1e-12)
-    assert row.std_satisfaction == pytest.approx(d.std(), abs=1e-12)
+    mean, low, high, std = aggregate_trajectory([0.0], d[None], [0, 0, 0, 0])[:, 0, -1]
+    assert mean == pytest.approx(1.0 - d.mean(), abs=1e-12)
+    assert low == pytest.approx(1.0 - d.max(), abs=1e-12)
+    assert high == pytest.approx(1.0 - d.min(), abs=1e-12)
+    assert std == pytest.approx(d.std(), abs=1e-12)
 
 
 def test_empty_group_rejected():
@@ -65,11 +66,8 @@ def test_permutation_invariant_within_group(d, seed):
     perm = rng.permutation(values.size)
     base = aggregate_trajectory([0.0], values[None], np.zeros(values.size, dtype=int))
     shuffled = aggregate_trajectory([0.0], values[perm][None], np.zeros(values.size, dtype=int))
-    for a, b in zip(base, shuffled):
-        assert a.mean_satisfaction == pytest.approx(b.mean_satisfaction, abs=1e-12)
-        assert a.min_satisfaction == b.min_satisfaction
-        assert a.max_satisfaction == b.max_satisfaction
-        assert a.std_satisfaction == pytest.approx(b.std_satisfaction, abs=1e-12)
+    assert base[[MEAN, STD]] == pytest.approx(shuffled[[MEAN, STD]], abs=1e-12)
+    assert np.array_equal(base[[MIN, MAX]], shuffled[[MIN, MAX]])
 
 
 @given(
@@ -81,13 +79,11 @@ def test_global_mean_is_size_weighted_group_mean(sizes, seed):
     rng = np.random.default_rng(seed)
     groups = np.repeat(np.arange(len(sizes)), sizes)
     d = rng.uniform(0.0, 1.0, size=groups.size)
-    rows = aggregate_trajectory([0.0], d[None], groups)
-    group_rows = [r for r in rows if r.scope is not None]
-    weighted = sum(r.mean_satisfaction * s for r, s in zip(group_rows, sizes)) / sum(sizes)
-    assert rows[-1].mean_satisfaction == pytest.approx(weighted, abs=1e-12)
-    for row in rows:
-        assert row.min_satisfaction <= row.mean_satisfaction <= row.max_satisfaction
-        assert row.std_satisfaction >= 0.0
+    stats = aggregate_trajectory([0.0], d[None], groups)[:, 0]
+    weighted = sum(mean * s for mean, s in zip(stats[MEAN, :-1].tolist(), sizes)) / sum(sizes)
+    assert stats[MEAN, -1] == pytest.approx(weighted, abs=1e-12)
+    assert np.all(stats[MIN] <= stats[MEAN]) and np.all(stats[MEAN] <= stats[MAX])
+    assert np.all(stats[STD] >= 0.0)
 
 
 def test_trajectory_matches_per_time_rows():
@@ -96,10 +92,8 @@ def test_trajectory_matches_per_time_rows():
     d = rng.uniform(0.0, 1.0, size=(5, 7))
     groups = np.array([0, 0, 1, 1, 1, 2, 2])
     times = np.arange(5.0)
-    flat = []
-    for i, t in enumerate(times):
-        flat.extend(aggregate_trajectory([t], d[i][None], groups))
-    assert aggregate_trajectory(times, d, groups) == flat
+    per_time = [aggregate_trajectory([t], d[i][None], groups) for i, t in enumerate(times)]
+    assert np.array_equal(aggregate_trajectory(times, d, groups), np.concatenate(per_time, axis=1))
 
 
 def masked_rows(times, d, groups):
@@ -125,10 +119,12 @@ def test_trajectory_matches_masked_groups_bit_for_bit(sizes, n_times):
     groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     d = rng.uniform(0.0, 1.0, size=(n_times, groups.size))
     times = np.arange(n_times) * 0.5
-    rows = aggregate_trajectory(times, d, groups)
+    stats = aggregate_trajectory(times, d, groups)
+    labels = list(range(len(sizes))) + [None]
     got = [
-        (r.time_hours, r.scope, r.mean_satisfaction, r.min_satisfaction, r.max_satisfaction, r.std_satisfaction)
-        for r in rows
+        (t, scope, *stats[:, i, column].tolist())
+        for i, t in enumerate(times.tolist())
+        for column, scope in enumerate(labels)
     ]
     want = masked_rows(times, d, groups)
     assert [tuple(map(_bits, row)) for row in got] == [tuple(map(_bits, row)) for row in want]

@@ -19,6 +19,8 @@ from socio_grid_sim import (
     write_scenario,
 )
 
+from oracles import reference_agents_csv
+
 
 def minimal_doc() -> dict:
     return {
@@ -307,7 +309,7 @@ class TestWriteResults:
             times=np.zeros(0),
             dissatisfaction=np.zeros((0, 4)),
             groups=np.zeros(4, dtype=int),
-            aggregates=(),
+            aggregates=np.zeros((4, 0, 2)),
             manifest={"label": "empty"},
         )
         write_results(empty, tmp_path)
@@ -326,13 +328,14 @@ class TestWriteResults:
         # exact 0 and exact 1, and their complements.
         import csv
 
-        from socio_grid_sim import AggregateRow, aggregate_trajectory
+        from socio_grid_sim import aggregate_trajectory
 
         values = np.array([[1e-10, 0.1 + 0.2, 0.0], [1.0, 1.0 - 1e-10, 1.0 / 3.0]])
         times = np.array([0.0, 0.1 + 0.2])
         groups = np.array([0, 1, 0])
-        rows = aggregate_trajectory(times, values, groups) + [AggregateRow(1e-10, 1, 0.0, 1.0, 0.1 + 0.2, 1e-10)]
-        result = SimulationResult(times=times, dissatisfaction=values, groups=groups, aggregates=tuple(rows))
+        aggregates = aggregate_trajectory(times, values, groups)
+        aggregates[:, 1, 1] = (0.0, 1.0, 0.1 + 0.2, 1e-10)
+        result = SimulationResult(times=times, dissatisfaction=values, groups=groups, aggregates=aggregates)
         write_results(result, tmp_path)
 
         def fmt(value) -> str:
@@ -353,9 +356,9 @@ class TestWriteResults:
                 "aggregates.csv",
                 ["t_hours", "scope", "mean_s", "min_s", "max_s", "std_s"],
                 [
-                    [fmt(r.time_hours), r.scope_label, fmt(r.mean_satisfaction), fmt(r.min_satisfaction),
-                     fmt(r.max_satisfaction), fmt(r.std_satisfaction)]
-                    for r in rows
+                    [fmt(t), scope, *map(fmt, aggregates[:, i, column])]
+                    for i, t in enumerate(times)
+                    for column, scope in enumerate(["group_0", "group_1", "global"])
                 ],
             ),
         ):
@@ -367,15 +370,6 @@ class TestWriteResults:
         assert "1e-10" in (tmp_path / "agents.csv").read_text()
 
 
-def reference_agents_csv(result: SimulationResult) -> str:
-    """agents.csv formatted one line at a time."""
-    lines = ["t_hours,agent_id,group,dissatisfaction,satisfaction\n"]
-    for t, d_row, s_row in zip(result.times.tolist(), result.dissatisfaction, result.satisfaction):
-        for agent, (group, d, s) in enumerate(zip(result.groups.tolist(), d_row.tolist(), s_row.tolist())):
-            lines.append(f"{t:.9g},{agent},{group},{d:.9g},{s:.9g}\n")
-    return "".join(lines)
-
-
 _RNG = np.random.default_rng(23)
 _AGENTS_CSV_CASES = {
     "all_distinct": (_RNG.uniform(size=(6, 11)), _RNG.integers(0, 3, size=11)),
@@ -385,7 +379,17 @@ _AGENTS_CSV_CASES = {
     "one_time": (np.array([[0.3, 0.3, 0.7]]), np.array([0, 0, 1])),
     "one_agent": (np.array([[0.2], [0.4], [0.2]]), np.array([0])),
     "no_agents": (np.zeros((2, 0)), np.zeros(0, dtype=int)),
+    # 2**14 floats make a block of 3 rows here, so the last block is short
+    # and a value repeats across blocks as well as within them.
+    "several_blocks": (_RNG.choice(_RNG.uniform(size=900), size=(7, 5000)), _RNG.integers(0, 40, size=5000)),
 }
+
+
+def _result_with_zero_aggregates(times, values, groups) -> SimulationResult:
+    scopes = int(groups.max()) + 2 if groups.size else 1
+    return SimulationResult(
+        times=times, dissatisfaction=values, groups=groups, aggregates=np.zeros((4, len(times), scopes))
+    )
 
 
 class TestAgentsCsv:
@@ -395,9 +399,8 @@ class TestAgentsCsv:
     def test_matches_reference_formatter(self, tmp_path: Path, case):
         values, groups = _AGENTS_CSV_CASES[case]
         times = np.arange(values.shape[0]) * 0.1
-        result = SimulationResult(times=times, dissatisfaction=values, groups=groups, aggregates=())
-        write_results(result, tmp_path)
-        assert (tmp_path / "agents.csv").read_text() == reference_agents_csv(result)
+        write_results(_result_with_zero_aggregates(times, values, groups), tmp_path)
+        assert (tmp_path / "agents.csv").read_text() == reference_agents_csv(times, values, groups)
 
     def test_negative_zero_initial_state_writes_minus_zero(self, tmp_path: Path):
         doc = minimal_doc()
@@ -405,5 +408,5 @@ class TestAgentsCsv:
         result = simulate(scenario_from_dict(doc))
         write_results(result, tmp_path)
         text = (tmp_path / "agents.csv").read_text()
-        assert text == reference_agents_csv(result)
+        assert text == reference_agents_csv(result.times, result.dissatisfaction, result.groups)
         assert text.splitlines()[1:3] == ["0,0,0,-0,1", "0,1,0,0,1"]
