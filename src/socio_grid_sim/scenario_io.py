@@ -345,9 +345,10 @@ def builtin_case_study(variant: str = "full_access") -> Scenario:
     )
 
 
-# Floats of trajectory indexed at once when writing agents.csv: a few report
-# times of a large population, so the sort's temporaries stay small.
-_BLOCK_FLOATS = 2**14
+# Floats of trajectory indexed at once when writing agents.csv: one report
+# time of a large population, so the sort's temporaries (about five arrays of
+# this size) stay below the writer's own line buffers.
+_BLOCK_FLOATS = 2**12
 
 
 def _value_texts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -222,8 +222,8 @@ def random_scenario(
 def reference_agents_csv(times, dissatisfaction, groups) -> str:
     """agents.csv written one agent line at a time, from plain floats."""
     lines = ["t_hours,agent_id,group,dissatisfaction,satisfaction\n"]
-    for t, row in zip(list(times), [list(r) for r in dissatisfaction]):
-        for a, (g, d) in enumerate(zip(list(groups), row)):
+    for t, row in zip(times, dissatisfaction):
+        for a, (g, d) in enumerate(zip(groups, row)):
             t, g, d = float(t), int(g), float(d)
             lines.append(f"{t:.9g},{a},{g},{d:.9g},{1 - d:.9g}\n")
     return "".join(lines)

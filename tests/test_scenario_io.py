@@ -379,17 +379,12 @@ _AGENTS_CSV_CASES = {
     "one_time": (np.array([[0.3, 0.3, 0.7]]), np.array([0, 0, 1])),
     "one_agent": (np.array([[0.2], [0.4], [0.2]]), np.array([0])),
     "no_agents": (np.zeros((2, 0)), np.zeros(0, dtype=int)),
-    # 2**14 floats make a block of 3 rows here, so the last block is short
-    # and a value repeats across blocks as well as within them.
+    # Several row blocks, each of one row at N = 5000 and of two rows at
+    # N = 1500, so that the last block is short; values repeat across blocks
+    # as well as within them.
     "several_blocks": (_RNG.choice(_RNG.uniform(size=900), size=(7, 5000)), _RNG.integers(0, 40, size=5000)),
+    "short_last_block": (_RNG.choice(_RNG.uniform(size=900), size=(7, 1500)), _RNG.integers(0, 40, size=1500)),
 }
-
-
-def _result_with_zero_aggregates(times, values, groups) -> SimulationResult:
-    scopes = int(groups.max()) + 2 if groups.size else 1
-    return SimulationResult(
-        times=times, dissatisfaction=values, groups=groups, aggregates=np.zeros((4, len(times), scopes))
-    )
 
 
 class TestAgentsCsv:
@@ -399,7 +394,9 @@ class TestAgentsCsv:
     def test_matches_reference_formatter(self, tmp_path: Path, case):
         values, groups = _AGENTS_CSV_CASES[case]
         times = np.arange(values.shape[0]) * 0.1
-        write_results(_result_with_zero_aggregates(times, values, groups), tmp_path)
+        scopes = int(groups.max()) + 2 if groups.size else 1
+        aggregates = np.zeros((4, times.size, scopes))
+        write_results(SimulationResult(times, values, groups, aggregates), tmp_path)
         assert (tmp_path / "agents.csv").read_text() == reference_agents_csv(times, values, groups)
 
     def test_negative_zero_initial_state_writes_minus_zero(self, tmp_path: Path):
