@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +25,10 @@ def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
     return groups
 
 
-def _stats(s: np.ndarray) -> tuple[np.ndarray, ...]:
-    return s.mean(axis=-1), s.min(axis=-1), s.max(axis=-1), s.std(axis=-1)
+def _stats(s: np.ndarray) -> Iterator[np.ndarray]:
+    """Mean, min, max and std over the last axis, each computed only when the
+    previous one is consumed, so that one result is alive at a time."""
+    return (stat(axis=-1) for stat in (s.mean, s.min, s.max, s.std))
 
 
 def aggregate_trajectory(
