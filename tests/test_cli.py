@@ -72,6 +72,22 @@ class TestSimulateCommand:
         assert raw.shape == (4, 13, 4)
         assert hashlib.sha256(raw).hexdigest() == "ea02cae86c79f86c98f6bac8a1b3bb0dcbeb3109186796f633ac5430e83be968"
 
+    def test_group_block_raw_outputs_match_golden_digests(self):
+        # The same two pins on a group block: 12 agents interleaved over
+        # 4 groups (one a singleton), several classes of interchangeable
+        # members per group, 0.0 and -0.0 initial states and a rate floor.
+        # Recorded while the kernel still advanced every agent on its own.
+        result = simulate(load_scenario(DATA / "golden_group_block.json"))
+        assert np.signbit(result.dissatisfaction[0]).tolist() == [False] * 3 + [True] + [False] * 8
+        raw = {
+            name: hashlib.sha256(np.ascontiguousarray(array, dtype="<f8")).hexdigest()
+            for name, array in (("trajectory", result.dissatisfaction), ("aggregates", result.aggregates))
+        }
+        assert raw == {
+            "trajectory": "9090b43e4b6313d3608b90ab27d5951501581006d1247cb2b0b3ad65692882e2",
+            "aggregates": "868c8533dcaab40f9a2909c3b53861b32611986980e9766aad42069f09eb0a91",
+        }
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "o")])
