@@ -81,7 +81,7 @@ def contagion_snapshot(
     """
     access = _agent_vector(network, access, "access")
     d = _agent_vector(network, dissatisfaction, "dissatisfaction")
-    ratio = _contagion_ratio(_contagion_operator(network), access, d[None])[0]
+    ratio = _contagion_ratio(_contagion_operator(network), access, d)
     if params.omega2 > 0.0:
         rate = np.maximum(ratio, params.rate_floor)
     else:
@@ -150,41 +150,48 @@ def _scaled_rows(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _DenseProduct(NamedTuple):
     """A :class:`Dense` operator in kernel form: the weights, with any
-    overflowing row rescaled, and the (1, N) reciprocal base row sums."""
+    overflowing row rescaled, and the (N,) reciprocal base row sums."""
 
     alpha: np.ndarray
     inv_row: np.ndarray
 
 
 class _GroupSums(NamedTuple):
-    """A group block in kernel form for a (B, N) block of states.
+    """A group block in kernel form for a (B, N) block of agents, flattened.
 
-    ``keys[b, n] = g(n) + G * b`` numbers every (row, group) pair, so one
-    bincount gives each row's group sums. ``inv`` is (1, N): 1 / (n_g - 1)
-    per agent, 0 for singleton groups and for a zero weight. The weight
-    itself cancels from the ratio, so there is nothing to overflow.
+    ``bins[i] = g + G * b`` numbers the (row, group) pair of every (row,
+    agent) ``i``, in agent order, so one bincount gives each row's group
+    sums. ``states[i]`` is the state that agent follows; ``keys`` and
+    ``inv`` hold each state's bin and 1 / (n_g - 1), 0 for singleton groups
+    and for a zero weight. The weight itself cancels from the ratio, so
+    there is nothing to overflow.
     """
 
+    bins: np.ndarray
+    states: np.ndarray
     keys: np.ndarray
     inv: np.ndarray
 
 
 def _contagion_operator(network: ContagionNetwork, rows: int = 1) -> _DenseProduct | _GroupSums:
-    """The network's operator in kernel form, for a block of ``rows`` states."""
+    """The network's operator in kernel form, for a block of ``rows`` states.
+
+    A group block starts with one state per (row, agent); :func:`_classes`
+    merges the interchangeable ones.
+    """
     operator = network.operator
     if isinstance(operator, Dense):
-        alpha, inv_row = _scaled_rows(operator.matrix)
-        return _DenseProduct(alpha, inv_row[None])
+        return _DenseProduct(*_scaled_rows(operator.matrix))
     sizes = network.group_sizes
     inv = np.zeros(sizes.size)
     if operator.weight != 0.0:
         np.divide(1.0, sizes - 1, out=inv, where=sizes > 1)
-    keys = network.group_of + sizes.size * np.arange(rows)[:, None]
-    return _GroupSums(keys, inv[network.group_of][None])
+    bins = (network.group_of + sizes.size * np.arange(rows)[:, None]).ravel()
+    return _GroupSums(bins, np.arange(bins.size), bins, np.tile(inv[network.group_of], rows))
 
 
 def _contagion_ratio(
-    operator: _DenseProduct | _GroupSums, access: np.ndarray | float, d: np.ndarray
+    operator: _DenseProduct | _GroupSums, access: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
     """(gamma @ d) / row_sum with gamma = alpha * outer(i, i), i = ``access``.
 
@@ -192,21 +199,54 @@ def _contagion_ratio(
     i * (alpha @ (i * d)) / row_sum. The contagion pull is omega2 times this
     ratio, and the response rate is the ratio lifted to the rate floor.
 
-    ``d`` is a (B, N) block of states. A group block sums each row's groups
-    with one bincount, in agent order: i * (S[g] - i * d) / (n_g - 1). A
-    dense operator multiplies a (B, N, 1) stack, one matrix-vector product
-    per row: the same call, and the same rounding, as the 1-D ``alpha @ x``.
-    Either way every row is bit-identical for any B.
+    ``access`` and ``d`` hold one value per state. A group block spreads
+    them over its agents and sums each row's groups with one bincount, in
+    agent order: i * (S[g] - i * d) / (n_g - 1). A dense operator's states
+    are the (B, N) block itself, and it multiplies a (B, N, 1) stack, one
+    matrix-vector product per row: the same call, and the same rounding, as
+    the 1-D ``alpha @ x``. Either way every row is bit-identical for any B.
     """
     if isinstance(operator, _GroupSums):
         x = access * d
-        sums = np.bincount(operator.keys.ravel(), x.ravel())
+        sums = np.bincount(operator.bins, x.take(operator.states))
         return access * (sums.take(operator.keys) - x) * operator.inv
-    return access * (operator.alpha @ (access * d)[..., None])[..., 0] * operator.inv_row
+    access = access.reshape(-1, operator.inv_row.size)
+    product = operator.alpha @ (access * d.reshape(access.shape))[..., None]
+    return (access * product[..., 0] * operator.inv_row).ravel()
 
 
-# Floats gathered per table at once: a few steps' rows when N is large, the
-# whole horizon of a small network, so that small runs pay one gather.
+def _classes(
+    operator: _DenseProduct | _GroupSums, access_index: np.ndarray, pull_index: np.ndarray, d0: np.ndarray
+) -> tuple[_DenseProduct | _GroupSums, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One kernel state per class of a (B, N) block's (row, agent) pairs.
+
+    On a group block, agents with the same row, group, access pick, pull
+    pick and initial float64 bits follow bit-identical trajectories, so a
+    class is one state. Its code is folded one column at a time, each fold
+    re-ranked so that the int64 products stay below B * N squared. A dense
+    operator keeps one state per (row, agent).
+    Returns the operator over the states, each state's access pick, pull
+    pick and initial value, and the (B, N) state of every agent.
+    """
+    shape = d0.shape
+    access_index = np.broadcast_to(access_index, shape).ravel()
+    pull_index = np.broadcast_to(pull_index, shape).ravel()
+    d0 = np.asarray(d0, dtype=float).ravel()
+    if isinstance(operator, _DenseProduct):
+        return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
+    code = operator.bins
+    bits = np.unique(d0.view(np.uint64), return_inverse=True)[1].ravel()
+    for column in (access_index, pull_index, bits):
+        code = np.unique(code * (column.max() + 1) + column, return_inverse=True)[1].ravel()
+    # Any member stands for its class.
+    first = np.empty(code.max() + 1, dtype=np.intp)
+    first[code] = np.arange(code.size)
+    classes = _GroupSums(operator.bins, code, operator.keys[first], operator.inv[first])
+    return classes, access_index[first], pull_index[first], d0[first], code.reshape(shape)
+
+
+# Floats gathered per table at once: a few steps' rows when there are many
+# states, the whole horizon of a small block, so that small runs pay one gather.
 _GATHER_FLOATS = 2**14
 
 
@@ -225,20 +265,23 @@ def _euler(
     pull_index: np.ndarray,
     d0: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a (B, N) block of states together on the shared step grid.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Advance a (B, N) block of agents together on the shared step grid.
 
     ``operator`` is :func:`_contagion_operator` for B rows. ``access`` is a
     (steps, K) table of distinct media-access columns and ``pull`` a
     (steps, K') table of distinct deprivation columns omega1 * (1 - E).
     ``access_index`` and ``pull_index`` pick each agent's column: (1, N) when
-    every row shares the pick, (B, N) when each row has its own. Step k reads
-    ``access[k].take(access_index)``, gathered a few steps at a time
-    (:func:`_picked_rows`), so the kernel holds O(steps * K) floats of
-    input, never a (steps, N) grid.
+    every row shares the pick, (B, N) when each row has its own.
+    The kernel advances one state per class of interchangeable agents
+    (:func:`_classes`) and spreads the states over the agents only at
+    report times. Step k reads ``access[k]`` at each state's pick, gathered
+    a few steps at a time (:func:`_picked_rows`), so the kernel holds
+    O(steps * K) floats of input, never a (steps, N) grid.
     Returns the (B, reports + 1, N) trajectories recorded at t = 0 and every
-    ``steps_per_report`` steps, and each row's clamp count. Every row is
-    bit-identical for any B (see :func:`_contagion_ratio`).
+    ``steps_per_report`` steps, each row's clamp count and the number of
+    states advanced. Every row is bit-identical for any B (see
+    :func:`_contagion_ratio`).
     """
     b, n = d0.shape
     dt = params.dt_hours
@@ -247,9 +290,9 @@ def _euler(
     omega2 = params.omega2
     has_contagion = omega2 > 0.0
 
-    d = np.array(d0, dtype=float)
+    operator, access_index, pull_index, d, expand = _classes(operator, access_index, pull_index, d0)
     recorded = np.empty((b, params.n_steps // spr + 1, n))
-    recorded[:, 0] = d
+    recorded[:, 0] = d0
     clamp_hits = np.zeros(b, dtype=int)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
 
@@ -263,13 +306,14 @@ def _euler(
             rate = floor
             target = local_pull
         d = d + rate * (target - d) * dt
-        flat = d.ravel()
-        if lowest(flat) < 0.0 or highest(flat) > 1.0:
-            clamp_hits += ((d < 0.0) | (d > 1.0)).any(axis=1)
+        if lowest(d) < 0.0 or highest(d) > 1.0:
+            # Counted per row: a row is hit when any of its states is.
+            spread = d.take(expand)
+            clamp_hits += ((spread < 0.0) | (spread > 1.0)).any(axis=1)
             np.clip(d, 0.0, 1.0, out=d)
         if (k + 1) % spr == 0:
-            recorded[:, (k + 1) // spr] = d
-    return recorded, clamp_hits
+            recorded[:, (k + 1) // spr] = d.take(expand)
+    return recorded, clamp_hits, d.size
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -286,7 +330,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
     access, access_index = _sample_schedules(scenario.media_access, dt, n_steps)
     electricity, pull_index = _sample_schedules(scenario.electricity, dt, n_steps)
-    recorded, clamp_hits = _euler(
+    recorded, clamp_hits, _ = _euler(
         _contagion_operator(net),
         access,
         access_index[None],

@@ -155,9 +155,10 @@ class _LatticeSearch:
         self.max_energy = max(self.levels) * sum(self.cell_energy)
         # Greedy passes and restarts revisit moves; exhaustive search keeps no memo.
         self._memo: dict[tuple[float, ...], PlanObjective] = {}
-        # Deterministic search counters: rows advanced through the kernel, and
-        # whether exhaustive search took the group-decomposed path.
+        # Deterministic search counters: rows and states advanced through the
+        # kernel, and whether exhaustive search took the group-decomposed path.
         self.kernel_rows = 0
+        self.kernel_classes = 0
         self.decomposed = False
 
         # Every candidate is a sub-plan of the all-top-level plan, at levels
@@ -239,8 +240,11 @@ class _LatticeSearch:
             self._pull = np.column_stack(self._columns)
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
         operator = _contagion_operator(base.network, len(block))
-        recorded, _ = _euler(operator, self._access, self._access_index, self._pull, pull_index, d0, base.params)
+        recorded, _, states = _euler(
+            operator, self._access, self._access_index, self._pull, pull_index, d0, base.params
+        )
         self.kernel_rows += len(block)
+        self.kernel_classes += states
         return recorded
 
     def _score_block(self, block: Sequence[tuple[float, ...]]) -> list[PlanObjective]:
@@ -446,8 +450,11 @@ def plan_shedding(
     baseline. Identical inputs and seed give identical plans.
 
     ``stats``, if given, receives the search counters: ``kernel_rows``, the
-    rows simulated (the returned plan's final scoring included), and
-    ``decomposed``, whether exhaustive search combined group profiles.
+    rows simulated (the returned plan's final scoring included),
+    ``kernel_classes``, the kernel states those rows took (one per class of
+    interchangeable agents on a group block, one per agent on a dense
+    network), and ``decomposed``, whether exhaustive search combined group
+    profiles.
     """
     if strategy not in ("exhaustive", "greedy_restarts"):
         raise ValidationError([f"strategy must be 'exhaustive' or 'greedy_restarts' (got {strategy!r})"])
@@ -469,5 +476,7 @@ def plan_shedding(
         assignment = search.greedy_restarts(seed, restarts)
     objective = search.score(assignment)
     if stats is not None:
-        stats.update(kernel_rows=search.kernel_rows, decomposed=search.decomposed)
+        stats.update(
+            kernel_rows=search.kernel_rows, kernel_classes=search.kernel_classes, decomposed=search.decomposed
+        )
     return search.plan_for(assignment), objective

@@ -373,6 +373,23 @@ def _value_texts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return texts, rank.reshape(block.shape)
 
 
+def _manifest_text(manifest: Mapping) -> str:
+    """``json.dumps(manifest, indent=2, sort_keys=True)``, with a per-agent
+    ``groups`` list of ints spelled by one join.
+
+    The stdlib spells an indented list in pure Python, item by item. The
+    rest is dumped with an empty ``groups`` list and the items are spliced
+    into the one line that starts with ``  "groups": []``: a string value
+    cannot hold a raw newline, and nested keys are indented further.
+    """
+    groups = manifest.get("groups")
+    if not (isinstance(groups, list) and groups and set(map(type, groups)) == {int}):
+        return json.dumps(manifest, indent=2, sort_keys=True)
+    text = json.dumps({**manifest, "groups": []}, indent=2, sort_keys=True)
+    at = text.index('\n  "groups": []') + len('\n  "groups": [')
+    return text[:at] + "\n    " + ",\n    ".join(map(str, groups)) + "\n  " + text[at:]
+
+
 def write_results(
     result: SimulationResult, out_dir: str | Path, extra_manifest: Mapping | None = None
 ) -> list[Path]:
@@ -419,5 +436,5 @@ def write_results(
     manifest = dict(result.manifest)
     if extra_manifest:
         manifest.update(extra_manifest)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest_path.write_text(_manifest_text(manifest) + "\n", encoding="utf-8")
     return [agents_path, aggregates_path, manifest_path]

@@ -245,9 +245,10 @@ class TestPlanCommand:
         "strategy, search",
         [
             # 4 slot profiles, 3 candidates tied at the optimum, the final score.
-            ("exhaustive", {"decomposed": True, "kernel_rows": 4 + 3 + 1}),
+            # Both members of a group share everything, so a row is 2 states.
+            ("exhaustive", {"decomposed": True, "kernel_rows": 4 + 3 + 1, "kernel_classes": 2 * (4 + 3 + 1)}),
             # The 4 one-cell moves; restarts and the final score reuse them.
-            ("greedy_restarts", {"decomposed": False, "kernel_rows": 4}),
+            ("greedy_restarts", {"decomposed": False, "kernel_rows": 4, "kernel_classes": 2 * 4}),
         ],
     )
     def test_objective_reports_search_counters(self, tmp_path, strategy, search):

@@ -474,12 +474,19 @@ class TestBatchedKernel:
         # Both operators: the dense (B, N, 1) matrix-vector stack and the
         # group block's one bincount per step. Each row of a block of 7 and
         # of the whole block, read through access and pull picks, must equal
-        # its own run as a block of one on the gathered grids.
+        # its own run as a block of one on the gathered grids, where every
+        # agent has a pick of its own. Fresh inputs give every (row, agent)
+        # its own initial state; shared ones draw a few picks and initial
+        # states (0.0 and -0.0 among them), so a group block's rows collapse
+        # to a few classes of interchangeable agents.
+        from socio_grid_sim.core_types import GroupBlock
         from socio_grid_sim.dynamics import _contagion_operator, _euler, _sample_schedules
 
         from oracles import random_scenario
 
         rng = np.random.default_rng(21)
+        shared_rng = np.random.default_rng(22)
+        collapsed = []
         for _ in range(20):
             scenario = random_scenario(rng, max_agents=40, max_horizon=24.0, rate_floor=0.02)
             params = scenario.params
@@ -492,19 +499,84 @@ class TestBatchedKernel:
             pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
             index = rng.integers(0, 3 * n, size=(int(rng.integers(8, 60)), n))
             d0 = rng.uniform(0.0, 1.0, size=index.shape)
+            fresh = access_index, index, d0
+
+            def by_group(values, rows):
+                # One draw per (row, group) for all its members, then about one
+                # member in ten drawn again.
+                groups = scenario.network.group_of
+                out = shared_rng.choice(values, size=(rows, groups.max() + 1))[:, groups]
+                again = shared_rng.uniform(size=out.shape) < 0.1
+                out[again] = shared_rng.choice(values, size=int(again.sum()))
+                return out
+
+            n_rows = index.shape[0]
+            shared = by_group([0, 1], 1), by_group([0, 1, 2], n_rows), by_group([0.0, -0.0, 0.25], n_rows)
             identity = np.arange(n)[None]
             for network in (scenario.network, block_net):
-                # Each row alone, on its own gathered (steps, N) grids read in agent order.
-                singles = [
-                    _euler(_contagion_operator(network), access[:, access_index[0]], identity,
-                           pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
-                    for row in range(index.shape[0])
-                ]
-                for size in (7, index.shape[0]):
-                    for start in range(0, index.shape[0], size):
-                        rows = slice(start, start + size)
-                        operator = _contagion_operator(network, index[rows].shape[0])
-                        block, hits = _euler(operator, access, access_index, pull, index[rows], d0[rows], params)
-                        assert hits.tolist() == [0] * block.shape[0]
-                        for offset, single in enumerate(singles[rows]):
-                            assert np.array_equal(block[offset], single)
+                for access_index, index, d0 in (fresh, shared):
+                    # Each row alone, on its own gathered (steps, N) grids read in agent order.
+                    singles = [
+                        _euler(_contagion_operator(network), access[:, access_index[0]], identity,
+                               pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
+                        for row in range(index.shape[0])
+                    ]
+                    # A state per distinct (row, group, access pick, pull pick, initial bits).
+                    classes = {
+                        (row, int(network.group_of[a]), int(access_index[0, a]), int(index[row, a]),
+                         d0[row, a].tobytes())
+                        for row in range(index.shape[0])
+                        for a in range(n)
+                    }
+                    expected_states = len(classes) if isinstance(network.operator, GroupBlock) else index.size
+                    for size in (7, index.shape[0]):
+                        states = 0
+                        for start in range(0, index.shape[0], size):
+                            rows = slice(start, start + size)
+                            operator = _contagion_operator(network, index[rows].shape[0])
+                            block, hits, count = _euler(
+                                operator, access, access_index, pull, index[rows], d0[rows], params
+                            )
+                            states += count
+                            assert hits.tolist() == [0] * block.shape[0]
+                            for offset, single in enumerate(singles[rows]):
+                                assert np.array_equal(block[offset].view(np.uint64), single.view(np.uint64))
+                        assert states == expected_states
+                    if d0 is shared[2] and isinstance(network.operator, GroupBlock):
+                        collapsed.append((expected_states, index.size))
+        # The shared inputs ran on far fewer states than agents, although
+        # these groups hold only one to five agents each.
+        states, agents = np.sum(collapsed, axis=0)
+        assert states <= 0.6 * agents
+
+    def test_clamp_is_counted_per_row(self):
+        # Pull columns 2 and 3 lie above 1, so the rows that pick them leave
+        # [0, 1] and are clipped. Each row's clamp count and clipped
+        # trajectory must equal its own run, where every agent is a state of
+        # its own: a row counts a step once, however many classes it clips.
+        from socio_grid_sim.dynamics import _contagion_operator, _euler
+
+        params = ModelParams(horizon_hours=6.0, dt_hours=0.5, rate_floor=0.4, report_every_hours=1.0)
+        groups = [0, 1, 0, 1, 1, 0]
+        n = len(groups)
+        steps = np.arange(params.n_steps)[:, None]
+        access = np.hstack([np.full((params.n_steps, 1), 0.8), 0.5 + 0.04 * steps])
+        pull = np.hstack([np.full((params.n_steps, 1), 0.2), 0.45 - 0.03 * steps, 1.5 + 0.1 * steps,
+                          np.full((params.n_steps, 1), 2.5)])
+        access_index = np.array([[0, 1, 0, 1, 0, 0]])
+        index = np.array([[0, 1, 0, 1, 1, 0], [2, 1, 2, 1, 1, 2], [3, 3, 2, 0, 1, 2], [0, 0, 0, 0, 0, 0]])
+        d0 = np.array([[0.5] * n, [0.5] * n, [0.9, 0.9, 0.1, 0.1, 0.9, 0.1], [0.3] * n])
+        identity = np.arange(n)[None]
+        for network in (ContagionNetwork.full_within_groups(groups, 1.0), ContagionNetwork(n, 1.0 - np.eye(n), groups)):
+            block, hits, _ = _euler(_contagion_operator(network, 4), access, access_index, pull, index, d0, params)
+            for row in range(4):
+                single, single_hits, states = _euler(
+                    _contagion_operator(network), access[:, access_index[0]], identity,
+                    pull[:, index[row]], identity, d0[row : row + 1], params,
+                )
+                assert states == n
+                assert hits[row] == single_hits[0]
+                assert np.array_equal(block[row], single[0])
+            assert hits[0] == hits[3] == 0 and hits[1] > 0 and hits[2] > 0
+            assert np.all(block[1:3, -1][index[1:3] >= 2] == 1.0)
+            assert hits.max() <= params.n_steps

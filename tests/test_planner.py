@@ -612,7 +612,8 @@ class TestDecomposedSearch:
         assert plan.encoding() == "0:9:3:0.5;1:9:3:0.5;2:9:3:0.5"
         # 16 slot profiles, the 15 candidates tied at the optimum, and the
         # final score; simulating every feasible candidate takes 4083 + 1.
-        assert stats == {"kernel_rows": 16 + 15 + 1, "decomposed": True}
+        # The members of a group are interchangeable: 3 states per row.
+        assert stats == {"kernel_rows": 16 + 15 + 1, "kernel_classes": 3 * (16 + 15 + 1), "decomposed": True}
 
     def test_c6_profile_block_matches_golden_digest(self):
         # The (B, T, N) block of every slot profile that _near_best runs on
@@ -644,7 +645,8 @@ class TestDecomposedSearch:
         )
         stats = {}
         plan_shedding(base, required, 6.0, [0.0, 0.5], stats=stats)
-        assert stats == {"kernel_rows": feasible + 1, "decomposed": False}
+        # A dense network keeps one state per agent.
+        assert stats == {"kernel_rows": feasible + 1, "kernel_classes": 24 * (feasible + 1), "decomposed": False}
 
     def test_feasibility_is_exactly_the_cell_order_sum(self):
         # 0.1 h slots and levels {0.1, 0.3}: the cell-order energy sums of

@@ -304,6 +304,29 @@ class TestWriteResults:
         assert manifest["tool_version"]
         assert "timestamp" not in json.dumps(manifest).lower()
 
+    @pytest.mark.parametrize(
+        "label, extra",
+        [
+            ("demo", None),
+            ('"groups": []', None),
+            ('x\n  "groups": [],\n', {"cli_overrides": {"groups": [1, 2], "omega1": 0.4}}),
+            ("é \\ \t", {"groups": [True, 0]}),
+            ("plain", {"groups": [0.0, 1]}),
+            ("plain", {"groups": []}),
+            ("plain", {"groups": "0,1"}),
+            ("plain", {"zz": [0, 1], "aa": {"groups": []}}),
+        ],
+    )
+    def test_manifest_is_the_stdlib_indented_dump(self, tmp_path: Path, label, extra):
+        # The per-agent groups list is spliced into the stdlib's text rather
+        # than spelled by its encoder; the bytes must not differ, whatever the
+        # label or the extra keys hold.
+        result = simulate(scenario_from_dict(dict(minimal_doc(), label=label)))
+        manifest = dict(result.manifest, **(extra or {}))
+        write_results(result, tmp_path, extra)
+        expected = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == expected
+
     def test_empty_result_writes_headers_only(self, tmp_path: Path):
         empty = SimulationResult(
             times=np.zeros(0),
