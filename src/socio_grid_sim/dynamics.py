@@ -224,10 +224,10 @@ def _classes(
     pick and initial float64 bits follow bit-identical trajectories, so a
     class is one state. The class code is folded one column at a time and
     re-ranked after each fold, so no int64 product exceeds B * N times a
-    column's range. Ranks come from a sort and a binary search: the argsort
-    behind ``np.unique(..., return_inverse=True)`` would touch sort kernels
-    that nothing else in a plan uses, about 0.3 MB of resident code. A dense
-    operator keeps one state per (row, agent).
+    column's range. A rank is a binary search among the distinct codes: the
+    argsort behind ``np.unique(..., return_inverse=True)`` would touch sort
+    kernels that nothing else in a plan uses, about 0.3 MB of resident code.
+    A dense operator keeps one state per (row, agent).
     Returns the operator over the states, each state's access pick, pull
     pick and initial value, and the (B, N) state of every agent.
     """
@@ -238,7 +238,7 @@ def _classes(
     if isinstance(operator, _DenseProduct):
         return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
     code = operator.bins
-    # A class needs only equal bits; the int64 sort is the one the group-id check runs.
+    # A class needs only equal bits, and plain np.unique is what the group-id check runs.
     bits = d0.view(np.int64)
     for column in (access_index, pull_index, np.unique(bits).searchsorted(bits)):
         code = code * (column.max() + 1) + column
