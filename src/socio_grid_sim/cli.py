@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _once_per_object
+from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _distinct
 from .dynamics import simulate
 from .planner import plan_shedding
 from .plans import plan_to_dict
@@ -44,12 +44,11 @@ def _apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenari
         electricity = scenario.electricity
         media = scenario.media_access
     else:
-        # Each distinct schedule object is cut once, so agents keep sharing.
-        n = scenario.n_agents
-        cut = _once_per_object(
-            lambda s: _with_horizon(s, params.horizon_hours), scenario.electricity + scenario.media_access
-        )
-        electricity, media = tuple(cut[:n]), tuple(cut[n:])
+        # Each distinct schedule is cut once, so agents keep sharing.
+        distinct, index = _distinct(scenario.electricity + scenario.media_access)
+        cut = [_with_horizon(s, params.horizon_hours) for s in distinct]
+        picked = [cut[k] for k in index.tolist()]
+        electricity, media = picked[: scenario.n_agents], picked[scenario.n_agents :]
     return Scenario(
         params=params,
         network=scenario.network,

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,13 +124,20 @@ class PiecewiseSchedule:
         return cls(((0.0, value),), horizon_hours)
 
 
-def _once_per_object(func: Callable, items: Sequence) -> list:
-    """``[func(x) for x in items]``, calling ``func`` once per distinct object.
+def _distinct(schedules: Sequence[PiecewiseSchedule]) -> tuple[list[PiecewiseSchedule], np.ndarray]:
+    """The schedules with distinct breakpoint bits (``-0.0`` is not ``0.0``), in
+    order of first appearance, and each item's (N,) intp index into them.
 
-    Objects are told apart by identity, so shared schedules cost one call.
+    A scenario's schedules share one horizon, so the bits decide. Each
+    distinct object is keyed once, so shared ones cost one lookup.
     """
-    done = {key: func(x) for key, x in dict(zip(map(id, items), items)).items()}
-    return list(map(done.__getitem__, map(id, items)))
+    first: dict[bytes, tuple[int, PiecewiseSchedule]] = {}
+    picks = {
+        key: first.setdefault(_bits(sched.breakpoints), (len(first), sched))[0]
+        for key, sched in dict(zip(map(id, schedules), schedules)).items()
+    }
+    index = np.fromiter(map(picks.__getitem__, map(id, schedules)), np.intp, len(schedules))
+    return [sched for _, sched in first.values()], index
 
 
 @dataclass(frozen=True)
@@ -164,9 +171,9 @@ def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None
     if (groups < 0).any():
         errors.append("group ids must be nonnegative")
         return None
-    present = set(np.unique(groups).tolist())
-    missing = sorted(set(range(max(present, default=-1) + 1)) - present)
-    if missing:
+    present = np.unique(groups)
+    if present.size and present[-1] != present.size - 1:
+        missing = np.setdiff1d(np.arange(present[-1] + 1), present).tolist()
         errors.append(f"group ids must be dense 0..G-1 (missing groups {missing})")
         return None
     groups.setflags(write=False)
@@ -430,12 +437,11 @@ class Scenario:
         if isinstance(operator, Dense):
             _feed(digest, operator.matrix, "<f8")
         for schedules in (self.electricity, self.media_access):
-            keys = _once_per_object(lambda s: _bits(s.breakpoints), schedules)
-            numbers = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-            digest.update(struct.pack("<q", len(numbers)))
-            for key in numbers:
-                _feed(digest, key)
-            _feed(digest, list(map(numbers.__getitem__, keys)), "<i8")
+            distinct, index = _distinct(schedules)
+            digest.update(struct.pack("<q", len(distinct)))
+            for sched in distinct:
+                _feed(digest, _bits(sched.breakpoints))
+            _feed(digest, index, "<i8")
         _feed(digest, self.initial_dissatisfaction, "<f8")
         return "sha256:" + digest.hexdigest()
 

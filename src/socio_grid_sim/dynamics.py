@@ -30,7 +30,7 @@ from .core_types import (
     Scenario,
     SimulationResult,
     ValidationError,
-    _once_per_object,
+    _distinct,
 )
 from .metrics import aggregate_trajectory
 
@@ -83,7 +83,8 @@ def contagion_snapshot(
     d = _agent_vector(network, dissatisfaction, "dissatisfaction")
     ratio = _contagion_ratio(_contagion_operator(network), access, d)
     if params.omega2 > 0.0:
-        rate = np.maximum(ratio, params.rate_floor)
+        # As in the kernel: a zero floor leaves the ratio, and its -0.0, as it is.
+        rate = np.maximum(ratio, params.rate_floor) if params.rate_floor > 0.0 else ratio
     else:
         rate = np.full(network.n_agents, params.rate_floor)
     return ContagionSnapshot(social_term=params.omega2 * ratio, rate=rate)
@@ -109,20 +110,17 @@ def step(
 def _sample_schedules(
     schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the distinct schedules on the step grid, and pick one per agent.
+    """Sample the distinct schedules (:func:`_distinct`) on the step grid, and pick one per agent.
 
-    Agents that share a schedule object share a column, found by ``id``
-    without hashing the schedule; equal objects then share one by value.
     Returns the C-contiguous (n_steps, K) table of the K distinct columns,
     so that the kernel reads each step's row in one run, and the (N,) intp
     column index of every agent. No (n_steps, N) grid is built.
     """
-    by_value: dict[PiecewiseSchedule, int] = {}
-    picks = _once_per_object(lambda s: by_value.setdefault(s, len(by_value)), schedules)
-    table = np.zeros((n_steps, len(by_value)))
-    for sched, k in by_value.items():
+    distinct, index = _distinct(schedules)
+    table = np.zeros((n_steps, len(distinct)))
+    for k, sched in enumerate(distinct):
         table[:, k] = sched.sample(dt, n_steps)
-    return table, np.array(picks, dtype=np.intp)
+    return table, index
 
 
 def _scaled_rows(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,22 +6,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_types import ValidationError
+from .core_types import ValidationError, _group_ids
 
 
 def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
-    groups = np.atleast_1d(np.asarray(group_of, dtype=int))
-    errors: list[str] = []
-    if n_agents == 0:
-        errors.append("dissatisfaction must be nonempty")
-    if groups.shape != (n_agents,):
-        errors.append(f"group_of must have shape ({n_agents},) (got {groups.shape})")
+    errors = [] if n_agents else ["dissatisfaction must be nonempty"]
+    groups = _group_ids(n_agents, group_of, errors)
     if errors:
         raise ValidationError(errors)
-    sizes = np.bincount(groups, minlength=int(groups.max()) + 1)
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        raise ValidationError([f"group {g} has no members" for g in empty])
     return groups
 
 

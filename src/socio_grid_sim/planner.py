@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_types import GroupBlock, PiecewiseSchedule, Scenario, ValidationError
+from .core_types import GroupBlock, Scenario, ValidationError, _distinct
 from .dynamics import _contagion_operator, _euler, _sample_schedules, simulate
 from .plans import SheddingPlan, SheddingSlot, _shed_schedule, apply_plan, validate_plan
 
@@ -174,7 +174,8 @@ class _LatticeSearch:
         # One block holds each row's state plus its recorded report times.
         report_times = params.n_steps // params.steps_per_report + 1
         self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (report_times + 1)))
-        self._column_ids: dict[tuple[PiecewiseSchedule, tuple[float, ...]], int] = {}
+        self._electricity, self._electricity_index = _distinct(base.electricity)
+        self._column_ids: dict[tuple[int, tuple[float, ...]], int] = {}
         self._columns: list[np.ndarray] = []
         self._pull = np.zeros((params.n_steps, 0))
         self._profile_ids: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
@@ -214,10 +215,10 @@ class _LatticeSearch:
                 if level > 0.0
             ]
             ids = []
-            for agent in self._members[group]:
-                sched = self.base.electricity[agent]
-                column = (sched, profile)
+            for k in self._electricity_index[self._members[group]].tolist():
+                column = (k, profile)
                 if column not in self._column_ids:
+                    sched = self._electricity[k]
                     shed = _shed_schedule(sched, slots) if slots else sched
                     self._column_ids[column] = len(self._columns)
                     sampled = shed.sample(params.dt_hours, params.n_steps)

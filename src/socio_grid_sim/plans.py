@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Mapping, Sequence
 
-from .core_types import PiecewiseSchedule, Scenario, ValidationError, _is_number
+from .core_types import PiecewiseSchedule, Scenario, ValidationError, _distinct, _is_number
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -122,18 +122,16 @@ def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
     for slot in plan.slots:
         by_group.setdefault(slot.group, []).append(slot)
     # Agents in the same group with the same base schedule share the merged one.
-    cache: dict[tuple[int, PiecewiseSchedule], PiecewiseSchedule] = {}
+    distinct, index = _distinct(base.electricity)
+    cache: dict[tuple[int, int], PiecewiseSchedule] = {}
     merged: list[PiecewiseSchedule] = []
-    for agent, sched in enumerate(base.electricity):
-        group = int(base.network.group_of[agent])
-        slots = by_group.get(group, [])
-        if not slots:
+    for sched, group, k in zip(base.electricity, base.network.group_of.tolist(), index.tolist()):
+        if group not in by_group:
             merged.append(sched)
             continue
-        key = (group, sched)
-        if key not in cache:
-            cache[key] = _shed_schedule(sched, slots)
-        merged.append(cache[key])
+        if (group, k) not in cache:
+            cache[group, k] = _shed_schedule(distinct[k], by_group[group])
+        merged.append(cache[group, k])
     return Scenario(
         params=base.params,
         network=base.network,

@@ -27,6 +27,7 @@ from .core_types import (
     SimulationResult,
     ValidationError,
     _bits,
+    _distinct,
     _is_number,
 )
 
@@ -275,10 +276,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical on-disk form; inverse of :func:`scenario_from_dict`."""
     def sched_block(schedules: Sequence[PiecewiseSchedule]) -> dict:
         points = [[list(p) for p in s.breakpoints] for s in schedules]
-        first = _bits(schedules[0].breakpoints)
-        if all(s is schedules[0] or _bits(s.breakpoints) == first for s in schedules):
-            return {"broadcast": points[0]}
-        return {"per_agent": points}
+        return {"broadcast": points[0]} if len(_distinct(schedules)[0]) == 1 else {"per_agent": points}
 
     operator = scenario.network.operator
     if isinstance(operator, GroupBlock):

@@ -21,6 +21,12 @@ from socio_grid_sim import (
 )
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits: unlike ``np.array_equal``, ``-0.0`` is not ``0.0``."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def reference_trajectory(
     scenario: Scenario, dt_hours: float | None = None, report_every_hours: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,8 @@ from socio_grid_sim import (
     simulate,
 )
 
+from oracles import same_bits
+
 
 def rebuild(scenario: Scenario, **fields) -> Scenario:
     base = dict(
@@ -45,7 +47,7 @@ def check_scale_invariance(scenario: Scenario, rng: np.random.Generator, base_ru
     if base_run is None:
         base_run = simulate(scenario)
     scaled_run = simulate(rebuild(scenario, network=scaled))
-    assert np.array_equal(base_run.dissatisfaction, scaled_run.dissatisfaction)
+    assert same_bits(base_run.dissatisfaction, scaled_run.dissatisfaction)
 
     arbitrary = float(rng.uniform(0.1, 10.0))
     loose = ContagionNetwork(net.n_agents, net.base_weights * arbitrary, net.group_of)

@@ -119,7 +119,7 @@ class TestSimulateCommand:
         assert manifest["params"]["horizon_hours"] == 10.0
 
     def test_horizon_override_keeps_shared_schedules(self, tmp_path):
-        # --horizon cuts each distinct schedule object once, so agents keep
+        # --horizon cuts each distinct schedule once, so agents keep
         # sharing them, and the run equals that of the document cut by hand.
         def doc(horizon):
             def keep(points):

@@ -16,7 +16,7 @@ from socio_grid_sim import (
     step,
 )
 
-from oracles import reference_trajectory, rk4_scalar
+from oracles import reference_trajectory, rk4_scalar, same_bits
 from property_checks import rebuild
 
 TRIAD = ContagionNetwork.full_within_groups([0, 0, 0], 1.0)
@@ -252,7 +252,7 @@ class TestSimulate:
         scenario = homogeneous_scenario(electricity=0.3, access=0.8, horizon=24.0)
         a = simulate(scenario)
         b = simulate(scenario)
-        assert np.array_equal(a.dissatisfaction, b.dissatisfaction)
+        assert same_bits(a.dissatisfaction, b.dissatisfaction)
         assert a.manifest == b.manifest
 
     def test_huge_weights_keep_contagion(self):
@@ -312,12 +312,15 @@ class TestSimulate:
         horizon = 6.0
         a = PiecewiseSchedule(((0.0, 1.0), (2.0, 0.5)), horizon)
         b = PiecewiseSchedule(((0.0, 0.25), (0.35, 0.75)), horizon)
-        schedules = (a, b, a, PiecewiseSchedule(a.breakpoints, horizon), b, a)
-        table, picks = _sample_schedules(schedules, 0.1, 60)
-        assert table.shape == (60, 2)
-        assert table.flags.c_contiguous
-        assert picks.dtype == np.intp and picks.tolist() == [0, 1, 0, 0, 1, 0]
-        assert np.array_equal(table.take(picks, axis=1), np.column_stack([s.sample(0.1, 60) for s in schedules]))
+        # Equal objects share a column, and -0.0 is told apart from 0.0 in either order.
+        signed, unsigned = PiecewiseSchedule.constant(-0.0, horizon), PiecewiseSchedule.constant(0.0, horizon)
+        for zeros, order in (((signed, unsigned), [2, 3]), ((unsigned, signed), [3, 2])):
+            schedules = (a, b, a, PiecewiseSchedule(a.breakpoints, horizon), *zeros, b, a, signed, unsigned)
+            table, picks = _sample_schedules(schedules, 0.1, 60)
+            assert table.shape == (60, 4)
+            assert table.flags.c_contiguous
+            assert picks.dtype == np.intp and picks.tolist() == [0, 1, 0, 0, 2, 3, 1, 0, *order]
+            assert same_bits(table.take(picks, axis=1), np.column_stack([s.sample(0.1, 60) for s in schedules]))
 
     def test_peak_memory_below_one_agent_grid(self):
         # 3000 agents in 12 groups with 12 distinct schedules per set: the
@@ -357,6 +360,18 @@ class TestSimulate:
         scenarios = [builtin_case_study("full_access"), builtin_case_study("limited_access")]
         scenarios += [random_scenario(rng, max_horizon=48.0, rate_floor=floor) for floor in [0.0] * 10 + [0.05] * 10]
         scenarios.append(replace_params(random_scenario(rng, max_horizon=48.0, rate_floor=0.05), omega2=0.0))
+        # -0.0 and 0.0 access interleaved, from -0.0 states at a zero floor:
+        # each agent keeps its own zero's sign, whichever spelling comes first.
+        for zeros in ((-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, -0.0, 0.0)):
+            scenarios.append(
+                Scenario(
+                    params=ModelParams(horizon_hours=4.0),
+                    network=ContagionNetwork.full_within_groups([0, 0, 0, 1], 1.0),
+                    electricity=(PiecewiseSchedule.constant(1.0, 4.0),) * 4,
+                    media_access=tuple(PiecewiseSchedule.constant(z, 4.0) for z in zeros),
+                    initial_dissatisfaction=np.full(4, -0.0),
+                )
+            )
         for scenario in scenarios:
             params = scenario.params
             electricity, access = (
@@ -371,7 +386,7 @@ class TestSimulate:
                 d = step(d, snapshot, target, params.dt_hours)
                 if (k + 1) % params.steps_per_report == 0:
                     chained.append(d)
-            assert np.array_equal(np.array(chained), simulate(scenario).dissatisfaction)
+            assert same_bits(np.array(chained), simulate(scenario).dissatisfaction)
 
     def test_euler_consistency_dt_halving(self):
         scenario = homogeneous_scenario(electricity=0.25, d0=0.8, horizon=24.0)
@@ -540,7 +555,7 @@ class TestBatchedKernel:
                             states += count
                             assert hits.tolist() == [0] * block.shape[0]
                             for offset, single in enumerate(singles[rows]):
-                                assert np.array_equal(block[offset].view(np.uint64), single.view(np.uint64))
+                                assert same_bits(block[offset], single)
                         assert states == expected_states
                     if d0 is shared[2] and isinstance(network.operator, GroupBlock):
                         collapsed.append((expected_states, index.size))
@@ -576,7 +591,7 @@ class TestBatchedKernel:
                 )
                 assert states == n
                 assert hits[row] == single_hits[0]
-                assert np.array_equal(block[row], single[0])
+                assert same_bits(block[row], single[0])
             assert hits[0] == hits[3] == 0 and hits[1] > 0 and hits[2] > 0
             assert np.all(block[1:3, -1][index[1:3] >= 2] == 1.0)
             assert hits.max() <= params.n_steps

@@ -46,8 +46,19 @@ def test_satisfaction_stats_mirror_dissatisfaction():
 
 
 def test_empty_group_rejected():
-    with pytest.raises(ValidationError, match="group 1 has no members"):
+    with pytest.raises(ValidationError, match=r"missing groups \[1\]"):
         aggregate_trajectory([0.0], np.array([[0.5, 0.5]]), [0, 2])
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [([0, 0.7, 1.2], "integer group ids"), (["0", "1", "1"], "integer group ids"), ([0, -1, 1], "nonnegative")],
+    ids=["fractional", "strings", "negative"],
+)
+def test_malformed_group_ids_rejected(groups, message):
+    # The scenario's own group-id check: nothing is cast to int on the way.
+    with pytest.raises(ValidationError, match=message):
+        aggregate_trajectory([0.0], np.full((1, 3), 0.5), groups)
 
 
 def test_empty_population_rejected():
