@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _distinct
-from .dynamics import simulate
+from .dynamics import _simulate_block, simulate
 from .planner import plan_shedding
 from .plans import plan_to_dict
 from .scenario_io import (
@@ -91,11 +91,10 @@ def run_casestudy(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     overrides = _collect_overrides(args)
     variants = {"full": ["full"], "limited": ["limited"], "both": ["full", "limited"]}[args.variant]
-    results = {}
-    for short in variants:
-        scenario = _apply_overrides(builtin_case_study(f"{short}_access"), overrides)
-        result = simulate(scenario)
-        results[short] = result
+    # The variants share the network and the params, so one kernel block advances them all.
+    scenarios = [_apply_overrides(builtin_case_study(f"{short}_access"), overrides) for short in variants]
+    results = dict(zip(variants, _simulate_block(scenarios)))
+    for short, result in results.items():
         write_results(result, out / short, extra_manifest={"cli_overrides": overrides})
     if len(results) == 2:
         comparison = out / "comparison.csv"

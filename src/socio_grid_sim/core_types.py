@@ -173,8 +173,12 @@ def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None
         return None
     present = np.unique(groups)
     if present.size and present[-1] != present.size - 1:
-        missing = np.setdiff1d(np.arange(present[-1] + 1), present).tolist()
-        errors.append(f"group ids must be dense 0..G-1 (missing groups {missing})")
+        # A stray large id would leave millions missing: then name the first ids past n.
+        if present[-1] + 1 - present.size > n:
+            detail = f"got ids {present[present >= n][:3].tolist()} for n_agents = {n}"
+        else:
+            detail = f"missing groups {np.setdiff1d(np.arange(present[-1] + 1), present).tolist()}"
+        errors.append(f"group ids must be dense 0..G-1 ({detail})")
         return None
     groups.setflags(write=False)
     return groups
@@ -446,16 +450,10 @@ class Scenario:
         return "sha256:" + digest.hexdigest()
 
     def __eq__(self, other: object) -> bool:
+        """Equal exactly when the digests are: the same bits, label included."""
         if not isinstance(other, Scenario):
             return NotImplemented
-        return (
-            self.params == other.params
-            and self.network == other.network
-            and self.electricity == other.electricity
-            and self.media_access == other.media_access
-            and np.array_equal(self.initial_dissatisfaction, other.initial_dissatisfaction)
-            and self.label == other.label
-        )
+        return self.content_digest() == other.content_digest()
 
 
 @dataclass(frozen=True)

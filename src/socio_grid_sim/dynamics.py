@@ -15,7 +15,7 @@ and the engine counts how often it fires (it never should for valid inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -326,44 +326,58 @@ def simulate(scenario: Scenario) -> SimulationResult:
     and every ``report_every_hours`` thereafter. The run is deterministic:
     identical scenarios produce bit-identical results.
     """
-    params = scenario.params
-    net = scenario.network
-    dt = params.dt_hours
-    n_steps = params.n_steps
+    return _simulate_block([scenario])[0]
 
-    access, access_index = _sample_schedules(scenario.media_access, dt, n_steps)
-    electricity, pull_index = _sample_schedules(scenario.electricity, dt, n_steps)
+
+def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
+    """Scenarios that share one network and one parameter set, simulated as
+    one (B, N) kernel block: result b equals ``simulate(scenarios[b])``.
+
+    The params must match bit for bit (``-0.0`` is not ``0.0``) and each
+    network must be ``==`` to the first and of its operator kind (a group
+    block equals a dense matrix that spells it with ``-0.0`` zeros, yet
+    rounds differently). Anything else raises ValueError.
+    """
+    params, net = scenarios[0].params, scenarios[0].network
+    for scenario in scenarios[1:]:
+        if np.array(astuple(scenario.params)).tobytes() != np.array(astuple(params)).tobytes():
+            raise ValueError(f"a block needs one parameter set ({scenario.params} is not {params})")
+        if scenario.network != net or type(scenario.network.operator) is not type(net.operator):
+            raise ValueError(f"a block needs one network (scenario {scenario.label!r} has another)")
+    dt, n_steps, shape = params.dt_hours, params.n_steps, (len(scenarios), net.n_agents)
+    access, access_index = _sample_schedules([m for s in scenarios for m in s.media_access], dt, n_steps)
+    electricity, pull_index = _sample_schedules([e for s in scenarios for e in s.electricity], dt, n_steps)
     recorded, clamp_hits, _ = _euler(
-        _contagion_operator(net),
+        _contagion_operator(net, shape[0]),
         access,
-        access_index[None],
+        access_index.reshape(shape),
         params.omega1 * (1.0 - electricity),
-        pull_index[None],
-        scenario.initial_dissatisfaction[None, :],
+        pull_index.reshape(shape),
+        np.stack([s.initial_dissatisfaction for s in scenarios]),
         params,
     )
-    recorded = recorded[0]
-    times = np.arange(recorded.shape[0]) * params.report_every_hours
-
-    manifest = {
-        "tool": "socio-grid-sim",
-        "tool_version": __version__,
-        "label": scenario.label,
-        "params": params.as_dict(),
-        "n_agents": net.n_agents,
-        "n_groups": net.n_groups,
-        "groups": net.group_of.tolist(),
-        "scenario_digest": scenario.content_digest(),
-        "digest_format": DIGEST_FORMAT,
-        "aggregation_std": "population",
-        "rate_floor_active": params.rate_floor > 0.0,
-        "clamp_activations": int(clamp_hits[0]),
-        "n_report_times": recorded.shape[0],
-    }
-    return SimulationResult(
-        times=times,
-        dissatisfaction=recorded,
-        groups=net.group_of,
-        aggregates=aggregate_trajectory(times, recorded, net.group_of),
-        manifest=manifest,
-    )
+    times = np.arange(recorded.shape[1]) * params.report_every_hours
+    return [
+        SimulationResult(
+            times=times,
+            dissatisfaction=trajectory,
+            groups=net.group_of,
+            aggregates=aggregate_trajectory(times, trajectory, net.group_of),
+            manifest={
+                "tool": "socio-grid-sim",
+                "tool_version": __version__,
+                "label": scenario.label,
+                "params": scenario.params.as_dict(),
+                "n_agents": net.n_agents,
+                "n_groups": net.n_groups,
+                "groups": net.group_of.tolist(),
+                "scenario_digest": scenario.content_digest(),
+                "digest_format": DIGEST_FORMAT,
+                "aggregation_std": "population",
+                "rate_floor_active": params.rate_floor > 0.0,
+                "clamp_activations": hits,
+                "n_report_times": trajectory.shape[0],
+            },
+        )
+        for scenario, trajectory, hits in zip(scenarios, recorded, clamp_hits.tolist())
+    ]

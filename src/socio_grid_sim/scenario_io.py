@@ -109,28 +109,32 @@ def _schedules_from_block(
     return tuple(out) * copies if len(out) == len(entries) else None
 
 
-def _dense_matrix(dense: object, count: int) -> np.ndarray | None:
-    """``dense`` as a float array if it is a ``count`` x ``count`` list of finite numbers.
+def _finite_floats(values: list, nested: bool = False) -> np.ndarray | None:
+    """``values``, a list of numbers (of lists of them if ``nested``), as a
+    float array if every number is finite, else None. Python ints and floats
+    alone take one vectorized check: ``np.asarray`` would turn ``True`` and
+    ``"1"`` into numbers, so any other type, numpy scalars included, is
+    checked entry by entry."""
+    if set(map(type, chain.from_iterable(values) if nested else values)) <= {int, float}:
+        try:
+            array = np.asarray(values, dtype=float)
+        except OverflowError:  # an int too large for a float
+            return None
+        return array if np.isfinite(array).all() else None
+    if all(map(_is_number, chain.from_iterable(values) if nested else values)):
+        return np.asarray(values, dtype=float)
+    return None
 
-    Python ints and floats alone take one vectorized check: ``np.asarray``
-    would turn ``True`` and ``"1"`` into numbers, so the types are checked
-    first. Any other type, numpy scalars included, is checked entry by entry.
-    """
+
+def _dense_matrix(dense: object, count: int) -> np.ndarray | None:
+    """``dense`` as a float array if it is a ``count`` x ``count`` list of finite numbers."""
     if not (
         isinstance(dense, list)
         and len(dense) == count
         and all(isinstance(row, list) and len(row) == count for row in dense)
     ):
         return None
-    if set(map(type, chain.from_iterable(dense))) <= {int, float}:
-        try:
-            matrix = np.asarray(dense, dtype=float)
-        except OverflowError:  # an int too large for a float
-            return None
-        return matrix if np.isfinite(matrix).all() else None
-    if all(_is_number(v) for row in dense for v in row):
-        return np.asarray(dense, dtype=float)
-    return None
+    return _finite_floats(dense, nested=True)
 
 
 def scenario_from_dict(doc: object) -> Scenario:
@@ -196,9 +200,10 @@ def scenario_from_dict(doc: object) -> Scenario:
         else:
             count = raw_count
         raw_groups = raw_agents.get("groups")
-        if not isinstance(raw_groups, list) or not all(
+        # Plain JSON ints take one pass over the types; anything else is checked on its own.
+        if not isinstance(raw_groups, list) or not (set(map(type, raw_groups)) <= {int} or all(
             isinstance(g, int) and not isinstance(g, bool) for g in raw_groups
-        ):
+        )):
             errors.append("agents.groups must be a list of integer group ids")
         elif count is not None and len(raw_groups) != count:
             errors.append(f"agents.groups must have length {count} (got {len(raw_groups)})")
@@ -211,15 +216,15 @@ def scenario_from_dict(doc: object) -> Scenario:
         raw_initial = raw_agents.get("initial_dissatisfaction")
         if _is_number(raw_initial):
             raw_initial = [float(raw_initial)] * (count or 0)
-        if not isinstance(raw_initial, list) or not all(_is_number(v) for v in raw_initial):
+        values = _finite_floats(raw_initial) if isinstance(raw_initial, list) else None
+        if values is None:
             errors.append("agents.initial_dissatisfaction must be a number or a list of numbers")
-        elif count is not None and len(raw_initial) != count:
-            errors.append(f"agents.initial_dissatisfaction must have length {count} (got {len(raw_initial)})")
+        elif count is not None and len(values) != count:
+            errors.append(f"agents.initial_dissatisfaction must have length {count} (got {len(values)})")
         else:
-            initial = [float(v) for v in raw_initial]
-            for idx, value in enumerate(initial):
-                if not 0.0 <= value <= 1.0:
-                    errors.append(f"agents.initial_dissatisfaction[{idx}] = {value!r} outside [0, 1]")
+            initial = values
+            for idx in np.flatnonzero(~((values >= 0.0) & (values <= 1.0))).tolist():
+                errors.append(f"agents.initial_dissatisfaction[{idx}] = {values[idx].item()!r} outside [0, 1]")
 
     # network
     network = None

@@ -204,6 +204,16 @@ class TestCasestudyCommand:
                     "limited/manifest.json"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
+    def test_both_writes_what_separate_variants_write(self, tmp_path):
+        # --variant both advances the variants as one kernel block; each
+        # variant's files equal those of its own run.
+        assert main(["casestudy", "--variant", "both", "--out", str(tmp_path / "both")]) == 0
+        for variant in ("full", "limited"):
+            assert main(["casestudy", "--variant", variant, "--out", str(tmp_path / variant)]) == 0
+            for name in ("agents.csv", "aggregates.csv", "manifest.json"):
+                both = (tmp_path / "both" / variant / name).read_bytes()
+                assert both == (tmp_path / variant / variant / name).read_bytes(), (variant, name)
+
 
 class TestPlanCommand:
     def test_zero_requirement_writes_empty_plan(self, scenario_file, tmp_path):

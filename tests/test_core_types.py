@@ -158,6 +158,13 @@ class TestContagionNetwork:
         with pytest.raises(ValidationError, match="dense"):
             ContagionNetwork(2, np.zeros((2, 2)), np.array([0, 2]))
 
+    def test_stray_large_group_id_is_named_briefly(self):
+        # An id past the agent count is named itself, not every id missing below it.
+        with pytest.raises(ValidationError) as excinfo:
+            ContagionNetwork.full_within_groups([0, 10**6])
+        message = str(excinfo.value)
+        assert "1000000" in message and len(message) < 200
+
     def test_asymmetric_weights_allowed(self):
         weights = np.array([[0.0, 1.0], [0.5, 0.0]])
         net = ContagionNetwork(2, weights, np.array([0, 0]))
@@ -269,6 +276,16 @@ class TestScenario:
         assert a.content_digest() == b.content_digest()
         c = self._scenario(initial_dissatisfaction=np.full(3, 0.25))
         assert a.content_digest() != c.content_digest()
+
+    def test_equal_exactly_when_digests_are(self):
+        # Separately built equal scenarios are equal; access that differs
+        # only by -0.0 against 0.0 has other bits, another digest and another run.
+        assert self._scenario() == self._scenario()
+        signed = self._scenario(media_access=(PiecewiseSchedule.constant(-0.0, 2.0),) * 3)
+        plain = self._scenario(media_access=(PiecewiseSchedule.constant(0.0, 2.0),) * 3)
+        assert signed.content_digest() != plain.content_digest()
+        assert signed != plain
+        assert self._scenario() != self._scenario(label="other")
 
     def test_content_digest_hashes_the_canonical_document(self):
         rng = np.random.default_rng(4)

@@ -595,3 +595,91 @@ class TestBatchedKernel:
             assert hits[0] == hits[3] == 0 and hits[1] > 0 and hits[2] > 0
             assert np.all(block[1:3, -1][index[1:3] >= 2] == 1.0)
             assert hits.max() <= params.n_steps
+
+
+class TestSimulateBlock:
+    # Scenarios on one network and one parameter set advance as one (B, N)
+    # kernel block; each result must equal the scenario's own run.
+    @staticmethod
+    def _assert_rows_match(scenarios):
+        from socio_grid_sim.dynamics import _simulate_block
+
+        for block, scenario in zip(_simulate_block(scenarios), scenarios, strict=True):
+            single = simulate(scenario)
+            assert same_bits(block.times, single.times)
+            assert same_bits(block.dissatisfaction, single.dissatisfaction)
+            assert same_bits(block.aggregates, single.aggregates)
+            assert block.manifest == single.manifest
+
+    def test_case_study_variants(self):
+        from socio_grid_sim import builtin_case_study
+
+        self._assert_rows_match([builtin_case_study("full_access"), builtin_case_study("limited_access")])
+
+    def test_group_block_with_signed_zeros(self):
+        # At rate_floor 0 an agent's zeros keep the sign its own access and
+        # initial state give it, so each row must run on its own spellings.
+        horizon = 4.0
+        groups = [0, 0, 0, 1, 1]
+        params = ModelParams(horizon_hours=horizon, omega1=0.0, omega2=0.5, rate_floor=0.0)
+        network = ContagionNetwork.full_within_groups(groups, 1.0)
+
+        def scenario(access, d0, label):
+            return Scenario(
+                params=params,
+                network=network,
+                electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 5,
+                media_access=tuple(PiecewiseSchedule.constant(a, horizon) for a in access),
+                initial_dissatisfaction=np.array(d0),
+                label=label,
+            )
+
+        a = scenario([-0.0, 0.0, -0.0, 1.0, 0.5], [-0.0, -0.0, -0.0, 0.2, 0.9], "a")
+        b = scenario([0.0, -0.0, 0.0, 0.5, 0.5], [0.0, -0.0, 0.0, 0.7, 0.1], "b")
+        c = scenario([-0.0, -0.0, 0.0, 1.0, 1.0], [-0.0, 0.0, -0.0, 0.2, 0.9], "c")
+        # Group 0 ends at -0, 0, -0 in a; 0, -0, 0 in b; -0, 0, 0 in c.
+        zeros = [simulate(s).dissatisfaction[:, :3] for s in (a, b, c)]
+        assert not same_bits(zeros[0], zeros[1]) and not same_bits(zeros[0], zeros[2])
+        self._assert_rows_match([a, b, c])
+        self._assert_rows_match([c, a, a, b])
+
+    def test_dense_network(self):
+        from oracles import random_scenario
+
+        rng = np.random.default_rng(31)
+        base = random_scenario(rng, max_agents=12, max_horizon=12.0, rate_floor=0.02)
+        n = base.n_agents
+        weights = rng.uniform(0.0, 2.0, size=(n, n))
+        np.fill_diagonal(weights, 0.0)
+        network = ContagionNetwork(n, weights, base.network.group_of)
+        scenarios = [
+            replace(base, network=network, initial_dissatisfaction=rng.uniform(size=n), label=f"row{row}")
+            for row in range(3)
+        ]
+        scenarios.append(replace(scenarios[0], media_access=scenarios[0].media_access[::-1]))
+        self._assert_rows_match(scenarios)
+
+    @pytest.mark.parametrize("field, value", [("omega2", 0.25), ("rate_floor", -0.0), ("dt_hours", 0.05)])
+    def test_mismatched_params_raise(self, field, value):
+        from socio_grid_sim.dynamics import _simulate_block
+
+        base = homogeneous_scenario(horizon=2.0)
+        other = replace(base, params=replace(base.params, **{field: value}))
+        if field == "rate_floor":
+            assert other.params == base.params  # equal values, other bits
+        with pytest.raises(ValueError, match="parameter set"):
+            _simulate_block([base, other])
+
+    def test_mismatched_network_raises(self):
+        # Another weight, and a dense matrix that equals the group block
+        # but keeps a -0.0 among its zeros and so rounds differently.
+        from socio_grid_sim.dynamics import _simulate_block
+
+        base = replace(homogeneous_scenario(n=4, horizon=2.0), network=ContagionNetwork.full_within_groups([0, 0, 1, 1]))
+        weights = np.array(base.network.base_weights)
+        weights[0, 2] = -0.0
+        signed = ContagionNetwork(4, weights, [0, 0, 1, 1])
+        assert signed == base.network
+        for network in (ContagionNetwork.full_within_groups([0, 0, 1, 1], 2.0), signed):
+            with pytest.raises(ValueError, match="network"):
+                _simulate_block([base, replace(base, network=network)])

@@ -149,7 +149,29 @@ class TestScenarioDocuments:
         plain = scenario_from_dict(doc)
         doc["network"]["dense"][0] = list(np.array(doc["network"]["dense"][0]))
         doc["schedules"]["electricity"]["per_agent"][1] = [list(np.array([0.0, 0.5]))]
+        doc["agents"]["initial_dissatisfaction"] = list(np.full(3, 0.5))
         assert scenario_from_dict(doc) == plain
+
+    @pytest.mark.parametrize(
+        "key, entry, message",
+        [
+            ("initial_dissatisfaction", True, "agents.initial_dissatisfaction must be a number or a list of numbers"),
+            ("initial_dissatisfaction", "1", "agents.initial_dissatisfaction must be a number or a list of numbers"),
+            ("initial_dissatisfaction", 2**60, "agents.initial_dissatisfaction[1] = 1.152921504606847e+18 outside [0, 1]"),
+            ("initial_dissatisfaction", -1, "agents.initial_dissatisfaction[1] = -1.0 outside [0, 1]"),
+            ("groups", True, "agents.groups must be a list of integer group ids"),
+            ("groups", 0.0, "agents.groups must be a list of integer group ids"),
+        ],
+    )
+    def test_agent_lists_check_look_alikes(self, key, entry, message):
+        # Plain ints and floats take one pass over the types; anything else
+        # is checked on its own, with the same messages.
+        doc = minimal_doc()
+        values = [0.5, entry, 0.5] if key == "initial_dissatisfaction" else [0, entry, 1]
+        doc["agents"] = {**doc["agents"], key: values}
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(doc)
+        assert message in excinfo.value.violations
 
     @pytest.mark.parametrize("entry", [True, "1"])
     def test_dense_rejects_non_numbers(self, entry):
