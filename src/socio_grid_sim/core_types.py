@@ -358,6 +358,13 @@ class ModelParams:
         return asdict(self)
 
 
+# The largest run a scenario may ask for, in Euler steps and in values
+# recorded (report times x agents, 512 MiB of float64), so that its sampled
+# schedules and its trajectory fit in memory.
+_MAX_STEPS = 10**7
+_MAX_RECORDED = 2**26
+
+
 def _feed(digest, data: bytes | np.ndarray, dtype=None) -> None:
     """Feed ``digest`` the byte length of ``data``, then its bytes (as ``dtype``), read in place."""
     view = memoryview(data if dtype is None else np.ascontiguousarray(data, dtype=dtype)).cast("B")
@@ -406,8 +413,14 @@ class Scenario:
         if d0.shape != (n,):
             errors.append(f"initial_dissatisfaction must have shape ({n},) (got {d0.shape})")
         else:
-            for idx in np.flatnonzero(~((d0 >= 0.0) & (d0 <= 1.0))):
-                errors.append(f"initial_dissatisfaction[{idx}] = {d0[idx]!r} outside [0, 1]")
+            for idx in np.flatnonzero(~((d0 >= 0.0) & (d0 <= 1.0))).tolist():
+                errors.append(f"initial_dissatisfaction[{idx}] = {d0[idx].item()!r} outside [0, 1]")
+        params = self.params
+        # The step count is checked first: an infinite one has no n_steps.
+        if not (params.horizon_hours / params.dt_hours < _MAX_STEPS
+                and (params.n_steps // params.steps_per_report + 1) * n <= _MAX_RECORDED):
+            errors.append(f"params.horizon_hours = {params.horizon_hours!r} must span fewer than {_MAX_STEPS} steps"
+                          f" and record at most {_MAX_RECORDED} values (report times x agents)")
         return errors
 
     def content_digest(self) -> str:

@@ -10,6 +10,13 @@ agent cut off from media (or surrounded by content neighbors) reacts slowly.
 With ``omega1 + omega2 <= 1`` and ``dt <= 1`` every step is a convex
 combination of values in [0, 1]; the clamp in :func:`step` is a pure guard
 and the engine counts how often it fires (it never should for valid inputs).
+
+The kernel behind :func:`simulate` and the planner has two executors of the
+same step, with the same roundings. A group block of at most
+``_FLOAT_STATES`` kernel states and ``_FLOAT_PAIRS`` (row, agent) pairs, such
+as the two-row case study, advances on Python floats (:func:`_euler_floats`),
+where numpy's fixed cost per call would dominate. Every other block, and any
+dense one, advances on numpy vectors (:func:`_euler_arrays`).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from .core_types import (
     ValidationError,
     _distinct,
 )
-from .metrics import aggregate_trajectory
+# aggregate_trajectory stays bound here for perfbench/tracing.py, which wraps it by this name.
+from .metrics import _aggregate, aggregate_trajectory  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -252,12 +260,28 @@ def _classes(
 # states, the whole horizon of a small block, so that small runs pay one gather.
 _GATHER_FLOATS = 2**14
 
+# The largest group block that advances on Python floats, in states and in
+# (row, agent) pairs summed per step. Measured over 48 h blocks of 4 to 28
+# states and 4 to 3000 pairs: at 16 states and 64 pairs the float loop costs
+# about what numpy's fixed cost per call does; at 20 states and 100 pairs it
+# takes 1.3 to 1.6 times as long.
+_FLOAT_STATES = 16
+_FLOAT_PAIRS = 64
+
 
 def _picked_rows(table: np.ndarray, index: np.ndarray):
     """Each step's row ``table[k].take(index)``, gathered a few steps at a time."""
     chunk = max(1, _GATHER_FLOATS // index.size)
     for start in range(0, table.shape[0], chunk):
         yield from table[start : start + chunk].take(index, axis=1)
+
+
+def _clamp(d: np.ndarray, expand: np.ndarray, clamp_hits: np.ndarray) -> None:
+    """Clip the states ``d`` to [0, 1] in place and count a hit for each row
+    of ``expand`` with any state outside."""
+    spread = d.take(expand)
+    clamp_hits += ((spread < 0.0) | (spread > 1.0)).any(axis=1)
+    np.clip(d, 0.0, 1.0, out=d)
 
 
 def _euler(
@@ -281,25 +305,42 @@ def _euler(
     report times. Step k reads ``access[k]`` at each state's pick, gathered
     a few steps at a time (:func:`_picked_rows`), so the kernel holds
     O(steps * K) floats of input, never a (steps, N) grid.
+    Two executors run the same step with the same roundings:
+    :func:`_euler_floats` on Python floats for a group block of at most
+    ``_FLOAT_STATES`` states and ``_FLOAT_PAIRS`` (row, agent) pairs, where
+    numpy's cost per call would dominate, and :func:`_euler_arrays` on numpy
+    vectors for any other block. A dense block always stays on numpy, whose
+    matrix-vector product a Python sum would not round like.
     Returns the (B, reports + 1, N) trajectories recorded at t = 0 and every
     ``steps_per_report`` steps, each row's clamp count and the number of
     states advanced. Every row is bit-identical for any B (see
     :func:`_contagion_ratio`).
     """
     b, n = d0.shape
+    operator, access_index, pull_index, d, expand = _classes(operator, access_index, pull_index, d0)
+    recorded = np.empty((b, params.n_steps // params.steps_per_report + 1, n))
+    recorded[:, 0] = d0
+    clamp_hits = np.zeros(b, dtype=int)
+    small = isinstance(operator, _GroupSums) and d.size <= _FLOAT_STATES and operator.bins.size <= _FLOAT_PAIRS
+    executor = _euler_floats if small else _euler_arrays
+    executor(operator, _picked_rows(access, access_index), _picked_rows(pull, pull_index),
+             d, expand, recorded, clamp_hits, params)
+    return recorded, clamp_hits, d.size
+
+
+def _euler_arrays(operator, access_rows, pull_rows, d, expand, recorded, clamp_hits, params) -> None:
+    """The step loop of :func:`_euler` on numpy vectors of states.
+
+    Fills ``recorded`` from its second report on and adds each row's clamp
+    count to ``clamp_hits``.
+    """
     dt = params.dt_hours
     spr = params.steps_per_report
     floor = params.rate_floor
     omega2 = params.omega2
     has_contagion = omega2 > 0.0
-
-    operator, access_index, pull_index, d, expand = _classes(operator, access_index, pull_index, d0)
-    recorded = np.empty((b, params.n_steps // spr + 1, n))
-    recorded[:, 0] = d0
-    clamp_hits = np.zeros(b, dtype=int)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
-
-    steps = zip(_picked_rows(access, access_index), _picked_rows(pull, pull_index))
+    steps = zip(access_rows, pull_rows)
     for k, (local_access, local_pull) in enumerate(steps):
         if has_contagion:
             pull_ratio = _contagion_ratio(operator, local_access, d)
@@ -310,13 +351,51 @@ def _euler(
             target = local_pull
         d = d + rate * (target - d) * dt
         if lowest(d) < 0.0 or highest(d) > 1.0:
-            # Counted per row: a row is hit when any of its states is.
-            spread = d.take(expand)
-            clamp_hits += ((spread < 0.0) | (spread > 1.0)).any(axis=1)
-            np.clip(d, 0.0, 1.0, out=d)
+            _clamp(d, expand, clamp_hits)
         if (k + 1) % spr == 0:
             recorded[:, (k + 1) // spr] = d.take(expand)
-    return recorded, clamp_hits, d.size
+
+
+def _euler_floats(operator: _GroupSums, access_rows, pull_rows, d, expand, recorded, clamp_hits, params) -> None:
+    """The step loop of :func:`_euler_arrays` on Python floats, for a small group block.
+
+    Every operation is the numpy loop's, in its order: each group sum adds
+    ``x[state]`` into its bin in agent order, as ``bincount`` does, and each
+    state computes ``(a * (S - x)) * inv``, the target and the update as the
+    vectors do, so every state keeps its bits. The rare clamp and each
+    report go through numpy.
+    """
+    dt = params.dt_hours
+    spr = params.steps_per_report
+    floor = params.rate_floor
+    omega2 = params.omega2
+    pairs = list(zip(operator.bins.tolist(), operator.states.tolist()))
+    keys, inv = operator.keys.tolist(), operator.inv.tolist()
+    n_bins = int(operator.bins.max()) + 1
+    d = d.tolist()
+    # One step's rows at a time become Python floats: the whole horizon as
+    # lists would take three times the memory of its gathered rows.
+    steps = zip(map(np.ndarray.tolist, access_rows), map(np.ndarray.tolist, pull_rows))
+    for k, (local_access, local_pull) in enumerate(steps):
+        if omega2 > 0.0:
+            x = [a * v for a, v in zip(local_access, d)]
+            sums = [0.0] * n_bins
+            for key, state in pairs:
+                sums[key] += x[state]
+            new = []
+            for a, p, v, xv, key, w in zip(local_access, local_pull, d, x, keys, inv):
+                ratio = a * (sums[key] - xv) * w
+                # max returns the first of equal values, so a zero floor leaves a -0.0 ratio as it is.
+                new.append(v + max(ratio, floor) * (p + omega2 * ratio - v) * dt)
+            d = new
+        else:
+            d = [v + floor * (p - v) * dt for v, p in zip(d, local_pull)]
+        if min(d) < 0.0 or max(d) > 1.0:
+            states = np.array(d)
+            _clamp(states, expand, clamp_hits)
+            d = states.tolist()
+        if (k + 1) % spr == 0:
+            recorded[:, (k + 1) // spr] = np.take(d, expand)
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -362,7 +441,7 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
             times=times,
             dissatisfaction=trajectory,
             groups=net.group_of,
-            aggregates=aggregate_trajectory(times, trajectory, net.group_of),
+            aggregates=_aggregate(trajectory, net.group_of),
             manifest={
                 "tool": "socio-grid-sim",
                 "tool_version": __version__,

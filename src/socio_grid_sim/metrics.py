@@ -43,7 +43,12 @@ def aggregate_trajectory(
     times = np.asarray(times, dtype=float)
     if times.shape != (d.shape[0],):
         raise ValidationError([f"times must have shape ({d.shape[0]},) (got {times.shape})"])
-    groups = _checked_groups(d.shape[1], group_of)
+    return _aggregate(d, _checked_groups(d.shape[1], group_of))
+
+
+def _aggregate(d: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """:func:`aggregate_trajectory` of a (T, N) float array, for group ids
+    already checked (a :class:`ContagionNetwork`'s ``group_of``)."""
     sizes = np.bincount(groups)
     order = np.argsort(groups, kind="stable")
     starts = np.cumsum(sizes) - sizes

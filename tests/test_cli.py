@@ -354,6 +354,39 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert expected in err and "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "params, n",
+        [({"horizon_hours": 1e308}, 3), ({"horizon_hours": 9e6, "dt_hours": 1.0}, 10)],
+        ids=["steps", "recorded"],
+    )
+    def test_oversized_run_is_rejected_before_it_allocates(self, tmp_path, capsys, params, n):
+        # validate and simulate agree: the run is refused when the scenario
+        # is built, before a schedule is sampled or a report recorded. Either
+        # run would need at least 80 MB: 10**7 steps of one schedule, or
+        # 9 * 10**7 recorded floats.
+        import tracemalloc
+
+        doc = {
+            "schema_version": 1,
+            "params": params,
+            "agents": {"count": n, "groups": [0] * n, "initial_dissatisfaction": 0.5},
+            "network": {"full_within_groups": {"weight": 1.0}},
+            "schedules": {"electricity": {"broadcast": [[0, 1]]}, "media_access": {"broadcast": [[0, 1]]}},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for command in (["validate"], ["simulate", "--out", str(tmp_path / "out")]):
+            tracemalloc.start()
+            try:
+                assert main([*command, "--scenario", str(path)]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            err = capsys.readouterr().err
+            assert f"params.horizon_hours = {params['horizon_hours']!r} must span fewer than" in err
+            assert "internal error" not in err and peak < 16 * 2**20
+        assert not (tmp_path / "out").exists()
+
     def test_unparseable_scenario(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("not json {")

@@ -19,6 +19,7 @@ from socio_grid_sim import (
     ValidationError,
     aggregate_trajectory,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from socio_grid_sim.core_types import Dense, GroupBlock
 
@@ -254,8 +255,15 @@ class TestScenario:
             self._scenario(media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 2)
 
     def test_rejects_out_of_bounds_initial_state(self):
-        with pytest.raises(ValidationError, match=r"initial_dissatisfaction\[1\]"):
+        # The value is spelled as the loader spells it: 1.5, not np.float64(1.5).
+        with pytest.raises(ValidationError) as built:
             self._scenario(initial_dissatisfaction=np.array([0.5, 1.5, 0.5]))
+        doc = scenario_to_dict(self._scenario())
+        doc["agents"]["initial_dissatisfaction"] = [0.5, 1.5, 0.5]
+        with pytest.raises(ValidationError) as loaded:
+            scenario_from_dict(doc)
+        assert built.value.violations == ["initial_dissatisfaction[1] = 1.5 outside [0, 1]"]
+        assert loaded.value.violations == ["agents." + built.value.violations[0]]
 
     def test_initial_state_is_read_only(self):
         scenario = self._scenario()

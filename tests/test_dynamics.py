@@ -484,103 +484,124 @@ def replace_params(scenario: Scenario, **overrides) -> Scenario:
     )
 
 
+def batched_blocks():
+    """Kernel blocks drawn from fixed seeds, as (network, shared, block) with
+    ``block`` the arguments of ``_euler`` after the operator.
+
+    For each of 20 random scenarios: its own network and a group block on its
+    groups, each with fresh inputs, where every (row, agent) has its own
+    initial state, and shared ones, which draw a few picks and initial states
+    (0.0 and -0.0 among them), so a group block's rows collapse to a few
+    classes of interchangeable agents. Access picks are shared by every row
+    and out of agent order; pull picks are per row.
+    """
+    from socio_grid_sim.dynamics import _sample_schedules
+
+    from oracles import random_scenario
+
+    rng = np.random.default_rng(21)
+    shared_rng = np.random.default_rng(22)
+    for _ in range(20):
+        scenario = random_scenario(rng, max_agents=40, max_horizon=24.0, rate_floor=0.02)
+        params = scenario.params
+        n = scenario.n_agents
+        block_net = ContagionNetwork.full_within_groups(scenario.network.group_of, float(rng.uniform(0.5, 2.0)))
+        table, _ = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
+        # Extra access columns and a random pick, shared and out of agent order.
+        access = np.hstack([table, rng.uniform(0.0, 1.0, size=(params.n_steps, n))])
+        access_index = rng.integers(0, access.shape[1], size=(1, n))
+        pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
+        index = rng.integers(0, 3 * n, size=(int(rng.integers(8, 60)), n))
+        d0 = rng.uniform(0.0, 1.0, size=index.shape)
+        fresh = access_index, index, d0
+
+        def by_group(values, rows):
+            # One draw per (row, group) for all its members, then about one
+            # member in ten drawn again.
+            groups = scenario.network.group_of
+            out = shared_rng.choice(values, size=(rows, groups.max() + 1))[:, groups]
+            again = shared_rng.uniform(size=out.shape) < 0.1
+            out[again] = shared_rng.choice(values, size=int(again.sum()))
+            return out
+
+        n_rows = index.shape[0]
+        shared = by_group([0, 1], 1), by_group([0, 1, 2], n_rows), by_group([0.0, -0.0, 0.25], n_rows)
+        for network in (scenario.network, block_net):
+            for picks in (fresh, shared):
+                access_index, index, d0 = picks
+                yield network, picks is shared, (access, access_index, pull, index, d0, params)
+
+
+def clamped_block():
+    """A 4-row block on 6 agents in 2 groups whose rows 1 and 2 leave [0, 1]:
+    pull columns 2 and 3 lie above 1. Returns (groups, block) with ``block``
+    the arguments of ``_euler`` after the operator."""
+    params = ModelParams(horizon_hours=6.0, dt_hours=0.5, rate_floor=0.4, report_every_hours=1.0)
+    groups = [0, 1, 0, 1, 1, 0]
+    n = len(groups)
+    steps = np.arange(params.n_steps)[:, None]
+    access = np.hstack([np.full((params.n_steps, 1), 0.8), 0.5 + 0.04 * steps])
+    pull = np.hstack([np.full((params.n_steps, 1), 0.2), 0.45 - 0.03 * steps, 1.5 + 0.1 * steps,
+                      np.full((params.n_steps, 1), 2.5)])
+    access_index = np.array([[0, 1, 0, 1, 0, 0]])
+    index = np.array([[0, 1, 0, 1, 1, 0], [2, 1, 2, 1, 1, 2], [3, 3, 2, 0, 1, 2], [0, 0, 0, 0, 0, 0]])
+    d0 = np.array([[0.5] * n, [0.5] * n, [0.9, 0.9, 0.1, 0.1, 0.9, 0.1], [0.3] * n])
+    return groups, (access, access_index, pull, index, d0, params)
+
+
 class TestBatchedKernel:
     def test_rows_match_single_runs_for_any_block(self):
         # Both operators: the dense (B, N, 1) matrix-vector stack and the
         # group block's one bincount per step. Each row of a block of 7 and
         # of the whole block, read through access and pull picks, must equal
         # its own run as a block of one on the gathered grids, where every
-        # agent has a pick of its own. Fresh inputs give every (row, agent)
-        # its own initial state; shared ones draw a few picks and initial
-        # states (0.0 and -0.0 among them), so a group block's rows collapse
-        # to a few classes of interchangeable agents.
+        # agent has a pick of its own (:func:`batched_blocks`).
         from socio_grid_sim.core_types import GroupBlock
-        from socio_grid_sim.dynamics import _contagion_operator, _euler, _sample_schedules
+        from socio_grid_sim.dynamics import _contagion_operator, _euler
 
-        from oracles import random_scenario
-
-        rng = np.random.default_rng(21)
-        shared_rng = np.random.default_rng(22)
         collapsed = []
-        for _ in range(20):
-            scenario = random_scenario(rng, max_agents=40, max_horizon=24.0, rate_floor=0.02)
-            params = scenario.params
-            n = scenario.n_agents
-            block_net = ContagionNetwork.full_within_groups(scenario.network.group_of, float(rng.uniform(0.5, 2.0)))
-            table, _ = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
-            # Extra access columns and a random pick, shared and out of agent order.
-            access = np.hstack([table, rng.uniform(0.0, 1.0, size=(params.n_steps, n))])
-            access_index = rng.integers(0, access.shape[1], size=(1, n))
-            pull = params.omega1 * (1.0 - rng.uniform(0.0, 1.0, size=(params.n_steps, 3 * n)))
-            index = rng.integers(0, 3 * n, size=(int(rng.integers(8, 60)), n))
-            d0 = rng.uniform(0.0, 1.0, size=index.shape)
-            fresh = access_index, index, d0
-
-            def by_group(values, rows):
-                # One draw per (row, group) for all its members, then about one
-                # member in ten drawn again.
-                groups = scenario.network.group_of
-                out = shared_rng.choice(values, size=(rows, groups.max() + 1))[:, groups]
-                again = shared_rng.uniform(size=out.shape) < 0.1
-                out[again] = shared_rng.choice(values, size=int(again.sum()))
-                return out
-
-            n_rows = index.shape[0]
-            shared = by_group([0, 1], 1), by_group([0, 1, 2], n_rows), by_group([0.0, -0.0, 0.25], n_rows)
+        for network, shared, (access, access_index, pull, index, d0, params) in batched_blocks():
+            n = network.n_agents
             identity = np.arange(n)[None]
-            for network in (scenario.network, block_net):
-                for access_index, index, d0 in (fresh, shared):
-                    # Each row alone, on its own gathered (steps, N) grids read in agent order.
-                    singles = [
-                        _euler(_contagion_operator(network), access[:, access_index[0]], identity,
-                               pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
-                        for row in range(index.shape[0])
-                    ]
-                    # A state per distinct (row, group, access pick, pull pick, initial bits).
-                    classes = {
-                        (row, int(network.group_of[a]), int(access_index[0, a]), int(index[row, a]),
-                         d0[row, a].tobytes())
-                        for row in range(index.shape[0])
-                        for a in range(n)
-                    }
-                    expected_states = len(classes) if isinstance(network.operator, GroupBlock) else index.size
-                    for size in (7, index.shape[0]):
-                        states = 0
-                        for start in range(0, index.shape[0], size):
-                            rows = slice(start, start + size)
-                            operator = _contagion_operator(network, index[rows].shape[0])
-                            block, hits, count = _euler(
-                                operator, access, access_index, pull, index[rows], d0[rows], params
-                            )
-                            states += count
-                            assert hits.tolist() == [0] * block.shape[0]
-                            for offset, single in enumerate(singles[rows]):
-                                assert same_bits(block[offset], single)
-                        assert states == expected_states
-                    if d0 is shared[2] and isinstance(network.operator, GroupBlock):
-                        collapsed.append((expected_states, index.size))
+            # Each row alone, on its own gathered (steps, N) grids read in agent order.
+            singles = [
+                _euler(_contagion_operator(network), access[:, access_index[0]], identity,
+                       pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
+                for row in range(index.shape[0])
+            ]
+            # A state per distinct (row, group, access pick, pull pick, initial bits).
+            classes = {
+                (row, int(network.group_of[a]), int(access_index[0, a]), int(index[row, a]), d0[row, a].tobytes())
+                for row in range(index.shape[0])
+                for a in range(n)
+            }
+            expected_states = len(classes) if isinstance(network.operator, GroupBlock) else index.size
+            for size in (7, index.shape[0]):
+                states = 0
+                for start in range(0, index.shape[0], size):
+                    rows = slice(start, start + size)
+                    operator = _contagion_operator(network, index[rows].shape[0])
+                    block, hits, count = _euler(operator, access, access_index, pull, index[rows], d0[rows], params)
+                    states += count
+                    assert hits.tolist() == [0] * block.shape[0]
+                    for offset, single in enumerate(singles[rows]):
+                        assert same_bits(block[offset], single)
+                assert states == expected_states
+            if shared and isinstance(network.operator, GroupBlock):
+                collapsed.append((expected_states, index.size))
         # The shared inputs ran on far fewer states than agents, although
         # these groups hold only one to five agents each.
         states, agents = np.sum(collapsed, axis=0)
         assert states <= 0.6 * agents
 
     def test_clamp_is_counted_per_row(self):
-        # Pull columns 2 and 3 lie above 1, so the rows that pick them leave
-        # [0, 1] and are clipped. Each row's clamp count and clipped
-        # trajectory must equal its own run, where every agent is a state of
-        # its own: a row counts a step once, however many classes it clips.
+        # Each row's clamp count and clipped trajectory must equal its own
+        # run, where every agent is a state of its own: a row counts a step
+        # once, however many classes it clips.
         from socio_grid_sim.dynamics import _contagion_operator, _euler
 
-        params = ModelParams(horizon_hours=6.0, dt_hours=0.5, rate_floor=0.4, report_every_hours=1.0)
-        groups = [0, 1, 0, 1, 1, 0]
+        groups, (access, access_index, pull, index, d0, params) = clamped_block()
         n = len(groups)
-        steps = np.arange(params.n_steps)[:, None]
-        access = np.hstack([np.full((params.n_steps, 1), 0.8), 0.5 + 0.04 * steps])
-        pull = np.hstack([np.full((params.n_steps, 1), 0.2), 0.45 - 0.03 * steps, 1.5 + 0.1 * steps,
-                          np.full((params.n_steps, 1), 2.5)])
-        access_index = np.array([[0, 1, 0, 1, 0, 0]])
-        index = np.array([[0, 1, 0, 1, 1, 0], [2, 1, 2, 1, 1, 2], [3, 3, 2, 0, 1, 2], [0, 0, 0, 0, 0, 0]])
-        d0 = np.array([[0.5] * n, [0.5] * n, [0.9, 0.9, 0.1, 0.1, 0.9, 0.1], [0.3] * n])
         identity = np.arange(n)[None]
         for network in (ContagionNetwork.full_within_groups(groups, 1.0), ContagionNetwork(n, 1.0 - np.eye(n), groups)):
             block, hits, _ = _euler(_contagion_operator(network, 4), access, access_index, pull, index, d0, params)
@@ -595,6 +616,102 @@ class TestBatchedKernel:
             assert hits[0] == hits[3] == 0 and hits[1] > 0 and hits[2] > 0
             assert np.all(block[1:3, -1][index[1:3] >= 2] == 1.0)
             assert hits.max() <= params.n_steps
+
+
+class TestExecutors:
+    # _euler advances a small group block on Python floats and any other
+    # block on numpy vectors. Each executor runs here directly, on _euler's
+    # own set-up, and the two must agree in bits, clamp counts and states.
+    @staticmethod
+    def _assert_executors_agree(network, access, access_index, pull, index, d0, params):
+        from socio_grid_sim.dynamics import _classes, _contagion_operator, _euler_arrays, _euler_floats, _picked_rows
+
+        runs = []
+        for executor in (_euler_floats, _euler_arrays):
+            operator, state_access, state_pull, d, expand = _classes(
+                _contagion_operator(network, d0.shape[0]), access_index, index, d0
+            )
+            recorded = np.empty((d0.shape[0], params.n_steps // params.steps_per_report + 1, d0.shape[1]))
+            recorded[:, 0] = d0
+            hits = np.zeros(d0.shape[0], dtype=int)
+            executor(operator, _picked_rows(access, state_access), _picked_rows(pull, state_pull),
+                     d, expand, recorded, hits, params)
+            runs.append((recorded, hits.tolist(), d.size))
+        (floats, float_hits, float_states), (arrays, array_hits, array_states) = runs
+        assert same_bits(floats, arrays)
+        assert float_hits == array_hits and float_states == array_states
+        return floats, float_hits
+
+    def test_batched_blocks(self):
+        from socio_grid_sim.core_types import GroupBlock
+
+        for network, _, block in batched_blocks():
+            if isinstance(network.operator, GroupBlock):
+                self._assert_executors_agree(network, *block)
+
+    def test_clamped_rows(self):
+        groups, (access, access_index, pull, index, d0, params) = clamped_block()
+        network = ContagionNetwork.full_within_groups(groups, 1.0)
+        _, hits = self._assert_executors_agree(network, access, access_index, pull, index, d0, params)
+        assert hits[0] == hits[3] == 0 and hits[1] > 0 and hits[2] > 0
+        for row in range(4):
+            rows = slice(row, row + 1)
+            self._assert_executors_agree(network, access, access_index, pull, index[rows], d0[rows], params)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    @pytest.mark.parametrize("omega2, rate_floor", [(0.5, 0.0), (0.5, 0.05), (0.0, 0.0), (0.0, 0.05)])
+    def test_signed_zeros_and_singletons(self, omega2, rate_floor, weight):
+        # -0.0 access and initial states, and group 1 a singleton (inv = 0),
+        # as every group is under a zero weight.
+        params = ModelParams(horizon_hours=3.0, omega1=0.4, omega2=omega2, rate_floor=rate_floor,
+                             report_every_hours=0.5)
+        network = ContagionNetwork.full_within_groups([0, 0, 1, 2, 2, 2], weight)
+        steps = np.arange(params.n_steps)[:, None]
+        access = np.hstack([np.full_like(steps, -0.0, dtype=float), np.zeros_like(steps, dtype=float),
+                            1.0 - 0.02 * steps, np.full_like(steps, 0.5, dtype=float)])
+        pull = np.hstack([np.zeros_like(steps, dtype=float), 0.3 + 0.01 * steps, np.full_like(steps, 0.4, dtype=float)])
+        access_index = np.array([[0, 1, 0, 2, 3, 0]])
+        index = np.array([[0, 0, 1, 2, 0, 1], [2, 2, 0, 1, 1, 0]])
+        d0 = np.array([[-0.0, 0.0, -0.0, 0.5, -0.0, 0.2], [0.0, -0.0, 0.7, -0.0, 0.0, 0.0]])
+        floats, _ = self._assert_executors_agree(network, access, access_index, pull, index, d0, params)
+        if omega2 > 0.0 and rate_floor == 0.0:
+            # Its rate is then -0.0, so an agent with -0.0 access and state
+            # keeps its -0.0 to the end.
+            assert np.signbit(floats[0, -1, 0]) and floats[0, -1, 0] == 0.0
+
+    def test_dispatch(self, monkeypatch):
+        # The case-study block runs on floats; a block of 3000 agents in 12
+        # classes and a dense block, however small, run on numpy.
+        from socio_grid_sim import builtin_case_study, dynamics
+
+        ran = []
+        for name in ("_euler_floats", "_euler_arrays"):
+            def spy(*args, _real=getattr(dynamics, name), _name=name):
+                ran.append((_name, args[3].size, args[4].size))
+                return _real(*args)
+
+            monkeypatch.setattr(dynamics, name, spy)
+
+        dynamics._simulate_block([builtin_case_study("full_access"), builtin_case_study("limited_access")])
+        assert ran == [("_euler_floats", 6, 18)]
+
+        # Shaped like the benchmark's 3000-agent society: 12 groups of 250
+        # scattered over the ids, one schedule and initial state per group.
+        rng = np.random.default_rng(3)
+        groups = rng.permutation(np.repeat(np.arange(12), 250))
+        horizon = 2.0
+        electricity = [PiecewiseSchedule(((0.0, 1.0), (1.0, float(v))), horizon) for v in rng.uniform(0.3, 1.0, 12)]
+        access = [PiecewiseSchedule.constant(float(v), horizon) for v in rng.uniform(0.5, 1.0, 12)]
+        simulate(Scenario(
+            params=ModelParams(horizon_hours=horizon),
+            network=ContagionNetwork.full_within_groups(groups, 1.0),
+            electricity=tuple(electricity[g] for g in groups),
+            media_access=tuple(access[g] for g in groups),
+            initial_dissatisfaction=rng.uniform(0.2, 0.8, 12)[groups],
+        ))
+        weights = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+        simulate(replace(homogeneous_scenario(horizon=2.0), network=ContagionNetwork(3, weights, [0, 0, 0])))
+        assert ran[1:] == [("_euler_arrays", 12, 3000), ("_euler_arrays", 3, 3)]
 
 
 class TestSimulateBlock:
