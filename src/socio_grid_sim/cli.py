@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _distinct
 from .dynamics import _simulate_block, simulate
@@ -135,10 +135,7 @@ def run_plan(args: argparse.Namespace) -> int:
     plan_path = out / "plan.json"
     plan_path.write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     report = {
-        "peak_mean_dissatisfaction": objective.peak_mean_dissatisfaction,
-        "unfairness": objective.unfairness,
-        "fairness_weight": objective.fairness_weight,
-        "combined": objective.combined,
+        **asdict(objective),
         "required_energy": args.required_energy,
         "granularity_hours": args.granularity,
         "shed_levels": sorted(set(levels) | {0.0}),

@@ -295,13 +295,15 @@ class ContagionNetwork:
         return network
 
     def __eq__(self, other: object) -> bool:
+        """Equal when the operator kind, the group ids and the weights' float64 bits are."""
         if not isinstance(other, ContagionNetwork):
             return NotImplemented
-        if self.n_agents != other.n_agents or not np.array_equal(self.group_of, other.group_of):
+        mine, theirs = self.operator, other.operator
+        if type(mine) is not type(theirs) or not np.array_equal(self.group_of, other.group_of):
             return False
-        if isinstance(self.operator, GroupBlock) and isinstance(other.operator, GroupBlock):
-            return self.operator == other.operator
-        return np.array_equal(self.base_weights, other.base_weights)
+        if isinstance(mine, GroupBlock):
+            return struct.pack("<d", mine.weight) == struct.pack("<d", theirs.weight)
+        return np.array_equal(mine.matrix.view(np.uint64), theirs.matrix.view(np.uint64))
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,10 @@ class ModelParams:
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor(self.horizon_hours / self.dt_hours + 1e-9))
+        steps = self.horizon_hours / self.dt_hours
+        if not steps < _MAX_STEPS:
+            raise ValidationError([f"horizon_hours = {self.horizon_hours!r} must span fewer than {_MAX_STEPS} steps"])
+        return int(math.floor(steps + 1e-9))
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)

@@ -413,15 +413,14 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
     one (B, N) kernel block: result b equals ``simulate(scenarios[b])``.
 
     The params must match bit for bit (``-0.0`` is not ``0.0``) and each
-    network must be ``==`` to the first and of its operator kind (a group
-    block equals a dense matrix that spells it with ``-0.0`` zeros, yet
-    rounds differently). Anything else raises ValueError.
+    network must be ``==`` to the first: the same operator kind, group ids
+    and weight bits. Anything else raises ValueError.
     """
     params, net = scenarios[0].params, scenarios[0].network
     for scenario in scenarios[1:]:
         if np.array(astuple(scenario.params)).tobytes() != np.array(astuple(params)).tobytes():
             raise ValueError(f"a block needs one parameter set ({scenario.params} is not {params})")
-        if scenario.network != net or type(scenario.network.operator) is not type(net.operator):
+        if scenario.network != net:
             raise ValueError(f"a block needs one network (scenario {scenario.label!r} has another)")
     dt, n_steps, shape = params.dt_hours, params.n_steps, (len(scenarios), net.n_agents)
     access, access_index = _sample_schedules([m for s in scenarios for m in s.media_access], dt, n_steps)

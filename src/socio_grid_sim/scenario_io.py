@@ -354,45 +354,6 @@ def builtin_case_study(variant: str = "full_access") -> Scenario:
 _BLOCK_FLOATS = 2**12
 
 
-def _value_texts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Format each distinct value of a nonempty float64 block once, as the
-    ``dissatisfaction,satisfaction`` end of an agents.csv line.
-
-    Values are told apart by their bits, so -0.0 keeps its text "-0". The
-    bits are sorted once, and each entry's rank among the distinct patterns
-    indexes the returned object array of texts. Returns the texts and the
-    ranks, shaped like ``block``.
-    """
-    bits = block.view(np.uint64).ravel()
-    order = bits.argsort()
-    sorted_bits = bits[order]
-    first = np.empty(bits.size, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
-    rank = np.empty(bits.size, dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    distinct = block.ravel()[order[first]].tolist()
-    texts = np.array([f"{d:.9g},{1.0 - d:.9g}\n" for d in distinct], dtype=object)
-    return texts, rank.reshape(block.shape)
-
-
-def _manifest_text(manifest: Mapping) -> str:
-    """``json.dumps(manifest, indent=2, sort_keys=True)``, with a per-agent
-    ``groups`` list of ints spelled by one join.
-
-    The stdlib spells an indented list in pure Python, item by item. The
-    rest is dumped with an empty ``groups`` list and the items are spliced
-    into the one line that starts with ``  "groups": []``: a string value
-    cannot hold a raw newline, and nested keys are indented further.
-    """
-    groups = manifest.get("groups")
-    if not (isinstance(groups, list) and groups and set(map(type, groups)) == {int}):
-        return json.dumps(manifest, indent=2, sort_keys=True)
-    text = json.dumps({**manifest, "groups": []}, indent=2, sort_keys=True)
-    at = text.index('\n  "groups": []') + len('\n  "groups": [')
-    return text[:at] + "\n    " + ",\n    ".join(map(str, groups)) + "\n  " + text[at:]
-
-
 def write_results(
     result: SimulationResult, out_dir: str | Path, extra_manifest: Mapping | None = None
 ) -> list[Path]:
@@ -408,9 +369,11 @@ def write_results(
     manifest_path = out / "manifest.json"
 
     # Every field is a number or a scope label, so none ever needs CSV
-    # quoting. agents.csv is written a block of report times at a time, with
-    # each distinct value of a block formatted once (_value_texts). A report
-    # time's lines are one join of alternating time, agent id and value texts.
+    # quoting. agents.csv is written a block of report times at a time. Each
+    # distinct float64 bit pattern of a block is formatted once: np.unique on
+    # the bits gives the patterns and each entry's rank among them, and bits
+    # keep -0.0 (text "-0") apart from 0.0. A report time's lines are one
+    # join of alternating time, agent id and value texts.
     ids = [f",{agent},{group}," for agent, group in enumerate(result.groups.tolist())]
     parts = [""] * (3 * len(ids))
     parts[1::3] = ids
@@ -419,8 +382,10 @@ def write_results(
     with agents_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
         for start in range(0, traj.shape[0], rows) if ids else ():
-            texts, ranks = _value_texts(traj[start : start + rows])
-            for t, rank in zip(result.times[start : start + rows].tolist(), ranks):
+            block = traj[start : start + rows]
+            bits, ranks = np.unique(block.view(np.uint64), return_inverse=True)
+            texts = np.array([f"{d:.9g},{1.0 - d:.9g}\n" for d in bits.view(np.float64).tolist()], dtype=object)
+            for t, rank in zip(result.times[start : start + rows].tolist(), ranks.reshape(block.shape)):
                 parts[::3] = [f"{t:.9g}"] * len(ids)
                 parts[2::3] = texts.take(rank).tolist()
                 fh.write("".join(parts))
@@ -439,5 +404,5 @@ def write_results(
     manifest = dict(result.manifest)
     if extra_manifest:
         manifest.update(extra_manifest)
-    manifest_path.write_text(_manifest_text(manifest) + "\n", encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return [agents_path, aggregates_path, manifest_path]

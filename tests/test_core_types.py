@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -137,6 +138,14 @@ class TestModelParams:
         assert params.n_steps == 480
         assert params.steps_per_report == 10
 
+    @pytest.mark.parametrize("horizon", [1e6, 1e308])
+    def test_step_count_past_the_cap_is_a_named_violation(self, horizon):
+        # 10**7 steps, or a count too large for an int: a ValidationError, not an OverflowError.
+        assert ModelParams(horizon_hours=999_999.9).n_steps == 9_999_999
+        expected = f"horizon_hours = {horizon!r} must span fewer than 10000000 steps"
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            ModelParams(horizon_hours=horizon).n_steps
+
 
 class TestContagionNetwork:
     def test_full_within_groups(self):
@@ -187,6 +196,21 @@ class TestContagionNetwork:
         # Without a within-group pair every weight gives the same zero matrix.
         assert ContagionNetwork.full_within_groups([0, 1, 2], 2.5).operator == GroupBlock(0.0)
         assert ContagionNetwork(3, np.zeros((3, 3)), [0, 1, 2]).operator == GroupBlock(0.0)
+
+    def test_equal_exactly_when_kind_groups_and_weight_bits_are(self):
+        groups = [0, 0, 1, 1]
+        block = ContagionNetwork.full_within_groups(groups, 1.0)
+        assert block == ContagionNetwork.full_within_groups(groups, 1.0)
+        assert block != ContagionNetwork.full_within_groups([0, 1, 1, 0], 1.0)
+        assert ContagionNetwork.full_within_groups(groups, -0.0) != ContagionNetwork.full_within_groups(groups, 0.0)
+        signed = np.array([[0.0, 1.0, -0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+        dense = ContagionNetwork(4, signed, groups)
+        assert isinstance(dense.operator, Dense) and dense == ContagionNetwork(4, signed, groups)
+        assert dense != block and block != dense
+        assert "base_weights" not in vars(block)
+        moved = np.abs(signed)
+        moved[0, 3] = -0.0
+        assert dense != ContagionNetwork(4, moved, groups)
 
     def test_shorthand_accepts_numpy_float_weight(self):
         net = ContagionNetwork.full_within_groups([0, 0, 1], np.float64(2.0))

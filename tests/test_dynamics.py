@@ -788,15 +788,15 @@ class TestSimulateBlock:
             _simulate_block([base, other])
 
     def test_mismatched_network_raises(self):
-        # Another weight, and a dense matrix that equals the group block
-        # but keeps a -0.0 among its zeros and so rounds differently.
+        # Another weight, and a dense matrix that spells the group block but
+        # keeps a -0.0 among its zeros and so rounds differently.
         from socio_grid_sim.dynamics import _simulate_block
 
         base = replace(homogeneous_scenario(n=4, horizon=2.0), network=ContagionNetwork.full_within_groups([0, 0, 1, 1]))
         weights = np.array(base.network.base_weights)
         weights[0, 2] = -0.0
         signed = ContagionNetwork(4, weights, [0, 0, 1, 1])
-        assert signed == base.network
+        assert signed != base.network
         for network in (ContagionNetwork.full_within_groups([0, 0, 1, 1], 2.0), signed):
             with pytest.raises(ValueError, match="network"):
                 _simulate_block([base, replace(base, network=network)])

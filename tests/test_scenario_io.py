@@ -340,9 +340,9 @@ class TestWriteResults:
         ],
     )
     def test_manifest_is_the_stdlib_indented_dump(self, tmp_path: Path, label, extra):
-        # The per-agent groups list is spliced into the stdlib's text rather
-        # than spelled by its encoder; the bytes must not differ, whatever the
-        # label or the extra keys hold.
+        # The manifest is the stdlib's indented, key-sorted dump plus a
+        # newline, whatever the label or the extra keys hold, including
+        # text and keys that look like the per-agent groups list.
         result = simulate(scenario_from_dict(dict(minimal_doc(), label=label)))
         manifest = dict(result.manifest, **(extra or {}))
         write_results(result, tmp_path, extra)
