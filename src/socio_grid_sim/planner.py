@@ -113,7 +113,9 @@ class _LatticeSearch:
     candidate builds a shed ``Scenario`` or a ``SimulationResult``. Each
     agent's deprivation column is sampled once per (base schedule, slot
     profile of its group); a candidate is a row of column indices into the
-    table of those columns, which the kernel reads step by step.
+    table of those columns, which the kernel reads step by step. When no
+    weight couples two of several groups, candidates are assembled from a
+    table of member trajectories per (group, slot profile) instead.
     """
 
     def __init__(
@@ -172,13 +174,18 @@ class _LatticeSearch:
         self._access, access_index = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
         self._access_index = access_index[None]
         # One block holds each row's state plus its recorded report times.
-        report_times = params.n_steps // params.steps_per_report + 1
-        self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (report_times + 1)))
+        self._report_times = params.n_steps // params.steps_per_report + 1
+        self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (self._report_times + 1)))
         self._electricity, self._electricity_index = _distinct(base.electricity)
         self._column_ids: dict[tuple[int, tuple[float, ...]], int] = {}
         self._columns: list[np.ndarray] = []
         self._pull = np.zeros((params.n_steps, 0))
         self._profile_ids: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
+        # With one group the slot profiles are the candidates themselves, and
+        # a table would only copy each candidate's trajectory.
+        self._isolated = self.n_groups > 1 and self._group_isolated()
+        # (group, slot profile) -> the (T, n_g) trajectories of the group's members.
+        self._table: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
 
     def plan_for(self, assignment: Sequence[float]) -> SheddingPlan:
         slots = tuple(
@@ -227,36 +234,76 @@ class _LatticeSearch:
             self._profile_ids[key] = np.array(ids, dtype=np.intp)
         return self._profile_ids[key]
 
-    def _run_block(self, block: Sequence[tuple[float, ...]]) -> np.ndarray:
-        """(B, T, N) trajectories of a block of assignments, advanced together."""
+    def _profiles(self, block: Sequence[tuple[float, ...]]) -> list[list[tuple[float, ...]]]:
+        """Each assignment of a block as its groups' slot profiles."""
+        n = self.n_slots
+        return [[assignment[g * n : (g + 1) * n] for g in range(self.n_groups)] for assignment in block]
+
+    def _fill(self, rows: Sequence[Sequence[tuple[float, ...]]]) -> None:
+        """Run the (group, profile) pairs of ``rows`` missing from the table through the kernel.
+
+        Kernel row r gives each group its r-th missing profile, or the
+        all-zero profile once it has none left. A row spans all N agents, so
+        a dense network keeps the rounding of its full matrix-vector product.
+        """
+        if not self._isolated:
+            return
+        missing = [
+            [p for p in dict.fromkeys(row[g] for row in rows) if (g, p) not in self._table]
+            for g in range(self.n_groups)
+        ]
+        fills = list(itertools.zip_longest(*missing, fillvalue=(0.0,) * self.n_slots))
+        for start in range(0, len(fills), self._block):
+            chunk = fills[start : start + self._block]
+            self._keep(chunk, self._simulate(chunk))
+
+    def _keep(self, rows: Sequence[Sequence[tuple[float, ...]]], recorded: np.ndarray) -> None:
+        """Add the member columns of each row's (group, profile) pairs the table lacks."""
+        for trajectory, row in zip(recorded, rows):
+            for g, profile in enumerate(row):
+                if (g, profile) not in self._table:
+                    self._table[g, profile] = trajectory[:, self._members[g]]
+
+    def _simulate(self, rows: Sequence[Sequence[tuple[float, ...]]]) -> np.ndarray:
+        """(B, T, N) trajectories of rows of group profiles, advanced together by the kernel."""
         base = self.base
-        n_slots = self.n_slots
-        pull_index = np.empty((len(block), base.n_agents), dtype=np.intp)
+        pull_index = np.empty((len(rows), base.n_agents), dtype=np.intp)
         for g, members in enumerate(self._members):
-            pull_index[:, members] = [
-                self._profile_columns(g, assignment[g * n_slots : (g + 1) * n_slots])
-                for assignment in block
-            ]
+            pull_index[:, members] = [self._profile_columns(g, row[g]) for row in rows]
         if self._pull.shape[1] != len(self._columns):
             self._pull = np.column_stack(self._columns)
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
-        operator = _contagion_operator(base.network, len(block))
+        operator = _contagion_operator(base.network, len(rows))
         recorded, _, states = _euler(
             operator, self._access, self._access_index, self._pull, pull_index, d0, base.params
         )
-        self.kernel_rows += len(block)
+        self.kernel_rows += len(rows)
         self.kernel_classes += states
         return recorded
 
-    def _score_block(self, block: Sequence[tuple[float, ...]]) -> list[PlanObjective]:
-        return _block_objectives(self._run_block(block), self._members, self.fairness_weight)
+    def _objectives(self, rows: Sequence[Sequence[tuple[float, ...]]]) -> list[PlanObjective]:
+        """Objective of each row of group profiles: assembled from the table,
+        once :meth:`_fill` has added its pairs, or simulated if there is none."""
+        if self._isolated:
+            recorded = np.empty((len(rows), self._report_times, self.base.n_agents))
+            for g, members in enumerate(self._members):
+                recorded[:, :, members] = np.stack([self._table[g, row[g]] for row in rows])
+        else:
+            recorded = self._simulate(rows)
+        return _block_objectives(recorded, self._members, self.fairness_weight)
 
     def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
-        """Score every assignment not yet memoised, in blocks."""
+        """Score every assignment not yet memoised, in blocks.
+
+        The table first takes the missing pairs of them all, so that they
+        share kernel rows.
+        """
         pending = list(dict.fromkeys(a for a in assignments if a not in self._memo))
+        rows = self._profiles(pending)
+        self._fill(rows)
         for start in range(0, len(pending), self._block):
-            block = pending[start : start + self._block]
-            self._memo.update(zip(block, self._score_block(block)))
+            end = start + self._block
+            self._memo.update(zip(pending[start:end], self._objectives(rows[start:end])))
 
     def score(self, assignment: Sequence[float]) -> PlanObjective:
         key = tuple(assignment)
@@ -272,8 +319,7 @@ class _LatticeSearch:
                     f"{_MAX_EXHAUSTIVE}; use strategy 'greedy_restarts' or a coarser lattice"
                 ]
             )
-        # With one group the slot profiles are the candidates themselves.
-        self.decomposed = self.n_groups > 1 and self._group_isolated()
+        self.decomposed = self._isolated
         if self.decomposed:
             return self._best_of(self._near_best())
         return self._best_of(
@@ -283,12 +329,15 @@ class _LatticeSearch:
     def _best_of(self, candidates: Iterator[tuple[float, ...]]) -> tuple[float, ...]:
         """The least ``(combined, assignment)`` of the candidates.
 
-        They stream through the kernel in blocks and only the best is kept,
-        so memory does not grow with their number.
+        They are scored in blocks and only the best is kept. The table, if
+        any, grows with their distinct (group, profile) pairs, at most
+        ``G * P``; no other memory grows with their number.
         """
         best = None
         while block := list(itertools.islice(candidates, self._block)):
-            for assignment, objective in zip(block, self._score_block(block)):
+            rows = self._profiles(block)
+            self._fill(rows)
+            for assignment, objective in zip(block, self._objectives(rows)):
                 if best is None or (objective.combined, assignment) < best:
                     best = (objective.combined, assignment)
         return best[1]
@@ -304,15 +353,17 @@ class _LatticeSearch:
         if isinstance(operator, GroupBlock):
             return True
         within = sum(np.count_nonzero(operator.matrix[np.ix_(m, m)]) for m in self._members)
-        return within == np.count_nonzero(operator.matrix)
+        # A Python bool: ``decomposed`` is written to objective.json.
+        return bool(within == np.count_nonzero(operator.matrix))
 
     def _near_best(self) -> Iterator[tuple[float, ...]]:
         """Every feasible assignment that may be the optimum, for a group-isolated network.
 
-        All ``P = levels ** slots`` slot profiles run as one kernel block,
-        row r giving every group profile r. A group's columns in that row
-        are bit-identical to its columns in any candidate where it takes
-        profile r, so each group's time-mean, and with it every candidate's
+        All ``P = levels ** slots`` slot profiles run through the kernel in
+        blocks, row r giving every group profile r; when they fit in one
+        block, the table keeps them. A group's columns in that row are
+        bit-identical to its columns in any candidate where it takes profile
+        r, so each group's time-mean, and with it every candidate's
         unfairness, is exact. A candidate's peak is estimated from the group
         sums at each report time, its energy from the group energies, and
         the ``P ** G`` candidates are walked in lexicographic order, in chunks.
@@ -343,17 +394,22 @@ class _LatticeSearch:
 
         The optimum's estimate is then at most the least estimate plus twice
         the margin, so every feasible candidate under that bound is yielded,
-        in lexicographic order, for the kernel to rescore exactly.
+        in lexicographic order, to be assembled from the table (filled with
+        any pair it lacks) and scored exactly.
         """
         n_groups, n_agents = self.n_groups, self.base.n_agents
         profiles = list(itertools.product(self.levels, repeat=self.n_slots))
         n_profiles = len(profiles)
         sums, time_means = [], []
         for start in range(0, n_profiles, self._block):
-            rows = profiles[start : start + self._block]
-            recorded = self._run_block([profile * n_groups for profile in rows])
+            rows = [[profile] * n_groups for profile in profiles[start : start + self._block]]
+            recorded = self._simulate(rows)
             sums.append(np.stack([recorded[:, :, m].sum(axis=2) for m in self._members]))
             time_means.append(_group_time_means(recorded, self._members).T)
+            # Keeping the profiles costs no more than this one block; a larger
+            # lattice fills the table with the near-best candidates' pairs only.
+            if n_profiles <= self._block:
+                self._keep(rows, recorded)
         # Per group and profile: (G, P, T) sums at each report time, (G, P)
         # time-means and (G, P) energies.
         sums = np.concatenate(sums, axis=1)
@@ -444,18 +500,23 @@ def plan_shedding(
     lexicographically smallest assignment. When no weight couples two
     groups, each group's slot profiles are simulated once and combined, and
     only the candidates within a float-error margin of the best combination
-    are simulated again to choose exactly; otherwise every feasible
-    candidate is simulated. ``greedy_restarts`` runs one pure greedy pass
-    plus ``restarts`` seeded randomized passes and returns the best, so its
-    objective never beats exhaustive but never trails the plain greedy
-    baseline. Identical inputs and seed give identical plans.
+    are assembled from a table of (group, slot profile) trajectories and
+    scored exactly; otherwise every feasible candidate is simulated.
+    ``greedy_restarts`` runs one pure greedy pass plus ``restarts`` seeded
+    randomized passes and returns the best, so its objective never beats
+    exhaustive but never trails the plain greedy baseline; with isolated
+    groups its moves come from such a table. Identical inputs and seed give
+    identical plans.
 
     ``stats``, if given, receives the search counters: ``kernel_rows``, the
-    rows simulated (the returned plan's final scoring included),
-    ``kernel_classes``, the kernel states those rows took (one per class of
-    interchangeable agents on a group block, one per agent on a dense
-    network), and ``decomposed``, whether exhaustive search combined group
-    profiles.
+    rows simulated (on a group-isolated network with two or more groups the
+    profile rows and the table's fills, elsewhere every candidate scored,
+    the returned plan's final scoring included), ``kernel_classes``, the
+    kernel states those rows took (one per class of interchangeable agents
+    on a group block, one per agent on a dense network), ``decomposed``,
+    whether exhaustive search combined group profiles, and
+    ``table_profiles``, the (group, slot profile) pairs in the table (0 on a
+    coupled network or with one group).
     """
     if strategy not in ("exhaustive", "greedy_restarts"):
         raise ValidationError([f"strategy must be 'exhaustive' or 'greedy_restarts' (got {strategy!r})"])
@@ -478,6 +539,7 @@ def plan_shedding(
     objective = search.score(assignment)
     if stats is not None:
         stats.update(
-            kernel_rows=search.kernel_rows, kernel_classes=search.kernel_classes, decomposed=search.decomposed
+            kernel_rows=search.kernel_rows, kernel_classes=search.kernel_classes,
+            decomposed=search.decomposed, table_profiles=len(search._table),
         )
     return search.plan_for(assignment), objective

@@ -254,11 +254,15 @@ class TestPlanCommand:
     @pytest.mark.parametrize(
         "strategy, search",
         [
-            # 4 slot profiles, 3 candidates tied at the optimum, the final score.
+            # 2 isolated groups of 2 agents, 2 slots, levels {0, 0.5}. The 4 slot
+            # profiles fill the table for both groups in 4 rows; the 3 candidates
+            # tied at the optimum and the final score are assembled from it.
             # Both members of a group share everything, so a row is 2 states.
-            ("exhaustive", {"decomposed": True, "kernel_rows": 4 + 3 + 1, "kernel_classes": 2 * (4 + 3 + 1)}),
-            # The 4 one-cell moves; restarts and the final score reuse them.
-            ("greedy_restarts", {"decomposed": False, "kernel_rows": 4, "kernel_classes": 2 * 4}),
+            ("exhaustive", {"decomposed": True, "kernel_rows": 4, "kernel_classes": 2 * 4, "table_profiles": 2 * 4}),
+            # The 4 one-cell moves need 3 profiles of each group: (0, 0),
+            # (0.5, 0) and (0, 0.5), so 3 rows of 2 states. One move meets the
+            # requirement; restarts and the final score reuse the memo.
+            ("greedy_restarts", {"decomposed": False, "kernel_rows": 3, "kernel_classes": 2 * 3, "table_profiles": 2 * 3}),
         ],
     )
     def test_objective_reports_search_counters(self, tmp_path, strategy, search):
@@ -266,6 +270,21 @@ class TestPlanCommand:
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"), "--out", str(out),
                      "--required-energy", "2.0", "--granularity", "2.0", "--strategy", strategy])
         assert code == 0
+        assert json.loads((out / "objective.json").read_text())["search"] == search
+
+    def test_exhaustive_on_a_coupled_network_reports_search_counters(self, tmp_path):
+        doc = json.loads((DATA / "planner_base.json").read_text())
+        doc["network"] = {"dense": [[float(i != j) for j in range(4)] for i in range(4)]}
+        scenario = tmp_path / "coupled.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "plan"
+        code = main(["plan", "--scenario", str(scenario), "--out", str(out),
+                     "--required-energy", "2.0", "--granularity", "2.0", "--strategy", "exhaustive"])
+        assert code == 0
+        # Every weight couples the two groups, so no table: the 15 of 16
+        # candidates that shed at least one cell stream through the kernel,
+        # then the final score. A dense row is one state per agent.
+        search = {"decomposed": False, "kernel_rows": 15 + 1, "kernel_classes": 4 * (15 + 1), "table_profiles": 0}
         assert json.loads((out / "objective.json").read_text())["search"] == search
 
     def test_plan_accepts_parameter_overrides(self, tmp_path, capsys):

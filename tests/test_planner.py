@@ -29,7 +29,7 @@ from socio_grid_sim import (
 from socio_grid_sim import planner
 from socio_grid_sim.core_types import Dense
 from socio_grid_sim.plans import validate_plan
-from socio_grid_sim.planner import _LatticeSearch
+from socio_grid_sim.planner import _block_objectives, _LatticeSearch
 
 from oracles import brute_force_plan_search, reference_objective, same_bits, symmetric_planner_base
 
@@ -498,6 +498,43 @@ class TestBatchedScoring:
         assert plan.encoding() == expected_plan.encoding()
         assert objective == expected_objective
 
+    @pytest.mark.parametrize(
+        "sizes, dense, rate_floor, symmetric, required",
+        [
+            ([2, 3, 4], False, 0.02, False, 8.0),
+            ([3, 1, 4], True, 0.0, False, 8.0),
+            ([3, 3, 3], False, 0.0, True, 9.0),
+            ([3, 3, 3], True, 0.0, True, 9.0),
+        ],
+    )
+    def test_greedy_from_the_table_matches_reference_greedy(self, sizes, dense, rate_floor, symmetric, required):
+        # Isolated group-block and dense networks, where every move is
+        # assembled from the (group, profile) table. With identical groups
+        # every permutation of a move across groups ties.
+        base = isolated_base(7, sizes, dense, rate_floor, symmetric=symmetric)
+        stats = {}
+        plan, objective = plan_shedding(
+            base, required, 2.0, [0.0, 0.25, 0.5], strategy="greedy_restarts", seed=4, restarts=3, stats=stats
+        )
+        expected_plan, expected_objective = reference_greedy(base, required, 2.0, [0.0, 0.25, 0.5], 4, 3)
+        assert plan.encoding() == expected_plan.encoding()
+        assert objective == expected_objective
+        assert stats["table_profiles"] > 0
+
+    def test_every_isolated_dense_candidate_matches_evaluate_plan(self):
+        # Within-group weights only, in a dense matrix: every candidate is
+        # assembled from the table, whose full-N rows keep the gemv's rounding.
+        base = isolated_base(2, [1, 4, 6], True, 0.05)
+        search = _LatticeSearch(base, 10.0, 3.0, [0.25, 0.5], 1.5)
+        candidates = [
+            a for a in itertools.product(search.levels, repeat=len(search.cells)) if search.feasible(a)
+        ]
+        search.score_all(candidates)
+        # Each group's 3 ** 2 slot profiles, one kernel row per profile.
+        assert search.kernel_rows == 3**2
+        for assignment in candidates:
+            assert search.score(assignment) == evaluate_plan(search.plan_for(assignment), base, 1.5), assignment
+
     def test_search_builds_no_scenario_per_candidate(self, monkeypatch):
         calls = {"simulate": 0, "apply_plan": 0, "validate_plan": 0}
         for name in calls:
@@ -559,16 +596,25 @@ def isolated_base(seed: int, sizes: list[int], dense: bool, rate_floor: float, s
     )
 
 
-def streaming_best(search: _LatticeSearch) -> tuple[float, ...]:
-    """Exhaustive search without decomposition: every feasible candidate simulated."""
-    lattice = itertools.product(search.levels, repeat=len(search.cells))
-    return search._best_of(filter(search.feasible, lattice))
+def streaming_best(search: _LatticeSearch) -> tuple[tuple[float, ...], PlanObjective]:
+    """Exhaustive search without decomposition or table: every feasible
+    candidate simulated through the kernel. The least (combined, assignment)
+    and its objective."""
+    lattice = filter(search.feasible, itertools.product(search.levels, repeat=len(search.cells)))
+    best = None
+    while block := list(itertools.islice(lattice, search._block)):
+        recorded = search._simulate(search._profiles(block))
+        for assignment, objective in zip(block, _block_objectives(recorded, search._members, search.fairness_weight)):
+            if best is None or (objective.combined, assignment) < (best[1].combined, best[0]):
+                best = (assignment, objective)
+    return best
 
 
 class TestDecomposedSearch:
     """On group-isolated networks exhaustive search simulates each group's
-    slot profiles once and rescores only the near-best combinations; it must
-    choose exactly what simulating every feasible candidate chooses."""
+    slot profiles once and scores only the near-best combinations, assembled
+    from a (group, profile) table; it must choose exactly what simulating
+    every feasible candidate through the kernel chooses."""
 
     @pytest.mark.parametrize(
         "seed, sizes, dense, rate_floor, fairness_weight, levels, granularity, share",
@@ -592,7 +638,10 @@ class TestDecomposedSearch:
     def test_symmetric_ties_match_streaming_search(self, dense, fairness_weight, required):
         # Identical groups: every permutation of a plan across groups ties.
         base = isolated_base(0, [3, 3, 3], dense, 0.0, symmetric=True)
-        self._check(base, required, 2.0, [0.5], fairness_weight)
+        stats = self._check(base, required, 2.0, [0.5], fairness_weight)
+        # Only the P = 2 ** 3 slot profiles run through the kernel; however
+        # many candidates tie, each is assembled from the table.
+        assert stats["kernel_rows"] == 2**3
 
     @staticmethod
     def _check(base, required, granularity, levels, fairness_weight):
@@ -601,19 +650,21 @@ class TestDecomposedSearch:
             base, required, granularity, levels, fairness_weight=fairness_weight, stats=stats
         )
         streaming = _LatticeSearch(base, required, granularity, levels, fairness_weight)
-        expected = streaming_best(streaming)
+        expected, expected_objective = streaming_best(streaming)
         assert plan.encoding() == streaming.plan_for(expected).encoding()
-        assert objective == streaming.score(expected)
+        assert objective == expected_objective
         assert stats["decomposed"]
+        return stats
 
     def test_c6_simulates_profiles_and_ties_only(self):
         stats = {}
         plan, _ = plan_shedding(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.0, 0.5], stats=stats)
         assert plan.encoding() == "0:9:3:0.5;1:9:3:0.5;2:9:3:0.5"
-        # 16 slot profiles, the 15 candidates tied at the optimum, and the
-        # final score; simulating every feasible candidate takes 4083 + 1.
+        # The 16 slot profiles fill the table for all 3 groups in 16 rows; the
+        # 15 candidates tied at the optimum and the final score are assembled
+        # from it. Simulating every feasible candidate takes 4083 + 1 rows.
         # The members of a group are interchangeable: 3 states per row.
-        assert stats == {"kernel_rows": 16 + 15 + 1, "kernel_classes": 3 * (16 + 15 + 1), "decomposed": True}
+        assert stats == {"kernel_rows": 16, "kernel_classes": 3 * 16, "decomposed": True, "table_profiles": 3 * 16}
 
     def test_c6_profile_block_matches_golden_digest(self):
         # The (B, T, N) block of every slot profile that _near_best runs on
@@ -621,10 +672,35 @@ class TestDecomposedSearch:
         # little-endian float64 bytes.
         search = _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.0, 0.5], 1.0)
         profiles = itertools.product(search.levels, repeat=search.n_slots)
-        block = search._run_block([profile * search.n_groups for profile in profiles])
+        block = search._simulate([[profile] * search.n_groups for profile in profiles])
         raw = np.ascontiguousarray(block, dtype="<f8")
         assert raw.shape == (16, 13, 9)
         assert hashlib.sha256(raw).hexdigest() == "7be76e227635f88906eaedc37e0155177985052d4f72f5cc605b1fff3c6c0cd4"
+
+    def test_profiles_beyond_one_block_keep_only_near_best_pairs(self):
+        # 9 slot profiles in kernel blocks of 2: the profile rows are not
+        # kept, and the table holds only the near-best candidates' pairs.
+        base = isolated_base(2, [1, 4, 6], True, 0.05)
+        required = 0.3 * _LatticeSearch(base, 0.0, 3.0, [0.25, 0.5], 0.0).max_energy
+        searches = [_LatticeSearch(base, required, 3.0, [0.25, 0.5], 0.0) for _ in range(3)]
+        for search in searches:
+            search._block = 2
+        search, probe, streaming = searches
+        near = list(probe._near_best())
+        n = search.n_slots
+        pairs = {(g, a[g * n : (g + 1) * n]) for a in near for g in range(search.n_groups)}
+        assert len(pairs) < search.n_groups * 3**n
+        assert search.exhaustive() == streaming_best(streaming)[0]
+        assert set(search._table) == pairs
+
+    def test_one_group_streams_without_a_table(self):
+        # One group of 2 agents, 4 slots at levels {0, 0.5}: a shed cell gives
+        # 1.0 of energy, so the 11 candidates shedding 2 or more cells are
+        # feasible. Each is simulated, then the final score: 12 rows, each
+        # one state, as both agents share everything.
+        stats = {}
+        plan_shedding(small_base(n_groups=1), 2.0, 1.0, [0.0, 0.5], stats=stats)
+        assert stats == {"kernel_rows": 11 + 1, "kernel_classes": 11 + 1, "decomposed": False, "table_profiles": 0}
 
     def test_eighteen_cell_lattice(self):
         # 3 groups x 6 slots x 2 levels: 2**18 candidates, 249528 of them
@@ -632,8 +708,9 @@ class TestDecomposedSearch:
         search = _LatticeSearch(symmetric_planner_base(horizon=6.0), 9.0, 1.0, [0.0, 0.5], 1.0)
         assert search.exhaustive() == (0.0, 0.0, 0.0, 0.0, 0.5, 0.5) * 3
         assert search.decomposed
-        # 64 slot profiles and the 57 candidates tied at the optimum.
-        assert search.kernel_rows == 64 + 57
+        # 64 slot profiles fill the table; the 57 candidates tied at the
+        # optimum are assembled from it.
+        assert search.kernel_rows == 64
 
     def test_coupled_network_streams_every_feasible_candidate(self):
         base = coupled_base(seed=3)
@@ -645,8 +722,13 @@ class TestDecomposedSearch:
         )
         stats = {}
         plan_shedding(base, required, 6.0, [0.0, 0.5], stats=stats)
-        # A dense network keeps one state per agent.
-        assert stats == {"kernel_rows": feasible + 1, "kernel_classes": 24 * (feasible + 1), "decomposed": False}
+        # A dense network keeps one state per agent. A coupled network has no table.
+        assert stats == {
+            "kernel_rows": feasible + 1,
+            "kernel_classes": 24 * (feasible + 1),
+            "decomposed": False,
+            "table_profiles": 0,
+        }
 
     def test_feasibility_is_exactly_the_cell_order_sum(self):
         # 0.1 h slots and levels {0.1, 0.3}: the cell-order energy sums of
