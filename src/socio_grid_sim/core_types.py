@@ -184,23 +184,40 @@ def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None
     return groups
 
 
+# Entries of the boolean within-group mask that _as_group_block builds at once.
+_MASK_ITEMS = 1 << 16
+
+
 def _as_group_block(weights: np.ndarray, groups: np.ndarray) -> GroupBlock | None:
     """The group block whose matrix is ``weights`` bit for bit, if there is one.
 
     Bits, not values, are compared, so a ``-0.0`` entry is not taken for
     ``0.0``: equal matrices then have equal digests and one arithmetic path.
-    Without any within-group pair the block's weight is moot and set to 0.
+    Without any nonzero entry the block's weight is moot and set to 0.
+    A block has as many nonzero entries as within-group pairs, so most dense
+    matrices fail on that count alone; otherwise the within-group pairs are
+    checked a few rows at a time, so that no N x N mask is built.
     """
-    within = groups[:, None] == groups[None, :]
-    np.fill_diagonal(within, False)
-    members = weights[within]
-    bits = members.view(np.uint64)
-    weight_bits = bits[0] if bits.size else 0
-    # Every within-group pair holds the same bits and nothing else is nonzero.
-    nonzero = np.count_nonzero(weights.view(np.uint64))
-    if np.any(bits != weight_bits) or nonzero != (bits.size if weight_bits else 0):
+    bits = weights.view(np.uint64)
+    nonzero = np.count_nonzero(bits)
+    if nonzero == 0:
+        return GroupBlock(0.0)
+    sizes = np.bincount(groups)
+    if nonzero != int((sizes * (sizes - 1)).sum()):
         return None
-    return GroupBlock(float(members[0]) if members.size else 0.0)
+    # As many within-group pairs as nonzero entries: the block is there when
+    # every pair holds the bits of the first, the first two members of the
+    # first group that has two.
+    i, j = np.flatnonzero(groups == groups[np.flatnonzero(sizes[groups] > 1)[0]])[:2]
+    n = groups.size
+    chunk = max(1, _MASK_ITEMS // n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        within = groups[start:stop, None] == groups
+        within[np.arange(stop - start), np.arange(start, stop)] = False
+        if np.any(bits[start:stop][within] != bits[i, j]):
+            return None
+    return GroupBlock(float(weights[i, j]))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -223,7 +240,17 @@ class ContagionNetwork:
     operator: GroupBlock | Dense
 
     def __init__(self, n_agents: int, base_weights: np.ndarray, group_of: Iterable[int]):
-        weights = np.array(base_weights, dtype=float, copy=True)
+        self._check(n_agents, np.array(base_weights, dtype=float, copy=True), group_of)
+
+    @classmethod
+    def _of_matrix(cls, n_agents: int, weights: np.ndarray, group_of: Iterable[int]) -> "ContagionNetwork":
+        """The network of a float matrix that nothing else holds, such as a
+        loader's: checked like the constructor's argument, and kept without a copy."""
+        network = cls.__new__(cls)
+        network._check(n_agents, weights, group_of)
+        return network
+
+    def _check(self, n_agents: int, weights: np.ndarray, group_of: Iterable[int]) -> None:
         errors: list[str] = []
         n = int(n_agents)
         if n <= 0:

@@ -13,8 +13,8 @@ and the engine counts how often it fires (it never should for valid inputs).
 
 The kernel behind :func:`simulate` and the planner has two executors of the
 same step, with the same roundings. A group block of at most
-``_FLOAT_STATES`` kernel states and ``_FLOAT_PAIRS`` (row, agent) pairs, such
-as the two-row case study, advances on Python floats (:func:`_euler_floats`),
+``_FLOAT_STATES`` kernel states and ``_FLOAT_PAIRS`` summed pairs, such as
+the two-row case study, advances on Python floats (:func:`_euler_floats`),
 where numpy's fixed cost per call would dominate. Every other block, and any
 dense one, advances on numpy vectors (:func:`_euler_arrays`).
 """
@@ -165,12 +165,14 @@ class _DenseProduct(NamedTuple):
 class _GroupSums(NamedTuple):
     """A group block in kernel form for a (B, N) block of agents, flattened.
 
-    ``bins[i] = g + G * b`` numbers the (row, group) pair of every (row,
-    agent) ``i``, in agent order, so one bincount gives each row's group
-    sums. ``states[i]`` is the state that agent follows; ``keys`` and
-    ``inv`` hold each state's bin and 1 / (n_g - 1), 0 for singleton groups
-    and for a zero weight. The weight itself cancels from the ratio, so
-    there is nothing to overflow.
+    ``bins[i]`` is the bin of the summed pair ``i`` and ``states[i]`` the
+    state it reads, in agent order, so one bincount gives every bin's sum.
+    ``keys`` and ``inv`` hold each state's bin and 1 / (n_g - 1), 0 for
+    singleton groups and for a zero weight. The weight itself cancels from
+    the ratio, so there is nothing to overflow. Before :func:`_classes`
+    every (row, agent) is a pair and a state of its own, in the bin
+    ``g + G * b`` of its (row, group); after it, the pairs are those of one
+    bin per class of interchangeable bins.
     """
 
     bins: np.ndarray
@@ -183,7 +185,7 @@ def _contagion_operator(network: ContagionNetwork, rows: int = 1) -> _DenseProdu
     """The network's operator in kernel form, for a block of ``rows`` rows of agents.
 
     A group block starts with one state per (row, agent); :func:`_classes`
-    merges the interchangeable ones.
+    merges the interchangeable ones, and the interchangeable bins.
     """
     operator = network.operator
     if isinstance(operator, Dense):
@@ -221,19 +223,60 @@ def _contagion_ratio(
     return (access * product[..., 0] * operator.inv_row).ravel()
 
 
+def _rank(code: np.ndarray) -> np.ndarray:
+    """Each code's rank among the distinct codes.
+
+    A binary search: the argsort behind ``np.unique(..., return_inverse=True)``
+    would touch sort kernels that nothing else in a plan uses, about 0.3 MB
+    of resident code.
+    """
+    return np.unique(code).searchsorted(code)
+
+
+def _fold(code: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """One int64 code per tuple (code, *columns): equal for equal tuples,
+    and ordered like them.
+
+    Each column is folded in as ``code * (column.max() + 1) + column``. The
+    code is ranked first only where that product could pass 2**62, so a
+    column's range times the number of items must stay below it.
+    """
+    for column in columns:
+        width = int(column.max()) + 1
+        if int(code.max()) >= 2**62 // width:
+            code = _rank(code)
+        code = code * width + column
+    return code
+
+
+# An odd multiplier (PCG's). Its powers weigh a bin's member keys by position
+# in the hash that buckets bins; the int64 products wrap, as intended.
+_MIX = 6364136223846793005
+
+
 def _classes(
     operator: _DenseProduct | _GroupSums, access_index: np.ndarray, pull_index: np.ndarray, d0: np.ndarray
 ) -> tuple[_DenseProduct | _GroupSums, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One kernel state per class of a (B, N) block's (row, agent) pairs.
 
-    On a group block, agents with the same row, group, access pick, pull
-    pick and initial float64 bits follow bit-identical trajectories, so a
-    class is one state. The class code is folded one column at a time and
-    re-ranked after each fold, so no int64 product exceeds B * N times a
-    column's range. A rank is a binary search among the distinct codes: the
-    argsort behind ``np.unique(..., return_inverse=True)`` would touch sort
-    kernels that nothing else in a plan uses, about 0.3 MB of resident code.
-    A dense operator keeps one state per (row, agent).
+    On a group block, a (row, group) bin runs on its size and on its
+    members' keys in agent order, a key being the access pick, the pull pick
+    and the initial float64 bits. Bins equal in both run the same float
+    operations in the same order, so they form one bin class, and the
+    members of a class with one key are one state. The per-step group sums
+    run over one bin per class. Bins whose members come in another order
+    would sum in another order, so they stay apart.
+
+    Bins are bucketed by size and by a position-weighted hash of their
+    member keys, taken group by group in agent order (the stable argsort of
+    the group ids that :func:`metrics._aggregate` runs too, so that a run
+    touches no other sort kernel for it; an int64 sort of (group, agent)
+    codes took about 0.2 MB more peak RSS on 3000 agents).
+    A bin joins the bin that stands for its bucket only when every member
+    key matches, position by position: a hash collision can cost a merge,
+    never join unequal bins. A dense operator keeps one state per (row,
+    agent).
+
     Returns the operator over the states, each state's access pick, pull
     pick and initial value, and the (B, N) state of every agent.
     """
@@ -243,16 +286,34 @@ def _classes(
     d0 = np.asarray(d0, dtype=float).ravel()
     if isinstance(operator, _DenseProduct):
         return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
-    code = operator.bins
-    # A class needs only equal bits, and plain np.unique is what the group-id check runs.
-    bits = d0.view(np.int64)
-    for column in (access_index, pull_index, np.unique(bits).searchsorted(bits)):
-        code = code * (column.max() + 1) + column
-        code = np.unique(code).searchsorted(code)
-    # Any member stands for its class.
+    # A key needs only equal bits, and plain np.unique is what the group-id check runs.
+    key = _fold(access_index, pull_index, _rank(d0.view(np.int64)))
+    # Row 0's bins are the group ids. Every bin's member keys, group after
+    # group and in agent order within a group, row after row:
+    n = shape[1]
+    groups = operator.bins[:n]
+    sizes = np.bincount(groups)
+    starts = np.cumsum(sizes) - sizes
+    by_group = np.argsort(groups, kind="stable")
+    members = key.reshape(shape)[:, by_group].ravel()
+    offsets = (n * np.arange(shape[0])[:, None] + starts).ravel()
+    lengths = np.tile(sizes, shape[0])
+    position = np.tile(np.arange(n) - np.repeat(starts, sizes), shape[0])
+    digest = np.add.reduceat((members + 1) * np.cumprod(np.full(sizes.max(), _MIX))[position], offsets)
+    bucket = _rank(_fold(_rank(digest), lengths))
+    # Any bin of a bucket stands for it.
+    first = np.empty(bucket.max() + 1, dtype=np.intp)
+    first[bucket] = np.arange(bucket.size)
+    candidate = first[bucket]
+    same = members == members[np.repeat(offsets[candidate], lengths) + position]
+    stand_in = np.where(np.logical_and.reduceat(same, offsets), candidate, np.arange(bucket.size))
+    bin_class = _rank(stand_in)[operator.bins]
+    code = _rank(_fold(key, bin_class))
+    summed = stand_in[operator.bins] == operator.bins
+    # Any member stands for its state.
     first = np.empty(code.max() + 1, dtype=np.intp)
     first[code] = np.arange(code.size)
-    classes = _GroupSums(operator.bins, code, operator.keys[first], operator.inv[first])
+    classes = _GroupSums(bin_class[summed], code[summed], bin_class[first], operator.inv[first])
     return classes, access_index[first], pull_index[first], d0[first], code.reshape(shape)
 
 
@@ -261,11 +322,12 @@ def _classes(
 _GATHER_FLOATS = 2**14
 
 # The largest group block that advances on Python floats, in states and in
-# (row, agent) pairs summed per step. Measured over 48 h blocks of 4 to 28
-# states and 4 to 3000 pairs: at 16 states and 64 pairs the float loop costs
-# about what numpy's fixed cost per call does; at 20 states and 100 pairs it
-# takes 1.3 to 1.6 times as long.
-_FLOAT_STATES = 16
+# pairs summed per step (those of one bin per class). Measured over one-row
+# 48 h blocks of 1 to 32 states and 6 to 128 pairs: up to 8 states and 64
+# pairs the float loop takes 0.4 to 0.9 times as long as the numpy loop; at
+# 12 states 0.9 to 1.0 times, at 16 states and 48 pairs 1.2 times, and at 8
+# states and 96 pairs 1.07 times.
+_FLOAT_STATES = 8
 _FLOAT_PAIRS = 64
 
 
@@ -300,14 +362,14 @@ def _euler(
     (steps, K') table of distinct deprivation columns omega1 * (1 - E).
     ``access_index`` and ``pull_index`` pick each agent's column: (1, N) when
     every row shares the pick, (B, N) when each row has its own.
-    The kernel advances one state per class of interchangeable agents
-    (:func:`_classes`) and spreads the states over the agents only at
-    report times. Step k reads ``access[k]`` at each state's pick, gathered
-    a few steps at a time (:func:`_picked_rows`), so the kernel holds
-    O(steps * K) floats of input, never a (steps, N) grid.
+    The kernel advances one state per class of interchangeable agents in
+    interchangeable groups (:func:`_classes`) and spreads the states over
+    the agents only at report times. Step k reads ``access[k]`` at each
+    state's pick, gathered a few steps at a time (:func:`_picked_rows`), so
+    the kernel holds O(steps * K) floats of input, never a (steps, N) grid.
     Two executors run the same step with the same roundings:
     :func:`_euler_floats` on Python floats for a group block of at most
-    ``_FLOAT_STATES`` states and ``_FLOAT_PAIRS`` (row, agent) pairs, where
+    ``_FLOAT_STATES`` states and ``_FLOAT_PAIRS`` summed pairs, where
     numpy's cost per call would dominate, and :func:`_euler_arrays` on numpy
     vectors for any other block. A dense block always stays on numpy, whose
     matrix-vector product a Python sum would not round like.

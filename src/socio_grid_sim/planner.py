@@ -178,8 +178,10 @@ class _LatticeSearch:
         self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (self._report_times + 1)))
         self._electricity, self._electricity_index = _distinct(base.electricity)
         self._column_ids: dict[tuple[int, tuple[float, ...]], int] = {}
-        self._columns: list[np.ndarray] = []
+        # The (steps, K) table of deprivation columns, and the (group, base
+        # schedule, profile) of each column given an id but not yet sampled.
         self._pull = np.zeros((params.n_steps, 0))
+        self._unsampled: list[tuple[int, int, tuple[float, ...]]] = []
         self._profile_ids: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
         # With one group the slot profiles are the candidates themselves, and
         # a table would only copy each candidate's trajectory.
@@ -209,30 +211,45 @@ class _LatticeSearch:
     def _profile_columns(self, group: int, profile: tuple[float, ...]) -> np.ndarray:
         """Ids of the group members' deprivation columns while its slots take ``profile``.
 
-        A column holds what ``simulate`` would sample after :func:`apply_plan`:
-        the same ``_shed_schedule`` overlay, or the base schedule when the
-        profile sheds nothing.
+        A new column gets the next id; :meth:`_sample_columns` adds it to the table.
         """
         key = (group, profile)
         if key not in self._profile_ids:
-            params = self.base.params
+            ids = []
+            for k in self._electricity_index[self._members[group]].tolist():
+                column = (k, profile)
+                if column not in self._column_ids:
+                    self._column_ids[column] = len(self._column_ids)
+                    self._unsampled.append((group, k, profile))
+                ids.append(self._column_ids[column])
+            self._profile_ids[key] = np.array(ids, dtype=np.intp)
+        return self._profile_ids[key]
+
+    def _sample_columns(self) -> None:
+        """Grow the deprivation table by the columns given ids since the last block.
+
+        A column holds what ``simulate`` would sample after :func:`apply_plan`:
+        the same ``_shed_schedule`` overlay, or the base schedule when the
+        profile sheds nothing. The new columns are sampled straight into the
+        grown table, so one copy of each is held.
+        """
+        if not self._unsampled:
+            return
+        params = self.base.params
+        known = self._pull.shape[1]
+        table = np.empty((params.n_steps, known + len(self._unsampled)))
+        table[:, :known] = self._pull
+        for column, (group, k, profile) in enumerate(self._unsampled, known):
             slots = [
                 SheddingSlot(group, s * self.granularity, self.granularity, level)
                 for s, level in enumerate(profile)
                 if level > 0.0
             ]
-            ids = []
-            for k in self._electricity_index[self._members[group]].tolist():
-                column = (k, profile)
-                if column not in self._column_ids:
-                    sched = self._electricity[k]
-                    shed = _shed_schedule(sched, slots) if slots else sched
-                    self._column_ids[column] = len(self._columns)
-                    sampled = shed.sample(params.dt_hours, params.n_steps)
-                    self._columns.append(params.omega1 * (1.0 - sampled))
-                ids.append(self._column_ids[column])
-            self._profile_ids[key] = np.array(ids, dtype=np.intp)
-        return self._profile_ids[key]
+            sched = self._electricity[k]
+            shed = _shed_schedule(sched, slots) if slots else sched
+            table[:, column] = params.omega1 * (1.0 - shed.sample(params.dt_hours, params.n_steps))
+        self._pull = table
+        self._unsampled = []
 
     def _profiles(self, block: Sequence[tuple[float, ...]]) -> list[list[tuple[float, ...]]]:
         """Each assignment of a block as its groups' slot profiles."""
@@ -270,8 +287,7 @@ class _LatticeSearch:
         pull_index = np.empty((len(rows), base.n_agents), dtype=np.intp)
         for g, members in enumerate(self._members):
             pull_index[:, members] = [self._profile_columns(g, row[g]) for row in rows]
-        if self._pull.shape[1] != len(self._columns):
-            self._pull = np.column_stack(self._columns)
+        self._sample_columns()
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
         operator = _contagion_operator(base.network, len(rows))
         recorded, _, states = _euler(
@@ -400,6 +416,12 @@ class _LatticeSearch:
         n_groups, n_agents = self.n_groups, self.base.n_agents
         profiles = list(itertools.product(self.levels, repeat=self.n_slots))
         n_profiles = len(profiles)
+        # Every profile's columns, in the order the rows below would add them,
+        # join the table at once, so that it is not regrown block by block.
+        for profile in profiles:
+            for g in range(n_groups):
+                self._profile_columns(g, profile)
+        self._sample_columns()
         sums, time_means = [], []
         for start in range(0, n_profiles, self._block):
             rows = [[profile] * n_groups for profile in profiles[start : start + self._block]]

@@ -245,7 +245,7 @@ def scenario_from_dict(doc: object) -> Scenario:
                 if matrix is None:
                     errors.append(f"network.dense must be a {count} x {count} matrix of numbers")
                 else:
-                    network = ContagionNetwork(count, matrix, np.asarray(groups))
+                    network = ContagionNetwork._of_matrix(count, matrix, np.asarray(groups))
         except ValidationError as exc:
             errors.extend(f"network: {v}" for v in exc.violations)
 

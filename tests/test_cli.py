@@ -257,12 +257,17 @@ class TestPlanCommand:
             # 2 isolated groups of 2 agents, 2 slots, levels {0, 0.5}. The 4 slot
             # profiles fill the table for both groups in 4 rows; the 3 candidates
             # tied at the optimum and the final score are assembled from it.
-            # Both members of a group share everything, so a row is 2 states.
-            ("exhaustive", {"decomposed": True, "kernel_rows": 4, "kernel_classes": 2 * 4, "table_profiles": 2 * 4}),
+            # All 4 agents share their schedules and initial state, and row r
+            # gives both groups profile r: the two groups of a row are one
+            # bin class and its 4 agents one state.
+            ("exhaustive", {"decomposed": True, "kernel_rows": 4, "kernel_classes": 4, "table_profiles": 2 * 4}),
             # The 4 one-cell moves need 3 profiles of each group: (0, 0),
-            # (0.5, 0) and (0, 0.5), so 3 rows of 2 states. One move meets the
-            # requirement; restarts and the final score reuse the memo.
-            ("greedy_restarts", {"decomposed": False, "kernel_rows": 3, "kernel_classes": 2 * 3, "table_profiles": 2 * 3}),
+            # (0.5, 0) and (0, 0.5), so 3 rows. Row r gives group 0 its r-th
+            # profile, (0.5, 0), (0, 0.5), (0, 0), and group 1 its r-th, (0, 0),
+            # (0.5, 0), (0, 0.5): each profile's 2 bins merge across rows, so 3
+            # states. One move meets the requirement; restarts and the final
+            # score reuse the memo.
+            ("greedy_restarts", {"decomposed": False, "kernel_rows": 3, "kernel_classes": 3, "table_profiles": 2 * 3}),
         ],
     )
     def test_objective_reports_search_counters(self, tmp_path, strategy, search):

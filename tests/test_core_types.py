@@ -180,19 +180,28 @@ class TestContagionNetwork:
         net = ContagionNetwork(2, weights, np.array([0, 0]))
         assert net.base_weights[0, 1] != net.base_weights[1, 0]
 
-    def test_operator_is_a_group_block_only_for_exact_block_bits(self):
+    def test_operator_is_a_group_block_only_for_exact_block_bits(self, monkeypatch):
+        from socio_grid_sim import core_types
+
         groups = [0, 0, 1, 1, 1, 2]
         shorthand = ContagionNetwork.full_within_groups(groups, 2.5)
         assert shorthand.operator == GroupBlock(2.5)
-        spelled = ContagionNetwork(6, shorthand.base_weights, groups)
-        assert spelled.operator == GroupBlock(2.5)
-        assert spelled == shorthand
-        for n, m, value in ((0, 1, 2.0), (0, 2, 1.0), (3, 0, -0.0), (5, 5, -0.0)):
-            weights = np.array(shorthand.base_weights)
-            weights[n, m] = value
-            net = ContagionNetwork(6, weights, groups)
-            assert isinstance(net.operator, Dense), (n, m, value)
-            assert net.base_weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
+        # With 6 mask items the within-group pairs are checked one row at a time.
+        for mask_items in (core_types._MASK_ITEMS, 6):
+            monkeypatch.setattr(core_types, "_MASK_ITEMS", mask_items)
+            spelled = ContagionNetwork(6, shorthand.base_weights, groups)
+            assert spelled.operator == GroupBlock(2.5)
+            assert spelled == shorthand
+            # The last two keep the count of nonzero entries: a pair of the
+            # last group of two holds other bits, and a pair moves across groups.
+            for changes in ([(0, 1, 2.0)], [(0, 2, 1.0)], [(3, 0, -0.0)], [(5, 5, -0.0)], [(4, 2, 3.0)],
+                            [(4, 3, 0.0), (5, 0, 2.5)]):
+                weights = np.array(shorthand.base_weights)
+                for n, m, value in changes:
+                    weights[n, m] = value
+                net = ContagionNetwork(6, weights, groups)
+                assert isinstance(net.operator, Dense), changes
+                assert net.base_weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
         # Without a within-group pair every weight gives the same zero matrix.
         assert ContagionNetwork.full_within_groups([0, 1, 2], 2.5).operator == GroupBlock(0.0)
         assert ContagionNetwork(3, np.zeros((3, 3)), [0, 1, 2]).operator == GroupBlock(0.0)

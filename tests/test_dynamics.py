@@ -549,6 +549,29 @@ def clamped_block():
     return groups, (access, access_index, pull, index, d0, params)
 
 
+def block_states(network, access_index, index, d0) -> int:
+    """The kernel states of a block, counted by plain Python, apart from the kernel.
+
+    A dense network keeps one state per (row, agent). On a group block a
+    (row, group) bin is the tuple of its members' (access pick, pull pick,
+    initial bits) in agent order; equal tuples are one bin class, and the
+    agents of a class with one key are one state.
+    """
+    from socio_grid_sim.core_types import GroupBlock
+
+    if not isinstance(network.operator, GroupBlock):
+        return index.size
+    groups = network.group_of.tolist()
+    access_index = np.broadcast_to(access_index, index.shape)
+    states = set()
+    for row in range(index.shape[0]):
+        keys = [(int(access_index[row, a]), int(index[row, a]), d0[row, a].tobytes()) for a in range(len(groups))]
+        for group in set(groups):
+            members = tuple(key for key, g in zip(keys, groups) if g == group)
+            states.update((members, key) for key in members)
+    return len(states)
+
+
 class TestBatchedKernel:
     def test_rows_match_single_runs_for_any_block(self):
         # Both operators: the dense (B, N, 1) matrix-vector stack and the
@@ -569,20 +592,14 @@ class TestBatchedKernel:
                        pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
                 for row in range(index.shape[0])
             ]
-            # A state per distinct (row, group, access pick, pull pick, initial bits).
-            classes = {
-                (row, int(network.group_of[a]), int(access_index[0, a]), int(index[row, a]), d0[row, a].tobytes())
-                for row in range(index.shape[0])
-                for a in range(n)
-            }
-            expected_states = len(classes) if isinstance(network.operator, GroupBlock) else index.size
             for size in (7, index.shape[0]):
-                states = 0
+                states = expected_states = 0
                 for start in range(0, index.shape[0], size):
                     rows = slice(start, start + size)
                     operator = _contagion_operator(network, index[rows].shape[0])
                     block, hits, count = _euler(operator, access, access_index, pull, index[rows], d0[rows], params)
                     states += count
+                    expected_states += block_states(network, access_index, index[rows], d0[rows])
                     assert hits.tolist() == [0] * block.shape[0]
                     for offset, single in enumerate(singles[rows]):
                         assert same_bits(block[offset], single)
@@ -680,7 +697,9 @@ class TestExecutors:
             assert np.signbit(floats[0, -1, 0]) and floats[0, -1, 0] == 0.0
 
     def test_dispatch(self, monkeypatch):
-        # The case-study block runs on floats; a block of 3000 agents in 12
+        # The case-study block runs on floats: in each variant the 3 areas
+        # share their schedules and initial state, so the 2 rows are 2 states
+        # spread over 18 (row, agent) pairs. A block of 3000 agents in 12
         # classes and a dense block, however small, run on numpy.
         from socio_grid_sim import builtin_case_study, dynamics
 
@@ -693,7 +712,7 @@ class TestExecutors:
             monkeypatch.setattr(dynamics, name, spy)
 
         dynamics._simulate_block([builtin_case_study("full_access"), builtin_case_study("limited_access")])
-        assert ran == [("_euler_floats", 6, 18)]
+        assert ran == [("_euler_floats", 2, 18)]
 
         # Shaped like the benchmark's 3000-agent society: 12 groups of 250
         # scattered over the ids, one schedule and initial state per group.
@@ -712,6 +731,72 @@ class TestExecutors:
         weights = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
         simulate(replace(homogeneous_scenario(horizon=2.0), network=ContagionNetwork(3, weights, [0, 0, 0])))
         assert ran[1:] == [("_euler_arrays", 12, 3000), ("_euler_arrays", 3, 3)]
+
+
+class TestInterchangeableGroups:
+    # Bins of a group block with the same size and the same member keys in
+    # agent order advance as one. The oracle needs no merge: each group's
+    # columns must equal its columns in a one-row run where every agent of
+    # every other group has an initial state of its own, so that no bin can
+    # match another.
+    PARAMS = dict(horizon_hours=6.0, omega1=0.4, omega2=0.5, report_every_hours=1.0)
+
+    @staticmethod
+    def _tables(params):
+        steps = np.arange(params.n_steps, dtype=float)[:, None]
+        access = np.hstack([np.full_like(steps, -0.0), np.zeros_like(steps), 1.0 - 0.005 * steps, 0.6 + 0.003 * steps])
+        pull = np.hstack([np.zeros_like(steps), 0.1 + 0.002 * steps, np.full_like(steps, 0.3)])
+        return access, pull
+
+    @pytest.mark.parametrize(
+        "groups, weight, rate_floor, access_index, index, d0, states",
+        [
+            # Groups 0 and 2 hold (0.2, 0.5, 0.9) in agent order, interleaved
+            # over the ids, and merge: 3 states. Group 1 holds the same
+            # members as (0.2, 0.9, 0.5), another summation order: 3 more.
+            ([0, 1, 2, 0, 1, 2, 0, 1, 2], 1.0, 0.05, [2] * 9, [[1] * 9],
+             [[0.2, 0.2, 0.2, 0.5, 0.9, 0.5, 0.9, 0.5, 0.9]], 6),
+            # Singletons: 5 bins of one agent and 3 distinct keys.
+            ([0, 1, 2, 3, 4], 1.0, 0.05, [2, 2, 2, 3, 2], [[1] * 5], [[0.3, 0.3, 0.6, 0.3, 0.6]], 3),
+            # -0.0 access (column 0) against 0.0 (column 1), and -0.0 initial
+            # states against 0.0: only groups 0 and 3 are equal, so 4 bins
+            # of 2 distinct keys are 3 classes and 6 states.
+            ([0, 0, 1, 1, 2, 2, 3, 3], 1.0, 0.0, [0, 2, 1, 2, 0, 2, 0, 2], [[0] * 8],
+             [[-0.0, 0.4, -0.0, 0.4, 0.0, 0.4, -0.0, 0.4]], 6),
+            # A zero weight: groups 0 and 1 merge (2 states), the singleton is 1.
+            ([0, 0, 1, 1, 2], 0.0, 0.05, [2, 3, 2, 3, 2], [[1] * 5], [[0.2, 0.7, 0.2, 0.7, 0.2]], 3),
+            # Three rows: rows 0 and 2 are equal, and row 1 gives group 0 other
+            # pull columns. Group 0 of rows 0 and 2 is one class (2 states),
+            # group 1 of all three rows another (3), group 0 of row 1 a third (2).
+            ([0, 0, 1, 1, 1], 1.0, 0.05, [2, 3, 2, 3, 2], [[1] * 5, [2, 2, 1, 1, 1], [1] * 5],
+             [[0.2, 0.7, 0.2, 0.7, 0.4]] * 3, 7),
+        ],
+    )
+    def test_merged_groups_match_unmerged_runs(self, groups, weight, rate_floor, access_index, index, d0, states):
+        from socio_grid_sim.dynamics import _contagion_operator, _euler
+
+        params = ModelParams(rate_floor=rate_floor, **self.PARAMS)
+        access, pull = self._tables(params)
+        network = ContagionNetwork.full_within_groups(groups, weight)
+        access_index, index, d0 = np.array([access_index]), np.array(index), np.array(d0)
+        recorded, hits, count = _euler(
+            _contagion_operator(network, index.shape[0]), access, access_index, pull, index, d0, params
+        )
+        assert count == states == block_states(network, access_index, index, d0)
+        assert hits.tolist() == [0] * index.shape[0]
+        for row in range(index.shape[0]):
+            for group in range(network.n_groups):
+                own = network.group_of == group
+                apart = d0[row].copy()
+                apart[~own] = [v for v in np.linspace(0.05, 0.95, 3 * apart.size) if v not in apart[own]][: (~own).sum()]
+                single, _, single_states = _euler(
+                    _contagion_operator(network), access, access_index, pull, index[row : row + 1], apart[None], params
+                )
+                # Every agent outside the group is a state of its own.
+                keys = {(access_index[0, a], index[row, a], apart[a].tobytes()) for a in np.flatnonzero(own)}
+                assert single_states == (~own).sum() + len(keys)
+                assert same_bits(recorded[row][:, own], single[0][:, own])
+        TestExecutors._assert_executors_agree(network, access, access_index, pull, index, d0, params)
 
 
 class TestSimulateBlock:

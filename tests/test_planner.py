@@ -296,6 +296,41 @@ class TestPlanShedding:
         assert plan.encoding() == "0:7:1:0.5;1:7:1:0.5"
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("block", [None, 4])
+    def test_deprivation_table_is_held_once(self, block):
+        # 2 isolated groups of 50 agents, each agent with its own electricity
+        # schedule, and 4 slots at levels {0, 0.5}: the 16 slot profiles give
+        # 100 * 16 deprivation columns of 240 steps, a 3.1 MB table. The
+        # search holds it once, not beside a list of its columns, and does
+        # not regrow it when the profiles run in blocks of 4 rows.
+        horizon = 24.0
+        rng = np.random.default_rng(8)
+        n = 100
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon),
+            network=ContagionNetwork.full_within_groups(np.arange(n) // 50, 1.0),
+            electricity=tuple(
+                PiecewiseSchedule(((0.0, 1.0), (float(t), float(v))), horizon)
+                for t, v in zip(rng.uniform(1.0, 23.0, n), rng.uniform(0.5, 1.0, n))
+            ),
+            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * n,
+            initial_dissatisfaction=rng.uniform(0.1, 0.3, n),
+        )
+        search = _LatticeSearch(base, 600.0, 6.0, [0.5], 1.0)
+        search._block = block or search._block
+        tracemalloc.start()
+        try:
+            search.exhaustive()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 100 * 16 * 240 * 8
+        assert search._pull.nbytes == table
+        # One table and a kernel block peak at 1.5 and 1.3 tables. A list of
+        # the columns beside a stacked table peaks at 2.6 and 3.0, and a table
+        # regrown block by block at 1.9 in blocks of 4.
+        assert peak < 1.7 * table
+
     def test_exhaustive_refuses_oversized_lattice(self):
         # 3 groups x 16 slots x 2 levels: 2**48 candidates.
         base = symmetric_planner_base(horizon=16.0)
@@ -663,8 +698,10 @@ class TestDecomposedSearch:
         # The 16 slot profiles fill the table for all 3 groups in 16 rows; the
         # 15 candidates tied at the optimum and the final score are assembled
         # from it. Simulating every feasible candidate takes 4083 + 1 rows.
-        # The members of a group are interchangeable: 3 states per row.
-        assert stats == {"kernel_rows": 16, "kernel_classes": 3 * 16, "decomposed": True, "table_profiles": 3 * 16}
+        # Row r gives all 3 groups profile r, and the 9 agents share their
+        # schedules and initial state: a row's 3 groups are one bin class
+        # and its 9 agents one state.
+        assert stats == {"kernel_rows": 16, "kernel_classes": 16, "decomposed": True, "table_profiles": 3 * 16}
 
     def test_c6_profile_block_matches_golden_digest(self):
         # The (B, T, N) block of every slot profile that _near_best runs on

@@ -191,6 +191,36 @@ class TestScenarioDocuments:
         doc["network"]["dense"][0][2] = 0.0
         assert scenario_from_dict(doc).content_digest() != original.content_digest()
 
+    @pytest.mark.parametrize("spells_group_block", [False, True])
+    def test_dense_load_holds_one_matrix(self, spells_group_block):
+        # 1000 agents in 10 groups: an 8 MB matrix, 2 % nonzero or spelling
+        # the group block. The loader's array becomes the network's without a
+        # copy, and no N x N mask is built beside it.
+        import tracemalloc
+
+        from socio_grid_sim.core_types import GroupBlock
+
+        n = 1000
+        rng = np.random.default_rng(4)
+        groups = np.arange(n) % 10
+        if spells_group_block:
+            matrix = np.where(groups[:, None] == groups, 1.5, 0.0)
+        else:
+            matrix = np.where(rng.uniform(size=(n, n)) < 0.02, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        np.fill_diagonal(matrix, 0.0)
+        doc = minimal_doc()
+        doc["agents"] = {"count": n, "groups": groups.tolist(), "initial_dissatisfaction": 0.5}
+        doc["network"] = {"dense": matrix.tolist()}
+        del matrix
+        tracemalloc.start()
+        try:
+            scenario = scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(scenario.network.operator, GroupBlock) == spells_group_block
+        assert peak < 1.25 * n * n * 8
+
     def test_round_trip_keeps_negative_zero_schedules(self, tmp_path: Path):
         # Schedules equal by value but not by bits are not folded into one
         # broadcast, so the reloaded scenario has the same digest.
