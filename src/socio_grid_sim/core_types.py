@@ -207,8 +207,11 @@ def _as_group_block(weights: np.ndarray, groups: np.ndarray) -> GroupBlock | Non
         return None
     # As many within-group pairs as nonzero entries: the block is there when
     # every pair holds the bits of the first, the first two members of the
-    # first group that has two.
+    # first group that has two, and those bits are not zero (else the
+    # nonzero entries all lie across groups).
     i, j = np.flatnonzero(groups == groups[np.flatnonzero(sizes[groups] > 1)[0]])[:2]
+    if bits[i, j] == 0:
+        return None
     n = groups.size
     chunk = max(1, _MASK_ITEMS // n)
     for start in range(0, n, chunk):

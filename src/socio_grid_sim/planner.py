@@ -416,8 +416,8 @@ class _LatticeSearch:
         n_groups, n_agents = self.n_groups, self.base.n_agents
         profiles = list(itertools.product(self.levels, repeat=self.n_slots))
         n_profiles = len(profiles)
-        # Every profile's columns, in the order the rows below would add them,
-        # join the table at once, so that it is not regrown block by block.
+        # Every profile's columns get their ids before the first block, so
+        # the table is sampled once and not regrown block by block.
         for profile in profiles:
             for g in range(n_groups):
                 self._profile_columns(g, profile)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import struct
@@ -192,16 +193,23 @@ class TestContagionNetwork:
             spelled = ContagionNetwork(6, shorthand.base_weights, groups)
             assert spelled.operator == GroupBlock(2.5)
             assert spelled == shorthand
-            # The last two keep the count of nonzero entries: a pair of the
-            # last group of two holds other bits, and a pair moves across groups.
+            # The last three keep the count of nonzero entries: a pair of the
+            # last group of two holds other bits, a pair moves across groups,
+            # and every within-group pair moves across groups.
+            within = [(n, m, 0.0) for n, m in itertools.permutations(range(6), 2) if groups[n] == groups[m]]
+            cross = [(n, m, 2.5) for n, m in itertools.permutations(range(6), 2) if groups[n] != groups[m]]
+            across = within + cross[: len(within)]
             for changes in ([(0, 1, 2.0)], [(0, 2, 1.0)], [(3, 0, -0.0)], [(5, 5, -0.0)], [(4, 2, 3.0)],
-                            [(4, 3, 0.0), (5, 0, 2.5)]):
+                            [(4, 3, 0.0), (5, 0, 2.5)], across):
                 weights = np.array(shorthand.base_weights)
                 for n, m, value in changes:
                     weights[n, m] = value
                 net = ContagionNetwork(6, weights, groups)
                 assert isinstance(net.operator, Dense), changes
                 assert net.base_weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
+        # Two cross-group entries stand where the one group of two has its pairs.
+        coupled = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert isinstance(ContagionNetwork(3, coupled, [0, 0, 1]).operator, Dense)
         # Without a within-group pair every weight gives the same zero matrix.
         assert ContagionNetwork.full_within_groups([0, 1, 2], 2.5).operator == GroupBlock(0.0)
         assert ContagionNetwork(3, np.zeros((3, 3)), [0, 1, 2]).operator == GroupBlock(0.0)

@@ -191,6 +191,25 @@ class TestEvaluatePlan:
             evaluate_plan(SheddingPlan.empty(1.0), small_base(), fairness_weight=-1.0)
 
 
+def own_schedules_search() -> _LatticeSearch:
+    """A search on 2 isolated groups of 50 agents, each agent with its own
+    electricity schedule, and 4 slots at levels {0, 0.5}."""
+    horizon = 24.0
+    rng = np.random.default_rng(8)
+    n = 100
+    base = Scenario(
+        params=ModelParams(horizon_hours=horizon),
+        network=ContagionNetwork.full_within_groups(np.arange(n) // 50, 1.0),
+        electricity=tuple(
+            PiecewiseSchedule(((0.0, 1.0), (float(t), float(v))), horizon)
+            for t, v in zip(rng.uniform(1.0, 23.0, n), rng.uniform(0.5, 1.0, n))
+        ),
+        media_access=(PiecewiseSchedule.constant(1.0, horizon),) * n,
+        initial_dissatisfaction=rng.uniform(0.1, 0.3, n),
+    )
+    return _LatticeSearch(base, 600.0, 6.0, [0.5], 1.0)
+
+
 class TestPlanShedding:
     def test_zero_requirement_returns_empty_plan(self):
         base = small_base()
@@ -298,25 +317,11 @@ class TestPlanShedding:
 
     @pytest.mark.parametrize("block", [None, 4])
     def test_deprivation_table_is_held_once(self, block):
-        # 2 isolated groups of 50 agents, each agent with its own electricity
-        # schedule, and 4 slots at levels {0, 0.5}: the 16 slot profiles give
-        # 100 * 16 deprivation columns of 240 steps, a 3.1 MB table. The
-        # search holds it once, not beside a list of its columns, and does
-        # not regrow it when the profiles run in blocks of 4 rows.
-        horizon = 24.0
-        rng = np.random.default_rng(8)
-        n = 100
-        base = Scenario(
-            params=ModelParams(horizon_hours=horizon),
-            network=ContagionNetwork.full_within_groups(np.arange(n) // 50, 1.0),
-            electricity=tuple(
-                PiecewiseSchedule(((0.0, 1.0), (float(t), float(v))), horizon)
-                for t, v in zip(rng.uniform(1.0, 23.0, n), rng.uniform(0.5, 1.0, n))
-            ),
-            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * n,
-            initial_dissatisfaction=rng.uniform(0.1, 0.3, n),
-        )
-        search = _LatticeSearch(base, 600.0, 6.0, [0.5], 1.0)
+        # own_schedules_search's 16 slot profiles give 100 * 16 deprivation
+        # columns of 240 steps, a 3.1 MB table. The search holds it once, not
+        # beside a list of its columns, and does not regrow it when the
+        # profiles run in blocks of 4 rows.
+        search = own_schedules_search()
         search._block = block or search._block
         tracemalloc.start()
         try:
@@ -330,6 +335,23 @@ class TestPlanShedding:
         # the columns beside a stacked table peaks at 2.6 and 3.0, and a table
         # regrown block by block at 1.9 in blocks of 4.
         assert peak < 1.7 * table
+
+    def test_greedy_deprivation_table_peak(self):
+        # own_schedules_search under greedy search, which learns its profiles
+        # block by block: the table grows 10 times, to 1450 of the 1600
+        # columns, and each growth copies the earlier columns beside the old
+        # table. The peak reads 2.24 tables; this pins it, so a search that
+        # grows the table without the copy has a baseline to beat.
+        search = own_schedules_search()
+        tracemalloc.start()
+        try:
+            search.greedy_restarts(0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 1450 * 240 * 8
+        assert search._pull.nbytes == table
+        assert peak < 2.4 * table
 
     def test_exhaustive_refuses_oversized_lattice(self):
         # 3 groups x 16 slots x 2 levels: 2**48 candidates.
