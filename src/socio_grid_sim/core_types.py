@@ -184,6 +184,16 @@ def _group_ids(n: int, group_of: object, errors: list[str]) -> np.ndarray | None
     return groups
 
 
+def _group_layout(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked group ids as read-only ``(order, sizes, starts)``: the agents by group, in
+    agent order within one (a stable argsort), each group's size and its start in ``order``."""
+    sizes = np.bincount(groups)
+    layout = np.argsort(groups, kind="stable"), sizes, np.cumsum(sizes) - sizes
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 # Entries of the boolean within-group mask that _as_group_block builds at once.
 _MASK_ITEMS = 1 << 16
 
@@ -292,16 +302,22 @@ class ContagionNetwork:
         weights.setflags(write=False)
         return weights
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _group_layout(self.group_of)
+
     @property
     def n_groups(self) -> int:
-        return int(self.group_of.max()) + 1
+        return self._layout[1].size
 
     @property
     def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.group_of, minlength=self.n_groups)
+        return self._layout[1]
 
     def members(self, group: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == group)
+        """The agents of ``group`` in agent order (read-only); none for an id outside 0..G-1."""
+        order, sizes, starts = self._layout
+        return order[starts[group] : starts[group] + sizes[group]] if 0 <= group < sizes.size else order[:0]
 
     @classmethod
     def full_within_groups(cls, group_of: Iterable[int], weight: float = 1.0) -> "ContagionNetwork":

@@ -83,13 +83,16 @@ def contagion_snapshot(
 ) -> ContagionSnapshot:
     """The contagion pull and the response rate at one instant.
 
-    This is one step of the kernel behind :func:`simulate`, a block of one
-    row on the network's own operator, so chaining it with
-    :func:`compute_target` and :func:`step` reproduces a run bit for bit.
+    This is one step of the kernel behind :func:`simulate`: a block of one
+    row through :func:`_classes`, each agent picking its own column of a
+    one-step access table. Chaining it with :func:`compute_target` and
+    :func:`step` therefore reproduces a run bit for bit.
     """
     access = _agent_vector(network, access, "access")
     d = _agent_vector(network, dissatisfaction, "dissatisfaction")
-    ratio = _contagion_ratio(_contagion_operator(network), access, d)
+    own = np.arange(network.n_agents)
+    operator, state_access, _, state_d, expand = _classes(network, own, own, d[None])
+    ratio = _contagion_ratio(operator, access.take(state_access), state_d).take(expand[0])
     if params.omega2 > 0.0:
         # As in the kernel: a zero floor leaves the ratio, and its -0.0, as it is.
         rate = np.maximum(ratio, params.rate_floor) if params.rate_floor > 0.0 else ratio
@@ -163,39 +166,21 @@ class _DenseProduct(NamedTuple):
 
 
 class _GroupSums(NamedTuple):
-    """A group block in kernel form for a (B, N) block of agents, flattened.
+    """A group block in kernel form, as :func:`_classes` builds it for a
+    (B, N) block of agents.
 
-    ``bins[i]`` is the bin of the summed pair ``i`` and ``states[i]`` the
-    state it reads, in agent order, so one bincount gives every bin's sum.
-    ``keys`` and ``inv`` hold each state's bin and 1 / (n_g - 1), 0 for
-    singleton groups and for a zero weight. The weight itself cancels from
-    the ratio, so there is nothing to overflow. Before :func:`_classes`
-    every (row, agent) is a pair and a state of its own, in the bin
-    ``g + G * b`` of its (row, group); after it, the pairs are those of one
-    bin per class of interchangeable bins.
+    ``bins[i]`` is the bin class of the summed pair ``i`` and ``states[i]``
+    the state it reads, in agent order, so one bincount gives every bin's
+    sum; the pairs are those of one (row, group) bin per class. ``keys`` and
+    ``inv`` hold each state's bin class and 1 / (n_g - 1), 0 for singleton
+    groups and for a zero weight. The weight itself cancels from the ratio,
+    so there is nothing to overflow.
     """
 
     bins: np.ndarray
     states: np.ndarray
     keys: np.ndarray
     inv: np.ndarray
-
-
-def _contagion_operator(network: ContagionNetwork, rows: int = 1) -> _DenseProduct | _GroupSums:
-    """The network's operator in kernel form, for a block of ``rows`` rows of agents.
-
-    A group block starts with one state per (row, agent); :func:`_classes`
-    merges the interchangeable ones, and the interchangeable bins.
-    """
-    operator = network.operator
-    if isinstance(operator, Dense):
-        return _DenseProduct(*_scaled_rows(operator.matrix))
-    sizes = network.group_sizes
-    inv = np.zeros(sizes.size)
-    if operator.weight != 0.0:
-        np.divide(1.0, sizes - 1, out=inv, where=sizes > 1)
-    bins = (network.group_of + sizes.size * np.arange(rows)[:, None]).ravel()
-    return _GroupSums(bins, np.arange(bins.size), bins, np.tile(inv[network.group_of], rows))
 
 
 def _contagion_ratio(
@@ -255,10 +240,13 @@ _MIX = 6364136223846793005
 
 
 def _classes(
-    operator: _DenseProduct | _GroupSums, access_index: np.ndarray, pull_index: np.ndarray, d0: np.ndarray
+    network: ContagionNetwork, access_index: np.ndarray, pull_index: np.ndarray, d0: np.ndarray
 ) -> tuple[_DenseProduct | _GroupSums, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One kernel state per class of a (B, N) block's (row, agent) pairs.
+    """The network's operator in kernel form, over one state per class of a
+    (B, N) block's (row, agent) pairs. Nothing else builds it.
 
+    A dense network keeps one state per (row, agent) and takes its matrix
+    with any overflowing row rescaled (:func:`_scaled_rows`).
     On a group block, a (row, group) bin runs on its size and on its
     members' keys in agent order, a key being the access pick, the pull pick
     and the initial float64 bits. Bins equal in both run the same float
@@ -268,14 +256,13 @@ def _classes(
     would sum in another order, so they stay apart.
 
     Bins are bucketed by size and by a position-weighted hash of their
-    member keys, taken group by group in agent order (the stable argsort of
-    the group ids that :func:`metrics._aggregate` runs too, so that a run
-    touches no other sort kernel for it; an int64 sort of (group, agent)
-    codes took about 0.2 MB more peak RSS on 3000 agents).
+    member keys, taken group by group in agent order: the group order the
+    network holds (``ContagionNetwork._layout``), so a run sorts its group
+    ids once, for this and for its aggregates (an int64 sort of (group,
+    agent) codes here took about 0.2 MB more peak RSS on 3000 agents).
     A bin joins the bin that stands for its bucket only when every member
     key matches, position by position: a hash collision can cost a merge,
-    never join unequal bins. A dense operator keeps one state per (row,
-    agent).
+    never join unequal bins.
 
     Returns the operator over the states, each state's access pick, pull
     pick and initial value, and the (B, N) state of every agent.
@@ -284,17 +271,16 @@ def _classes(
     access_index = np.broadcast_to(access_index, shape).ravel()
     pull_index = np.broadcast_to(pull_index, shape).ravel()
     d0 = np.asarray(d0, dtype=float).ravel()
-    if isinstance(operator, _DenseProduct):
+    if isinstance(network.operator, Dense):
+        operator = _DenseProduct(*_scaled_rows(network.operator.matrix))
         return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
     # A key needs only equal bits, and plain np.unique is what the group-id check runs.
     key = _fold(access_index, pull_index, _rank(d0.view(np.int64)))
-    # Row 0's bins are the group ids. Every bin's member keys, group after
-    # group and in agent order within a group, row after row:
+    # The bin g + G * b of each (row b, agent) of group g, and every bin's
+    # member keys, group after group and in agent order within a group, row after row:
     n = shape[1]
-    groups = operator.bins[:n]
-    sizes = np.bincount(groups)
-    starts = np.cumsum(sizes) - sizes
-    by_group = np.argsort(groups, kind="stable")
+    by_group, sizes, starts = network._layout
+    bins = (network.group_of + sizes.size * np.arange(shape[0])[:, None]).ravel()
     members = key.reshape(shape)[:, by_group].ravel()
     offsets = (n * np.arange(shape[0])[:, None] + starts).ravel()
     lengths = np.tile(sizes, shape[0])
@@ -307,13 +293,16 @@ def _classes(
     candidate = first[bucket]
     same = members == members[np.repeat(offsets[candidate], lengths) + position]
     stand_in = np.where(np.logical_and.reduceat(same, offsets), candidate, np.arange(bucket.size))
-    bin_class = _rank(stand_in)[operator.bins]
+    bin_class = _rank(stand_in)[bins]
     code = _rank(_fold(key, bin_class))
-    summed = stand_in[operator.bins] == operator.bins
+    summed = stand_in[bins] == bins
     # Any member stands for its state.
     first = np.empty(code.max() + 1, dtype=np.intp)
     first[code] = np.arange(code.size)
-    classes = _GroupSums(bin_class[summed], code[summed], bin_class[first], operator.inv[first])
+    inv = np.zeros(sizes.size)
+    if network.operator.weight != 0.0:
+        np.divide(1.0, sizes - 1, out=inv, where=sizes > 1)
+    classes = _GroupSums(bin_class[summed], code[summed], bin_class[first], inv[network.group_of[first % n]])
     return classes, access_index[first], pull_index[first], d0[first], code.reshape(shape)
 
 
@@ -347,7 +336,7 @@ def _clamp(d: np.ndarray, expand: np.ndarray, clamp_hits: np.ndarray) -> None:
 
 
 def _euler(
-    operator: _DenseProduct | _GroupSums,
+    network: ContagionNetwork,
     access: np.ndarray,
     access_index: np.ndarray,
     pull: np.ndarray,
@@ -357,9 +346,10 @@ def _euler(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Advance a (B, N) block of agents together on the shared step grid.
 
-    ``operator`` is :func:`_contagion_operator` for B rows. ``access`` is a
-    (steps, K) table of distinct media-access columns and ``pull`` a
-    (steps, K') table of distinct deprivation columns omega1 * (1 - E).
+    The kernel takes the ``network`` itself; :func:`_classes` builds its
+    operator for the block, with the group order the network holds.
+    ``access`` is a (steps, K) table of distinct media-access columns and
+    ``pull`` a (steps, K') table of distinct deprivation columns omega1 * (1 - E).
     ``access_index`` and ``pull_index`` pick each agent's column: (1, N) when
     every row shares the pick, (B, N) when each row has its own.
     The kernel advances one state per class of interchangeable agents in
@@ -379,7 +369,7 @@ def _euler(
     :func:`_contagion_ratio`).
     """
     b, n = d0.shape
-    operator, access_index, pull_index, d, expand = _classes(operator, access_index, pull_index, d0)
+    operator, access_index, pull_index, d, expand = _classes(network, access_index, pull_index, d0)
     recorded = np.empty((b, params.n_steps // params.steps_per_report + 1, n))
     recorded[:, 0] = d0
     clamp_hits = np.zeros(b, dtype=int)
@@ -488,13 +478,8 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
     access, access_index = _sample_schedules([m for s in scenarios for m in s.media_access], dt, n_steps)
     electricity, pull_index = _sample_schedules([e for s in scenarios for e in s.electricity], dt, n_steps)
     recorded, clamp_hits, _ = _euler(
-        _contagion_operator(net, shape[0]),
-        access,
-        access_index.reshape(shape),
-        params.omega1 * (1.0 - electricity),
-        pull_index.reshape(shape),
-        np.stack([s.initial_dissatisfaction for s in scenarios]),
-        params,
+        net, access, access_index.reshape(shape), params.omega1 * (1.0 - electricity),
+        pull_index.reshape(shape), np.stack([s.initial_dissatisfaction for s in scenarios]), params,
     )
     times = np.arange(recorded.shape[1]) * params.report_every_hours
     return [
@@ -502,7 +487,7 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
             times=times,
             dissatisfaction=trajectory,
             groups=net.group_of,
-            aggregates=_aggregate(trajectory, net.group_of),
+            aggregates=_aggregate(trajectory, net._layout),
             manifest={
                 "tool": "socio-grid-sim",
                 "tool_version": __version__,

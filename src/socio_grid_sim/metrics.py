@@ -6,7 +6,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_types import ValidationError, _group_ids
+from .core_types import ValidationError, _group_ids, _group_layout
 
 
 def _checked_groups(n_agents: int, group_of: Sequence[int]) -> np.ndarray:
@@ -43,15 +43,13 @@ def aggregate_trajectory(
     times = np.asarray(times, dtype=float)
     if times.shape != (d.shape[0],):
         raise ValidationError([f"times must have shape ({d.shape[0]},) (got {times.shape})"])
-    return _aggregate(d, _checked_groups(d.shape[1], group_of))
+    return _aggregate(d, _group_layout(_checked_groups(d.shape[1], group_of)))
 
 
-def _aggregate(d: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """:func:`aggregate_trajectory` of a (T, N) float array, for group ids
-    already checked (a :class:`ContagionNetwork`'s ``group_of``)."""
-    sizes = np.bincount(groups)
-    order = np.argsort(groups, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+def _aggregate(d: np.ndarray, layout: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`aggregate_trajectory` of a (T, N) float array, for the
+    ``(order, sizes, starts)`` layout of checked group ids (a network's own)."""
+    order, sizes, starts = layout
     s = 1.0 - d
     out = np.empty((4, d.shape[0], sizes.size + 1))
     for size in np.unique(sizes).tolist():

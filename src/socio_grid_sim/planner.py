@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core_types import GroupBlock, Scenario, ValidationError, _distinct
-from .dynamics import _contagion_operator, _euler, _sample_schedules, simulate
+from .dynamics import _euler, _sample_schedules, simulate
 from .plans import SheddingPlan, SheddingSlot, _shed_schedule, apply_plan, validate_plan
 
 
@@ -127,6 +127,8 @@ class _LatticeSearch:
         fairness_weight: float,
     ):
         errors: list[str] = []
+        if math.isnan(required_energy):
+            errors.append(f"required_energy must be a number (got {required_energy!r})")
         horizon = base.params.horizon_hours
         if not granularity_hours > 0.0:
             errors.append(f"granularity_hours must be > 0 (got {granularity_hours!r})")
@@ -141,6 +143,8 @@ class _LatticeSearch:
         for level in level_set:
             if not 0.0 <= level <= 1.0:
                 errors.append(f"shed level {level!r} outside [0, 1]")
+        if not 0.0 <= fairness_weight < math.inf:
+            errors.append(f"fairness_weight must be finite and >= 0 (got {fairness_weight!r})")
         if errors:
             raise ValidationError(errors)
 
@@ -289,9 +293,8 @@ class _LatticeSearch:
             pull_index[:, members] = [self._profile_columns(g, row[g]) for row in rows]
         self._sample_columns()
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
-        operator = _contagion_operator(base.network, len(rows))
         recorded, _, states = _euler(
-            operator, self._access, self._access_index, self._pull, pull_index, d0, base.params
+            base.network, self._access, self._access_index, self._pull, pull_index, d0, base.params
         )
         self.kernel_rows += len(rows)
         self.kernel_classes += states
@@ -542,8 +545,6 @@ def plan_shedding(
     """
     if strategy not in ("exhaustive", "greedy_restarts"):
         raise ValidationError([f"strategy must be 'exhaustive' or 'greedy_restarts' (got {strategy!r})"])
-    if not 0.0 <= fairness_weight < math.inf:
-        raise ValidationError([f"fairness_weight must be finite and >= 0 (got {fairness_weight!r})"])
     search = _LatticeSearch(base, required_energy, granularity_hours, shed_levels, fairness_weight)
     if search.required > search.max_energy + 1e-9:
         raise PlanInfeasibleError(

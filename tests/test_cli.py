@@ -306,6 +306,22 @@ class TestPlanCommand:
         assert code == 2
         assert "fairness_weight must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy_restarts"])
+    def test_plan_rejects_nan_required_energy(self, tmp_path, capsys, strategy):
+        code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
+                     "--out", str(tmp_path / "p"), "--required-energy", "nan",
+                     "--granularity", "1", "--strategy", strategy])
+        assert code == 2
+        assert "error: required_energy must be a number (got nan)" in capsys.readouterr().err.splitlines()
+
+    def test_plan_reports_bad_lambda_and_granularity_together(self, tmp_path, capsys):
+        code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
+                     "--out", str(tmp_path / "p"), "--required-energy", "2.0",
+                     "--granularity", "3.0", "--lambda", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must divide the horizon" in err and "fairness_weight must be finite" in err
+
     def test_plan_rejects_malformed_levels(self, tmp_path, capsys):
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
                      "--out", str(tmp_path / "p"), "--required-energy", "0",

@@ -157,6 +157,21 @@ class TestContagionNetwork:
         assert np.array_equal(net.group_sizes, [2, 1])
         assert np.array_equal(net.members(0), [0, 1])
 
+    def test_members_follow_shuffled_ids_with_singletons(self):
+        # The members come from one group layout the network keeps; an id
+        # outside 0..G-1 has none, where a plain slice would give the last group.
+        groups = np.random.default_rng(5).permutation(np.repeat(np.arange(6), [4, 1, 3, 1, 5, 1]))
+        n = groups.size
+        weights = np.where(groups[:, None] == groups, np.linspace(0.5, 2.0, n), 0.0)
+        np.fill_diagonal(weights, 0.0)
+        for net in (ContagionNetwork.full_within_groups(groups, 1.0), ContagionNetwork(n, weights, groups)):
+            assert net.n_groups == 6
+            assert np.array_equal(net.group_sizes, np.bincount(groups))
+            for group in range(6):
+                assert np.array_equal(net.members(group), np.flatnonzero(groups == group))
+            for group in (-1, 6):
+                assert net.members(group).size == 0
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValidationError, match="diagonal"):
             ContagionNetwork(2, np.array([[0.1, 0.0], [0.0, 0.0]]), np.array([0, 0]))

@@ -362,16 +362,20 @@ class TestSimulate:
         scenarios.append(replace_params(random_scenario(rng, max_horizon=48.0, rate_floor=0.05), omega2=0.0))
         # -0.0 and 0.0 access interleaved, from -0.0 states at a zero floor:
         # each agent keeps its own zero's sign, whichever spelling comes first.
+        # Group 1 is a singleton, on a group block and on a dense matrix.
+        dense = ContagionNetwork(4, [[0.0, 1.0, 0.5, 0.0], [2.0, 0.0, 0.0, 0.0], [0.25, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0]], [0, 0, 0, 1])
         for zeros in ((-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, -0.0, 0.0)):
-            scenarios.append(
-                Scenario(
-                    params=ModelParams(horizon_hours=4.0),
-                    network=ContagionNetwork.full_within_groups([0, 0, 0, 1], 1.0),
-                    electricity=(PiecewiseSchedule.constant(1.0, 4.0),) * 4,
-                    media_access=tuple(PiecewiseSchedule.constant(z, 4.0) for z in zeros),
-                    initial_dissatisfaction=np.full(4, -0.0),
+            for network in (ContagionNetwork.full_within_groups([0, 0, 0, 1], 1.0), dense):
+                scenarios.append(
+                    Scenario(
+                        params=ModelParams(horizon_hours=4.0),
+                        network=network,
+                        electricity=(PiecewiseSchedule.constant(1.0, 4.0),) * 4,
+                        media_access=tuple(PiecewiseSchedule.constant(z, 4.0) for z in zeros),
+                        initial_dissatisfaction=np.full(4, -0.0),
+                    )
                 )
-            )
         for scenario in scenarios:
             params = scenario.params
             electricity, access = (
@@ -393,6 +397,41 @@ class TestSimulate:
         coarse = simulate(scenario)
         halved = simulate(replace_params(scenario, dt_hours=0.05))
         assert np.max(np.abs(coarse.dissatisfaction - halved.dissatisfaction)) < 5e-3
+
+
+class TestGroupLayout:
+    # The network works out its group order once; the kernel and the
+    # aggregates read it, and no caller can write into it.
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_layout_arrays_cannot_be_written(self, dense):
+        groups = [2, 0, 1, 0, 2, 1, 1, 0, 2]
+        network = ContagionNetwork.full_within_groups(groups, 1.0)
+        if dense:
+            network = ContagionNetwork(9, network.base_weights * np.linspace(0.5, 1.5, 9), groups)
+        scenario = replace(homogeneous_scenario(n=9, horizon=4.0), network=network,
+                           initial_dissatisfaction=np.linspace(0.1, 0.9, 9))
+        before = simulate(scenario)
+        for array in (network.members(0), network.members(9), network.group_sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        after = simulate(scenario)
+        assert same_bits(before.dissatisfaction, after.dissatisfaction)
+        assert same_bits(before.aggregates, after.aggregates)
+
+    def test_simulate_block_derives_the_layout_once(self, monkeypatch):
+        from socio_grid_sim import builtin_case_study, core_types
+        from socio_grid_sim.dynamics import _simulate_block
+
+        scenarios = [builtin_case_study("full_access"), builtin_case_study("limited_access")]
+        calls = []
+
+        def spy(groups, _real=core_types._group_layout):
+            calls.append(groups.size)
+            return _real(groups)
+
+        monkeypatch.setattr(core_types, "_group_layout", spy)
+        _simulate_block(scenarios)
+        assert calls == [9]
 
 
 class TestGroupBlockOperator:
@@ -486,7 +525,7 @@ def replace_params(scenario: Scenario, **overrides) -> Scenario:
 
 def batched_blocks():
     """Kernel blocks drawn from fixed seeds, as (network, shared, block) with
-    ``block`` the arguments of ``_euler`` after the operator.
+    ``block`` the arguments of ``_euler`` after the network.
 
     For each of 20 random scenarios: its own network and a group block on its
     groups, each with fresh inputs, where every (row, agent) has its own
@@ -535,7 +574,7 @@ def batched_blocks():
 def clamped_block():
     """A 4-row block on 6 agents in 2 groups whose rows 1 and 2 leave [0, 1]:
     pull columns 2 and 3 lie above 1. Returns (groups, block) with ``block``
-    the arguments of ``_euler`` after the operator."""
+    the arguments of ``_euler`` after the network."""
     params = ModelParams(horizon_hours=6.0, dt_hours=0.5, rate_floor=0.4, report_every_hours=1.0)
     groups = [0, 1, 0, 1, 1, 0]
     n = len(groups)
@@ -580,7 +619,7 @@ class TestBatchedKernel:
         # its own run as a block of one on the gathered grids, where every
         # agent has a pick of its own (:func:`batched_blocks`).
         from socio_grid_sim.core_types import GroupBlock
-        from socio_grid_sim.dynamics import _contagion_operator, _euler
+        from socio_grid_sim.dynamics import _euler
 
         collapsed = []
         for network, shared, (access, access_index, pull, index, d0, params) in batched_blocks():
@@ -588,7 +627,7 @@ class TestBatchedKernel:
             identity = np.arange(n)[None]
             # Each row alone, on its own gathered (steps, N) grids read in agent order.
             singles = [
-                _euler(_contagion_operator(network), access[:, access_index[0]], identity,
+                _euler(network, access[:, access_index[0]], identity,
                        pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
                 for row in range(index.shape[0])
             ]
@@ -596,8 +635,7 @@ class TestBatchedKernel:
                 states = expected_states = 0
                 for start in range(0, index.shape[0], size):
                     rows = slice(start, start + size)
-                    operator = _contagion_operator(network, index[rows].shape[0])
-                    block, hits, count = _euler(operator, access, access_index, pull, index[rows], d0[rows], params)
+                    block, hits, count = _euler(network, access, access_index, pull, index[rows], d0[rows], params)
                     states += count
                     expected_states += block_states(network, access_index, index[rows], d0[rows])
                     assert hits.tolist() == [0] * block.shape[0]
@@ -615,16 +653,16 @@ class TestBatchedKernel:
         # Each row's clamp count and clipped trajectory must equal its own
         # run, where every agent is a state of its own: a row counts a step
         # once, however many classes it clips.
-        from socio_grid_sim.dynamics import _contagion_operator, _euler
+        from socio_grid_sim.dynamics import _euler
 
         groups, (access, access_index, pull, index, d0, params) = clamped_block()
         n = len(groups)
         identity = np.arange(n)[None]
         for network in (ContagionNetwork.full_within_groups(groups, 1.0), ContagionNetwork(n, 1.0 - np.eye(n), groups)):
-            block, hits, _ = _euler(_contagion_operator(network, 4), access, access_index, pull, index, d0, params)
+            block, hits, _ = _euler(network, access, access_index, pull, index, d0, params)
             for row in range(4):
                 single, single_hits, states = _euler(
-                    _contagion_operator(network), access[:, access_index[0]], identity,
+                    network, access[:, access_index[0]], identity,
                     pull[:, index[row]], identity, d0[row : row + 1], params,
                 )
                 assert states == n
@@ -641,13 +679,11 @@ class TestExecutors:
     # own set-up, and the two must agree in bits, clamp counts and states.
     @staticmethod
     def _assert_executors_agree(network, access, access_index, pull, index, d0, params):
-        from socio_grid_sim.dynamics import _classes, _contagion_operator, _euler_arrays, _euler_floats, _picked_rows
+        from socio_grid_sim.dynamics import _classes, _euler_arrays, _euler_floats, _picked_rows
 
         runs = []
         for executor in (_euler_floats, _euler_arrays):
-            operator, state_access, state_pull, d, expand = _classes(
-                _contagion_operator(network, d0.shape[0]), access_index, index, d0
-            )
+            operator, state_access, state_pull, d, expand = _classes(network, access_index, index, d0)
             recorded = np.empty((d0.shape[0], params.n_steps // params.steps_per_report + 1, d0.shape[1]))
             recorded[:, 0] = d0
             hits = np.zeros(d0.shape[0], dtype=int)
@@ -773,15 +809,13 @@ class TestInterchangeableGroups:
         ],
     )
     def test_merged_groups_match_unmerged_runs(self, groups, weight, rate_floor, access_index, index, d0, states):
-        from socio_grid_sim.dynamics import _contagion_operator, _euler
+        from socio_grid_sim.dynamics import _euler
 
         params = ModelParams(rate_floor=rate_floor, **self.PARAMS)
         access, pull = self._tables(params)
         network = ContagionNetwork.full_within_groups(groups, weight)
         access_index, index, d0 = np.array([access_index]), np.array(index), np.array(d0)
-        recorded, hits, count = _euler(
-            _contagion_operator(network, index.shape[0]), access, access_index, pull, index, d0, params
-        )
+        recorded, hits, count = _euler(network, access, access_index, pull, index, d0, params)
         assert count == states == block_states(network, access_index, index, d0)
         assert hits.tolist() == [0] * index.shape[0]
         for row in range(index.shape[0]):
@@ -789,9 +823,8 @@ class TestInterchangeableGroups:
                 own = network.group_of == group
                 apart = d0[row].copy()
                 apart[~own] = [v for v in np.linspace(0.05, 0.95, 3 * apart.size) if v not in apart[own]][: (~own).sum()]
-                single, _, single_states = _euler(
-                    _contagion_operator(network), access, access_index, pull, index[row : row + 1], apart[None], params
-                )
+                rows = index[row : row + 1]
+                single, _, single_states = _euler(network, access, access_index, pull, rows, apart[None], params)
                 # Every agent outside the group is a state of its own.
                 keys = {(access_index[0, a], index[row, a], apart[a].tobytes()) for a in np.flatnonzero(own)}
                 assert single_states == (~own).sum() + len(keys)

@@ -368,6 +368,23 @@ class TestPlanShedding:
         with pytest.raises(ValidationError, match="fairness_weight must be finite"):
             evaluate_plan(SheddingPlan.empty(3.0), base, fairness_weight)
 
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy_restarts"])
+    def test_rejects_nan_required_energy(self, strategy):
+        # A NaN requirement is neither feasible nor infeasible; inf stays infeasible.
+        base = small_base()
+        with pytest.raises(ValidationError, match="required_energy") as caught:
+            plan_shedding(base, float("nan"), 1.0, [0.0, 0.5], strategy=strategy)
+        assert not isinstance(caught.value, PlanInfeasibleError)
+        with pytest.raises(PlanInfeasibleError, match="maximum achievable"):
+            plan_shedding(base, float("inf"), 1.0, [0.0, 0.5], strategy=strategy)
+
+    def test_reports_every_bad_argument_together(self):
+        with pytest.raises(ValidationError) as caught:
+            plan_shedding(small_base(), float("nan"), 3.0, [0.0, 1.5], fairness_weight=-1.0)
+        assert [v.split()[0] for v in caught.value.violations] == [
+            "required_energy", "granularity_hours", "shed", "fairness_weight",
+        ]
+
     def test_rejects_bad_granularity_and_levels(self):
         base = small_base()
         with pytest.raises(ValidationError, match="divide"):
