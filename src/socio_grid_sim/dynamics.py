@@ -14,13 +14,16 @@ and the engine counts how often it fires (it never should for valid inputs).
 The kernel behind :func:`simulate` and the planner has two executors of the
 same step, with the same roundings. A group block of at most
 ``_FLOAT_STATES`` kernel states and ``_FLOAT_PAIRS`` summed pairs, such as
-the two-row case study, advances on Python floats (:func:`_euler_floats`),
-where numpy's fixed cost per call would dominate. Every other block, and any
-dense one, advances on numpy vectors (:func:`_euler_arrays`).
+the two-row case study, advances on Python floats (:func:`_euler_floats`)
+in a straight-line loop compiled once per block structure
+(:func:`_float_loop`), where numpy's fixed cost per call would dominate.
+Every other block, and any dense one, advances on numpy vectors
+(:func:`_euler_arrays`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass
 from typing import NamedTuple, Sequence
@@ -311,11 +314,10 @@ def _classes(
 _GATHER_FLOATS = 2**14
 
 # The largest group block that advances on Python floats, in states and in
-# pairs summed per step (those of one bin per class). Measured over one-row
-# 48 h blocks of 1 to 32 states and 6 to 128 pairs: up to 8 states and 64
-# pairs the float loop takes 0.4 to 0.9 times as long as the numpy loop; at
-# 12 states 0.9 to 1.0 times, at 16 states and 48 pairs 1.2 times, and at 8
-# states and 96 pairs 1.07 times.
+# pairs summed per step (those of one bin per class). On one-row 48 h blocks
+# of 2 to 16 states and 6 to 128 pairs the compiled loop takes 0.14 to 0.46
+# times as long as the numpy loop, but its first call also compiles: on 12 h
+# blocks, that first call takes longer than numpy from 8 states on.
 _FLOAT_STATES = 8
 _FLOAT_PAIRS = 64
 
@@ -411,43 +413,62 @@ def _euler_arrays(operator, access_rows, pull_rows, d, expand, recorded, clamp_h
 def _euler_floats(operator: _GroupSums, access_rows, pull_rows, d, expand, recorded, clamp_hits, params) -> None:
     """The step loop of :func:`_euler_arrays` on Python floats, for a small group block.
 
-    Every operation is the numpy loop's, in its order: each group sum adds
-    ``x[state]`` into its bin in agent order, as ``bincount`` does, and each
-    state computes ``(a * (S - x)) * inv``, the target and the update as the
-    vectors do, so every state keeps its bits. The rare clamp and each
-    report go through numpy.
+    The loop is straight-line code compiled for the block's structure
+    (:func:`_float_loop`). The rare clamp and each report go through numpy.
     """
-    dt = params.dt_hours
     spr = params.steps_per_report
-    floor = params.rate_floor
-    omega2 = params.omega2
-    pairs = list(zip(operator.bins.tolist(), operator.states.tolist()))
-    keys, inv = operator.keys.tolist(), operator.inv.tolist()
-    n_bins = int(operator.bins.max()) + 1
-    d = d.tolist()
+
+    def report(k, states, clamp):
+        if clamp:
+            array = np.array(states)
+            _clamp(array, expand, clamp_hits)
+            states = array.tolist()
+        if k % spr == 0:
+            recorded[:, k // spr] = np.take(states, expand)
+        return states
+
+    run = _float_loop(tuple(operator.bins.tolist()), tuple(operator.states.tolist()),
+                      tuple(operator.keys.tolist()), params.omega2 > 0.0)
     # One step's rows at a time become Python floats: the whole horizon as
     # lists would take three times the memory of its gathered rows.
-    steps = zip(map(np.ndarray.tolist, access_rows), map(np.ndarray.tolist, pull_rows))
-    for k, (local_access, local_pull) in enumerate(steps):
-        if omega2 > 0.0:
-            x = [a * v for a, v in zip(local_access, d)]
-            sums = [0.0] * n_bins
-            for key, state in pairs:
-                sums[key] += x[state]
-            new = []
-            for a, p, v, xv, key, w in zip(local_access, local_pull, d, x, keys, inv):
-                ratio = a * (sums[key] - xv) * w
-                # max returns the first of equal values, so a zero floor leaves a -0.0 ratio as it is.
-                new.append(v + max(ratio, floor) * (p + omega2 * ratio - v) * dt)
-            d = new
-        else:
-            d = [v + floor * (p - v) * dt for v, p in zip(d, local_pull)]
-        if min(d) < 0.0 or max(d) > 1.0:
-            states = np.array(d)
-            _clamp(states, expand, clamp_hits)
-            d = states.tolist()
-        if (k + 1) % spr == 0:
-            recorded[:, (k + 1) // spr] = np.take(d, expand)
+    rows = zip(map(np.ndarray.tolist, access_rows), map(np.ndarray.tolist, pull_rows))
+    run(rows, d.tolist(), operator.inv.tolist(), params.omega2, params.rate_floor, params.dt_hours, spr, report)
+
+
+@functools.lru_cache(maxsize=64)
+def _float_loop(bins: tuple, states: tuple, keys: tuple, contagion: bool):
+    """Compile the float step loop of one block structure into straight-line Python.
+
+    Each state is a local. Each bin's sum is one left-to-right expression
+    from 0.0 over its pairs, in agent order, as ``bincount`` adds (and turns
+    a -0.0 sum into 0.0). Each state then does the numpy loop's operations in
+    its order, ``(a * (S - x)) * inv``, the target and the update, so every
+    state keeps its bits. The source holds only names and state and bin
+    numbers; every float comes in as an argument.
+    """
+    n = len(keys)
+    ds, access, pull, inv = (", ".join(f"{c}{i}" for i in range(n)) for c in "dapw")
+    sums = dict.fromkeys(keys, "0.0")
+    for b, state in zip(bins, states):
+        sums[b] += f" + x{state}"
+    lines = ["def run(rows, d, w, omega2, floor, dt, spr, report):", f"    {ds}, = d", f"    {inv}, = w",
+             "    k = 0", f"    for ({access},), ({pull},) in rows:"]
+    if contagion:
+        lines += [f"        x{i} = a{i} * d{i}" for i in range(n)]
+        lines += [f"        s{b} = {total}" for b, total in sums.items()]
+        for i, key in enumerate(keys):
+            # max(r, floor) as the builtin computes it, without its call: a
+            # zero floor leaves a -0.0 ratio as it is, as numpy's loop does.
+            lines += [f"        r = a{i} * (s{key} - x{i}) * w{i}",
+                      f"        d{i} = d{i} + (floor if floor > r else r) * (p{i} + omega2 * r - d{i}) * dt"]
+    else:
+        lines += [f"        d{i} = d{i} + floor * (p{i} - d{i}) * dt" for i in range(n)]
+    inside = " and ".join(f"0.0 <= d{i} <= 1.0" for i in range(n))
+    lines += ["        k += 1", f"        if not ({inside}):", f"            {ds}, = report(k, ({ds},), True)",
+              "        elif k % spr == 0:", f"            report(k, ({ds},), False)"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<float loop>", "exec"), namespace)
+    return namespace["run"]
 
 
 def simulate(scenario: Scenario) -> SimulationResult:

@@ -390,13 +390,17 @@ def write_results(
                 parts[2::3] = texts.take(rank).tolist()
                 fh.write("".join(parts))
 
+    # As in agents.csv, each distinct float64 bit pattern is formatted once.
     labels = [f"group_{g}," for g in range(result.aggregates.shape[2] - 1)] + ["global,"]
+    bits = result.aggregates.transpose(1, 2, 0).view(np.int64)
+    distinct = np.unique(bits)
+    texts = np.array([f"{v:.9g}" for v in distinct.view(np.float64).tolist()], dtype=object)
     with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")
         fh.write(
             "".join(
-                f"{t:.9g},{label}{mean:.9g},{low:.9g},{high:.9g},{std:.9g}\n"
-                for t, stats in zip(result.times.tolist(), result.aggregates.transpose(1, 2, 0).tolist())
+                f"{t:.9g},{label}{mean},{low},{high},{std}\n"
+                for t, stats in zip(result.times.tolist(), texts.take(distinct.searchsorted(bits)).tolist())
                 for label, (mean, low, high, std) in zip(labels, stats)
             )
         )

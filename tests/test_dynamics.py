@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socio_grid_sim import (
     ContagionNetwork,
@@ -767,6 +769,55 @@ class TestExecutors:
         weights = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
         simulate(replace(homogeneous_scenario(horizon=2.0), network=ContagionNetwork(3, weights, [0, 0, 0])))
         assert ran[1:] == [("_euler_arrays", 12, 3000), ("_euler_arrays", 3, 3)]
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_small_blocks(self, data):
+        # Shuffled group ids with singletons, zero weights, -0.0 access and
+        # initial states, no contagion, a rate floor, and a pull column above
+        # 1 that makes rows clamp.
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        groups = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        network = ContagionNetwork.full_within_groups(groups, data.draw(st.sampled_from([1.0, 0.5, 0.0])))
+        params = ModelParams(horizon_hours=2.0, omega1=0.4, omega2=data.draw(st.sampled_from([0.5, 0.0])),
+                             rate_floor=data.draw(st.sampled_from([0.0, 0.3])), report_every_hours=0.5)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        zeros = np.zeros((params.n_steps, 1))
+        access = np.hstack([-zeros, zeros, rng.uniform(0.0, 1.0, size=(params.n_steps, 2))])
+        pull = np.hstack([-zeros, rng.uniform(0.0, 0.4, size=(params.n_steps, 2)), zeros + 2.5])
+        n, rows = len(groups), data.draw(st.integers(1, 3))
+        access_index = np.array([data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))])
+        index = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * rows, max_size=n * rows))).reshape(rows, n)
+        d0 = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 0.9]), min_size=n * rows,
+                                         max_size=n * rows))).reshape(rows, n)
+        self._assert_executors_agree(network, access, access_index, pull, index, d0, params)
+
+    def test_one_compiled_loop_per_structure(self, monkeypatch):
+        # Blocks of one structure share the loop, whatever their floats;
+        # a block without contagion compiles its own.
+        from socio_grid_sim import dynamics
+
+        loops, compile_loop = [], dynamics._float_loop
+
+        def spy(*structure):
+            loops.append(compile_loop(*structure))
+            return loops[-1]
+
+        monkeypatch.setattr(dynamics, "_float_loop", spy)
+        steps = np.arange(10.0)[:, None]
+        access_index, index = np.array([[0, 1, 0]]), np.array([[1, 0, 1]])
+        for weight, omega2, dt, rate_floor, scale, d0 in [
+            (1.0, 0.5, 0.1, 0.0, 0.01, [[0.5, 0.2, 0.5]]),
+            (0.0, 0.3, 0.2, 0.05, 0.02, [[0.7, 0.1, 0.7]]),
+            (1.0, 0.0, 0.1, 0.05, 0.01, [[0.5, 0.2, 0.5]]),
+        ]:
+            params = ModelParams(horizon_hours=10 * dt, omega2=omega2, dt_hours=dt, rate_floor=rate_floor,
+                                 report_every_hours=dt)
+            network = ContagionNetwork.full_within_groups([0, 0, 1], weight)
+            self._assert_executors_agree(network, 0.9 - scale * np.hstack([steps, 2 * steps]), access_index,
+                                         0.1 + scale * np.hstack([steps, 3 * steps]), index, np.array(d0), params)
+        assert loops[0] is loops[1] and loops[2] is not loops[0]
+        assert compile_loop.cache_info().maxsize == 64
 
 
 class TestInterchangeableGroups:
