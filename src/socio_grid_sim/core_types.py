@@ -104,20 +104,18 @@ class PiecewiseSchedule:
                     )
         if errors:
             raise ValidationError(errors)
-        object.__setattr__(self, "_starts", tuple(s for s, _ in points))
-        object.__setattr__(self, "_values", tuple(v for _, v in points))
 
     def value_at(self, t: float) -> float:
         """Value of the unique segment containing ``t`` (left-closed)."""
         if not (0.0 <= t < self.horizon_hours):
             raise ValueError(f"t = {t!r} outside schedule span [0, {self.horizon_hours!r})")
-        return self._values[bisect_right(self._starts, t) - 1]
+        return self.breakpoints[bisect_right(self.breakpoints, (t, math.inf)) - 1][1]
 
     def sample(self, dt: float, n_steps: int) -> np.ndarray:
         """Values on the step grid 0, dt, ..., (n_steps-1)*dt."""
         grid = np.arange(n_steps) * dt
-        idx = np.searchsorted(np.asarray(self._starts), grid, side="right") - 1
-        return np.asarray(self._values)[idx]
+        starts, values = np.array(self.breakpoints).T
+        return values[np.searchsorted(starts, grid, side="right") - 1]
 
     @classmethod
     def constant(cls, value: float, horizon_hours: float) -> "PiecewiseSchedule":

@@ -212,7 +212,9 @@ def _contagion_ratio(
 
 
 def _rank(code: np.ndarray) -> np.ndarray:
-    """Each code's rank among the distinct codes.
+    """Each code's rank among the distinct codes: int64 codes, or rows of
+    them viewed as one raw-bytes item each, which rank equal exactly when
+    the rows are.
 
     A binary search: the argsort behind ``np.unique(..., return_inverse=True)``
     would touch sort kernels that nothing else in a plan uses, about 0.3 MB
@@ -237,11 +239,6 @@ def _fold(code: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     return code
 
 
-# An odd multiplier (PCG's). Its powers weigh a bin's member keys by position
-# in the hash that buckets bins; the int64 products wrap, as intended.
-_MIX = 6364136223846793005
-
-
 def _classes(
     network: ContagionNetwork, access_index: np.ndarray, pull_index: np.ndarray, d0: np.ndarray
 ) -> tuple[_DenseProduct | _GroupSums, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -258,14 +255,11 @@ def _classes(
     run over one bin per class. Bins whose members come in another order
     would sum in another order, so they stay apart.
 
-    Bins are bucketed by size and by a position-weighted hash of their
-    member keys, taken group by group in agent order: the group order the
+    Each size's bins are ranked by their rows of member keys, exactly, and
+    equal rows are one class. A bin's row is taken in the group order the
     network holds (``ContagionNetwork._layout``), so a run sorts its group
     ids once, for this and for its aggregates (an int64 sort of (group,
     agent) codes here took about 0.2 MB more peak RSS on 3000 agents).
-    A bin joins the bin that stands for its bucket only when every member
-    key matches, position by position: a hash collision can cost a merge,
-    never join unequal bins.
 
     Returns the operator over the states, each state's access pick, pull
     pick and initial value, and the (B, N) state of every agent.
@@ -279,23 +273,22 @@ def _classes(
         return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
     # A key needs only equal bits, and plain np.unique is what the group-id check runs.
     key = _fold(access_index, pull_index, _rank(d0.view(np.int64)))
-    # The bin g + G * b of each (row b, agent) of group g, and every bin's
-    # member keys, group after group and in agent order within a group, row after row:
+    # The bin g + G * b of each (row b, agent) of group g. Equal member-key
+    # rows of one size are one bin class, and any bin of a class stands in for it.
     n = shape[1]
     by_group, sizes, starts = network._layout
-    bins = (network.group_of + sizes.size * np.arange(shape[0])[:, None]).ravel()
-    members = key.reshape(shape)[:, by_group].ravel()
-    offsets = (n * np.arange(shape[0])[:, None] + starts).ravel()
-    lengths = np.tile(sizes, shape[0])
-    position = np.tile(np.arange(n) - np.repeat(starts, sizes), shape[0])
-    digest = np.add.reduceat((members + 1) * np.cumprod(np.full(sizes.max(), _MIX))[position], offsets)
-    bucket = _rank(_fold(_rank(digest), lengths))
-    # Any bin of a bucket stands for it.
-    first = np.empty(bucket.max() + 1, dtype=np.intp)
-    first[bucket] = np.arange(bucket.size)
-    candidate = first[bucket]
-    same = members == members[np.repeat(offsets[candidate], lengths) + position]
-    stand_in = np.where(np.logical_and.reduceat(same, offsets), candidate, np.arange(bucket.size))
+    row_bins = sizes.size * np.arange(shape[0])[:, None]
+    bins = (network.group_of + row_bins).ravel()
+    members = key.reshape(shape)[:, by_group]
+    stand_in = np.empty(row_bins.size * sizes.size, dtype=np.intp)
+    for size in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == size)
+        rows = members.take(starts[groups, None] + np.arange(size), axis=1)
+        rank = _rank(rows.view(f"V{8 * size}").ravel())
+        same = (groups + row_bins).ravel()
+        first = np.empty(rank.max() + 1, dtype=np.intp)
+        first[rank] = same
+        stand_in[same] = first[rank]
     bin_class = _rank(stand_in)[bins]
     code = _rank(_fold(key, bin_class))
     summed = stand_in[bins] == bins

@@ -129,9 +129,10 @@ class _LatticeSearch:
         errors: list[str] = []
         if math.isnan(required_energy):
             errors.append(f"required_energy must be a number (got {required_energy!r})")
-        horizon = base.params.horizon_hours
-        if not granularity_hours > 0.0:
-            errors.append(f"granularity_hours must be > 0 (got {granularity_hours!r})")
+        horizon, dt = base.params.horizon_hours, base.params.dt_hours
+        # A slot shorter than a step may hold no step start, yet its energy would count.
+        if not granularity_hours >= dt:
+            errors.append(f"granularity_hours = {granularity_hours!r} must be at least dt_hours = {dt!r}")
             n_slots = 0
         else:
             n_slots = round(horizon / granularity_hours)

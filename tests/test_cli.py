@@ -322,6 +322,17 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert "must divide the horizon" in err and "fairness_weight must be finite" in err
 
+    def test_plan_rejects_a_slot_shorter_than_a_step(self, tmp_path, capsys):
+        # dt is 0.1 h: no step would start in every other 0.05 h slot. The
+        # argument is refused before the lattice is built, so a far smaller
+        # slot cannot make plan build astronomically many cells.
+        code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
+                     "--out", str(tmp_path / "p"), "--required-energy", "2.0",
+                     "--granularity", "0.05", "--strategy", "exhaustive"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "granularity_hours = 0.05 must be at least dt_hours = 0.1" in err
+
     def test_plan_rejects_malformed_levels(self, tmp_path, capsys):
         code = main(["plan", "--scenario", str(DATA / "planner_base.json"),
                      "--out", str(tmp_path / "p"), "--required-energy", "0",

@@ -590,27 +590,58 @@ def clamped_block():
     return groups, (access, access_index, pull, index, d0, params)
 
 
-def block_states(network, access_index, index, d0) -> int:
-    """The kernel states of a block, counted by plain Python, apart from the kernel.
+def block_partition(network, access_index, index, d0) -> list:
+    """The kernel state of every (row, agent) pair of a group block, named by
+    plain Python, apart from the kernel, in row-major order.
 
-    A dense network keeps one state per (row, agent). On a group block a
-    (row, group) bin is the tuple of its members' (access pick, pull pick,
+    A (row, group) bin is the tuple of its members' (access pick, pull pick,
     initial bits) in agent order; equal tuples are one bin class, and the
-    agents of a class with one key are one state.
+    agents of a class with one key are one state, named (bin tuple, key).
     """
+    groups = network.group_of.tolist()
+    access_index = np.broadcast_to(access_index, index.shape)
+    states = []
+    for row in range(index.shape[0]):
+        keys = [(int(access_index[row, a]), int(index[row, a]), d0[row, a].tobytes()) for a in range(len(groups))]
+        bins = {group: tuple(key for key, g in zip(keys, groups) if g == group) for group in set(groups)}
+        states.extend((bins[group], key) for key, group in zip(keys, groups))
+    return states
+
+
+def block_states(network, access_index, index, d0) -> int:
+    """The kernel states of a block, counted apart from the kernel: one per
+    (row, agent) on a dense network, the distinct :func:`block_partition`
+    names on a group block."""
     from socio_grid_sim.core_types import GroupBlock
 
     if not isinstance(network.operator, GroupBlock):
         return index.size
-    groups = network.group_of.tolist()
-    access_index = np.broadcast_to(access_index, index.shape)
-    states = set()
-    for row in range(index.shape[0]):
-        keys = [(int(access_index[row, a]), int(index[row, a]), d0[row, a].tobytes()) for a in range(len(groups))]
-        for group in set(groups):
-            members = tuple(key for key, g in zip(keys, groups) if g == group)
-            states.update((members, key) for key in members)
-    return len(states)
+    return len(set(block_partition(network, access_index, index, d0)))
+
+
+def draw_small_block(data):
+    """A small group block drawn by hypothesis: the network and the arguments
+    of ``_euler`` after it.
+
+    Shuffled group ids with singletons, zero weights, -0.0 access and
+    initial states, no contagion, a rate floor, and a pull column above 1
+    that makes rows clamp.
+    """
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    groups = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    network = ContagionNetwork.full_within_groups(groups, data.draw(st.sampled_from([1.0, 0.5, 0.0])))
+    params = ModelParams(horizon_hours=2.0, omega1=0.4, omega2=data.draw(st.sampled_from([0.5, 0.0])),
+                         rate_floor=data.draw(st.sampled_from([0.0, 0.3])), report_every_hours=0.5)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    zeros = np.zeros((params.n_steps, 1))
+    access = np.hstack([-zeros, zeros, rng.uniform(0.0, 1.0, size=(params.n_steps, 2))])
+    pull = np.hstack([-zeros, rng.uniform(0.0, 0.4, size=(params.n_steps, 2)), zeros + 2.5])
+    n, rows = len(groups), data.draw(st.integers(1, 3))
+    access_index = np.array([data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))])
+    index = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * rows, max_size=n * rows))).reshape(rows, n)
+    d0 = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 0.9]), min_size=n * rows,
+                                     max_size=n * rows))).reshape(rows, n)
+    return network, (access, access_index, pull, index, d0, params)
 
 
 class TestBatchedKernel:
@@ -773,24 +804,8 @@ class TestExecutors:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_random_small_blocks(self, data):
-        # Shuffled group ids with singletons, zero weights, -0.0 access and
-        # initial states, no contagion, a rate floor, and a pull column above
-        # 1 that makes rows clamp.
-        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-        groups = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
-        network = ContagionNetwork.full_within_groups(groups, data.draw(st.sampled_from([1.0, 0.5, 0.0])))
-        params = ModelParams(horizon_hours=2.0, omega1=0.4, omega2=data.draw(st.sampled_from([0.5, 0.0])),
-                             rate_floor=data.draw(st.sampled_from([0.0, 0.3])), report_every_hours=0.5)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        zeros = np.zeros((params.n_steps, 1))
-        access = np.hstack([-zeros, zeros, rng.uniform(0.0, 1.0, size=(params.n_steps, 2))])
-        pull = np.hstack([-zeros, rng.uniform(0.0, 0.4, size=(params.n_steps, 2)), zeros + 2.5])
-        n, rows = len(groups), data.draw(st.integers(1, 3))
-        access_index = np.array([data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))])
-        index = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * rows, max_size=n * rows))).reshape(rows, n)
-        d0 = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, 0.9]), min_size=n * rows,
-                                         max_size=n * rows))).reshape(rows, n)
-        self._assert_executors_agree(network, access, access_index, pull, index, d0, params)
+        network, block = draw_small_block(data)
+        self._assert_executors_agree(network, *block)
 
     def test_one_compiled_loop_per_structure(self, monkeypatch):
         # Blocks of one structure share the loop, whatever their floats;
@@ -881,6 +896,43 @@ class TestInterchangeableGroups:
                 assert single_states == (~own).sum() + len(keys)
                 assert same_bits(recorded[row][:, own], single[0][:, own])
         TestExecutors._assert_executors_agree(network, access, access_index, pull, index, d0, params)
+
+    @staticmethod
+    def _assert_partition(network, access_index, index, d0) -> int:
+        # Two (row, agent) pairs share a kernel state exactly when the oracle
+        # gives them one name: the (name, state) pairs are as many as the
+        # names and as the states.
+        from socio_grid_sim.dynamics import _classes
+
+        _, _, _, d, expand = _classes(network, access_index, index, d0)
+        names = block_partition(network, access_index, index, d0)
+        assert d.size == len(set(names)) == len(set(zip(names, expand.ravel().tolist()))) == len(set(expand.flat))
+        return d.size
+
+    @pytest.mark.parametrize(
+        "groups, index, states",
+        [
+            # Equal bins in two rows: group 0 is one class of 2 keys, group 1 one of 1.
+            ([0, 0, 1], [[1, 2, 1], [1, 2, 1]], 3),
+            # Equal bins in two groups of one row, interleaved over the ids.
+            ([0, 1, 0, 1], [[1, 1, 2, 2]], 2),
+            # Two groups of one size hold the same keys in another order: apart.
+            ([0, 1, 0, 1], [[1, 2, 2, 1]], 4),
+            # Both at once, and a bin of another size holding the same first key.
+            ([0, 1, 2, 0, 1, 2, 3], [[1, 2, 1, 2, 1, 2, 1], [2, 1, 1, 1, 2, 2, 2]], 6),
+        ],
+    )
+    def test_partition_matches_the_oracle(self, groups, index, states):
+        network = ContagionNetwork.full_within_groups(groups, 1.0)
+        index = np.array(index)
+        assert self._assert_partition(network, np.zeros((1, len(groups)), dtype=int), index,
+                                      np.full(index.shape, 0.5)) == states
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_partition_matches_the_oracle(self, data):
+        network, (_, access_index, _, index, d0, _) = draw_small_block(data)
+        self._assert_partition(network, access_index, index, d0)
 
 
 class TestSimulateBlock:
