@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -22,6 +21,8 @@ from .planner import plan_shedding
 from .plans import plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
+    _create,
+    _write_json,
     builtin_case_study,
     load_scenario,
     write_results,
@@ -104,7 +105,7 @@ def run_casestudy(args: argparse.Namespace) -> int:
             full.global_mean_satisfaction().tolist(),
             results["limited"].global_mean_satisfaction().tolist(),
         )
-        with comparison.open("w", newline="", encoding="utf-8") as fh:
+        with _create(comparison) as fh:
             fh.write("t_hours,mean_s_full,mean_s_limited\n")
             fh.write("".join(f"{t:.9g},{sf:.9g},{sl:.9g}\n" for t, sf, sl in columns))
         print(f"wrote {comparison}")
@@ -133,7 +134,7 @@ def run_plan(args: argparse.Namespace) -> int:
     )
     out.mkdir(parents=True, exist_ok=True)
     plan_path = out / "plan.json"
-    plan_path.write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(plan_to_dict(plan), plan_path)
     report = {
         **asdict(objective),
         "required_energy": args.required_energy,
@@ -148,7 +149,7 @@ def run_plan(args: argparse.Namespace) -> int:
         "search": search,
     }
     report_path = out / "objective.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(report, report_path)
     print(f"wrote {plan_path} and {report_path}")
     return 0
 

@@ -41,6 +41,7 @@ from .core_types import (
     SimulationResult,
     ValidationError,
     _distinct,
+    _sorted_distinct,
 )
 # aggregate_trajectory stays bound here for perfbench/tracing.py, which wraps it by this name.
 from .metrics import _aggregate, aggregate_trajectory  # noqa: F401
@@ -220,7 +221,7 @@ def _rank(code: np.ndarray) -> np.ndarray:
     would touch sort kernels that nothing else in a plan uses, about 0.3 MB
     of resident code.
     """
-    return np.unique(code).searchsorted(code)
+    return _sorted_distinct(code).searchsorted(code)
 
 
 def _fold(code: np.ndarray, *columns: np.ndarray) -> np.ndarray:
@@ -271,7 +272,7 @@ def _classes(
     if isinstance(network.operator, Dense):
         operator = _DenseProduct(*_scaled_rows(network.operator.matrix))
         return operator, access_index, pull_index, d0, np.arange(d0.size).reshape(shape)
-    # A key needs only equal bits, and plain np.unique is what the group-id check runs.
+    # A key needs only equal bits, and the group-id check sorts int64s too.
     key = _fold(access_index, pull_index, _rank(d0.view(np.int64)))
     # The bin g + G * b of each (row b, agent) of group g. Equal member-key
     # rows of one size are one bin class, and any bin of a class stands in for it.
@@ -281,10 +282,11 @@ def _classes(
     bins = (network.group_of + row_bins).ravel()
     members = key.reshape(shape)[:, by_group]
     stand_in = np.empty(row_bins.size * sizes.size, dtype=np.intp)
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         groups = np.flatnonzero(sizes == size)
         rows = members.take(starts[groups, None] + np.arange(size), axis=1)
-        rank = _rank(rows.view(f"V{8 * size}").ravel())
+        # A one-member row is its int64 key: numpy sorts V8 items with its generic compare.
+        rank = _rank(rows.ravel() if size == 1 else rows.view(f"V{8 * size}").ravel())
         same = (groups + row_bins).ravel()
         first = np.empty(rank.max() + 1, dtype=np.intp)
         first[rank] = same

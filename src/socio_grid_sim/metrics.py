@@ -52,7 +52,7 @@ def _aggregate(d: np.ndarray, layout: tuple[np.ndarray, np.ndarray, np.ndarray])
     order, sizes, starts = layout
     s = 1.0 - d
     out = np.empty((4, d.shape[0], sizes.size + 1))
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         same = np.flatnonzero(sizes == size)
         for column, stat in zip(out, _stats(s[:, order[starts[same, None] + np.arange(size)]])):
             column[:, same] = stat

@@ -333,9 +333,14 @@ class _LatticeSearch:
     def exhaustive(self) -> tuple[float, ...]:
         count = len(self.levels) ** len(self.cells)
         if count > _MAX_EXHAUSTIVE:
+            if count < 10**20:
+                shown = f"{count}"
+            else:
+                digits = math.floor(len(self.cells) * math.log10(len(self.levels))) + 1
+                shown = f"{len(self.levels)} ** {len(self.cells)} ({digits} digits)"
             raise ValidationError(
                 [
-                    f"exhaustive search would enumerate {count} candidates, more than "
+                    f"exhaustive search would enumerate {shown} candidates, more than "
                     f"{_MAX_EXHAUSTIVE}; use strategy 'greedy_restarts' or a coarser lattice"
                 ]
             )

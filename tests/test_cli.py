@@ -350,6 +350,72 @@ class TestPlanCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# Each command's arguments and the files it writes into --out.
+OUTPUTS = {
+    "casestudy": (
+        ["casestudy", "--variant", "both"],
+        ["comparison.csv"] + [f"{v}/{n}" for v in ("full", "limited") for n in ("agents.csv", "aggregates.csv", "manifest.json")],
+    ),
+    "simulate": (
+        ["simulate", "--scenario", str(DATA / "planner_base.json")],
+        ["agents.csv", "aggregates.csv", "manifest.json"],
+    ),
+    "plan": (
+        ["plan", "--scenario", str(DATA / "planner_base.json"), "--required-energy", "2.0", "--granularity", "2.0"],
+        ["plan.json", "objective.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+class TestUsedOutputDirectory:
+    # A run replaces each file it writes: a rerun into a used --out equals a
+    # fresh run, and the old file lives on under any other link to it.
+    @staticmethod
+    def _run(command, out, *extra):
+        args, names = OUTPUTS[command]
+        assert main([*args, *extra, "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_rerun_replaces_each_file(self, command, tmp_path, capsys):
+        fresh = self._run(command, tmp_path / "fresh")
+        used = tmp_path / "used"
+        # The first run covers 2 h, so each of its files differs from a full run's.
+        first = self._run(command, used, "--horizon", "2")
+        links = tmp_path / "links"
+        links.mkdir()
+        for k, name in enumerate(first):
+            os.link(used / name, links / str(k))
+        assert self._run(command, used) == fresh
+        for k, (name, data) in enumerate(first.items()):
+            assert data != fresh[name], name
+            assert (links / str(k)).read_bytes() == data, name
+
+    def test_larger_junk_at_each_path_leaves_no_tail(self, command, tmp_path, capsys):
+        fresh = self._run(command, tmp_path / "fresh")
+        used = tmp_path / "used"
+        for name, data in fresh.items():
+            (used / name).parent.mkdir(parents=True, exist_ok=True)
+            (used / name).write_bytes(b"junk\n" * (len(data) + 100))
+        assert self._run(command, used) == fresh
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without counts or an inverse imports numpy.ma in numpy 2.4;
+    # no program path needs it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    calls = [[*args, "--out", str(tmp_path / command)] for command, (args, _) in sorted(OUTPUTS.items())]
+    code = (
+        "import sys\n"
+        "from socio_grid_sim.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 class TestValidateCommand:
     def test_valid_scenario(self, scenario_file, tmp_path, capsys):
         before = set(tmp_path.iterdir())

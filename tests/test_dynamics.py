@@ -603,8 +603,10 @@ def block_partition(network, access_index, index, d0) -> list:
     states = []
     for row in range(index.shape[0]):
         keys = [(int(access_index[row, a]), int(index[row, a]), d0[row, a].tobytes()) for a in range(len(groups))]
-        bins = {group: tuple(key for key, g in zip(keys, groups) if g == group) for group in set(groups)}
-        states.extend((bins[group], key) for key, group in zip(keys, groups))
+        bins = {}
+        for key, group in zip(keys, groups):
+            bins.setdefault(group, []).append(key)
+        states.extend((tuple(bins[group]), key) for key, group in zip(keys, groups))
     return states
 
 
@@ -927,6 +929,18 @@ class TestInterchangeableGroups:
         index = np.array(index)
         assert self._assert_partition(network, np.zeros((1, len(groups)), dtype=int), index,
                                       np.full(index.shape, 0.5)) == states
+
+    def test_singleton_groups_match_the_oracle(self):
+        # 3000 one-member groups over two rows, their keys drawn from few
+        # picks and from 0.0, -0.0 and 0.5, so many bins repeat a key exactly.
+        rng = np.random.default_rng(23)
+        n = 3000
+        network = ContagionNetwork.full_within_groups(np.arange(n), 1.0)
+        access_index = rng.integers(0, 2, (2, n))
+        index = rng.integers(0, 3, (2, n))
+        d0 = rng.choice([0.0, -0.0, 0.5], (2, n))
+        keys = set(zip(access_index.ravel().tolist(), index.ravel().tolist(), d0.view(np.int64).ravel().tolist()))
+        assert self._assert_partition(network, access_index, index, d0) == len(keys) == 18
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(data=st.data())

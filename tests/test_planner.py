@@ -359,6 +359,14 @@ class TestPlanShedding:
         with pytest.raises(ValidationError, match=f"{2**48}.*greedy_restarts"):
             plan_shedding(base, 9.0, 1.0, [0.0, 0.5], strategy="exhaustive")
 
+    def test_exhaustive_names_a_huge_lattice_by_its_size(self):
+        # 3 groups x 480 slots of one step: 2**1440, a 434-digit count.
+        with pytest.raises(ValidationError) as info:
+            plan_shedding(builtin_case_study("full_access"), 9.0, 0.1, [0.0, 0.5], strategy="exhaustive")
+        [message] = info.value.violations
+        assert "2 ** 1440 (434 digits)" in message and "greedy_restarts" in message
+        assert len(message) < 200
+
     @pytest.mark.parametrize("fairness_weight", [-1.0, float("inf"), float("nan")])
     def test_rejects_non_finite_or_negative_fairness_weight(self, fairness_weight):
         # An infinite weight would make every combined value inf or nan.
