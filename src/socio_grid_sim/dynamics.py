@@ -285,8 +285,7 @@ def _classes(
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         groups = np.flatnonzero(sizes == size)
         rows = members.take(starts[groups, None] + np.arange(size), axis=1)
-        # A one-member row is its int64 key: numpy sorts V8 items with its generic compare.
-        rank = _rank(rows.ravel() if size == 1 else rows.view(f"V{8 * size}").ravel())
+        rank = _rank(rows.view(f"V{8 * size}").ravel())
         same = (groups + row_bins).ravel()
         first = np.empty(rank.max() + 1, dtype=np.intp)
         first[rank] = same
