@@ -475,11 +475,12 @@ class Scenario:
             for idx in np.flatnonzero(~((d0 >= 0.0) & (d0 <= 1.0))).tolist():
                 errors.append(f"initial_dissatisfaction[{idx}] = {d0[idx].item()!r} outside [0, 1]")
         params = self.params
-        # The step count is checked first: an infinite one has no n_steps.
-        if not (params.horizon_hours / params.dt_hours < _MAX_STEPS
-                and (params.n_steps // params.steps_per_report + 1) * n <= _MAX_RECORDED):
-            errors.append(f"params.horizon_hours = {params.horizon_hours!r} must span fewer than {_MAX_STEPS} steps"
-                          f" and record at most {_MAX_RECORDED} values (report times x agents)")
+        try:
+            if (params.n_steps // params.steps_per_report + 1) * n > _MAX_RECORDED:
+                errors.append(f"params.horizon_hours = {params.horizon_hours!r} must span fewer than {_MAX_STEPS} steps"
+                              f" and record at most {_MAX_RECORDED} values (report times x agents)")
+        except ValidationError as exc:  # the step cap, which n_steps holds
+            errors.extend(f"params.{v}" for v in exc.violations)
         return errors
 
     def content_digest(self) -> str:

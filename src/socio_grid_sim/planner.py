@@ -111,9 +111,8 @@ class _LatticeSearch:
 
     Candidates are scored in blocks by the simulation kernel directly: no
     candidate builds a shed ``Scenario`` or a ``SimulationResult``. Each
-    agent's deprivation column is sampled once per (base schedule, slot
-    profile of its group); a candidate is a row of column indices into the
-    table of those columns, which the kernel reads step by step. When no
+    kernel block samples the deprivation columns its rows need (see
+    :meth:`_simulate`); nothing of them is kept between blocks. When no
     weight couples two of several groups, candidates are assembled from a
     table of member trajectories per (group, slot profile) instead.
     """
@@ -182,12 +181,6 @@ class _LatticeSearch:
         self._report_times = params.n_steps // params.steps_per_report + 1
         self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (self._report_times + 1)))
         self._electricity, self._electricity_index = _distinct(base.electricity)
-        self._column_ids: dict[tuple[int, tuple[float, ...]], int] = {}
-        # The (steps, K) table of deprivation columns, and the (group, base
-        # schedule, profile) of each column given an id but not yet sampled.
-        self._pull = np.zeros((params.n_steps, 0))
-        self._unsampled: list[tuple[int, int, tuple[float, ...]]] = []
-        self._profile_ids: dict[tuple[int, tuple[float, ...]], np.ndarray] = {}
         # With one group the slot profiles are the candidates themselves, and
         # a table would only copy each candidate's trajectory.
         self._isolated = self.n_groups > 1 and self._group_isolated()
@@ -212,49 +205,6 @@ class _LatticeSearch:
 
     def feasible(self, assignment: Sequence[float]) -> bool:
         return self.energy_of(assignment) + 1e-9 >= self.required
-
-    def _profile_columns(self, group: int, profile: tuple[float, ...]) -> np.ndarray:
-        """Ids of the group members' deprivation columns while its slots take ``profile``.
-
-        A new column gets the next id; :meth:`_sample_columns` adds it to the table.
-        """
-        key = (group, profile)
-        if key not in self._profile_ids:
-            ids = []
-            for k in self._electricity_index[self._members[group]].tolist():
-                column = (k, profile)
-                if column not in self._column_ids:
-                    self._column_ids[column] = len(self._column_ids)
-                    self._unsampled.append((group, k, profile))
-                ids.append(self._column_ids[column])
-            self._profile_ids[key] = np.array(ids, dtype=np.intp)
-        return self._profile_ids[key]
-
-    def _sample_columns(self) -> None:
-        """Grow the deprivation table by the columns given ids since the last block.
-
-        A column holds what ``simulate`` would sample after :func:`apply_plan`:
-        the same ``_shed_schedule`` overlay, or the base schedule when the
-        profile sheds nothing. The new columns are sampled straight into the
-        grown table, so one copy of each is held.
-        """
-        if not self._unsampled:
-            return
-        params = self.base.params
-        known = self._pull.shape[1]
-        table = np.empty((params.n_steps, known + len(self._unsampled)))
-        table[:, :known] = self._pull
-        for column, (group, k, profile) in enumerate(self._unsampled, known):
-            slots = [
-                SheddingSlot(group, s * self.granularity, self.granularity, level)
-                for s, level in enumerate(profile)
-                if level > 0.0
-            ]
-            sched = self._electricity[k]
-            shed = _shed_schedule(sched, slots) if slots else sched
-            table[:, column] = params.omega1 * (1.0 - shed.sample(params.dt_hours, params.n_steps))
-        self._pull = table
-        self._unsampled = []
 
     def _profiles(self, block: Sequence[tuple[float, ...]]) -> list[list[tuple[float, ...]]]:
         """Each assignment of a block as its groups' slot profiles."""
@@ -287,16 +237,35 @@ class _LatticeSearch:
                     self._table[g, profile] = trajectory[:, self._members[g]]
 
     def _simulate(self, rows: Sequence[Sequence[tuple[float, ...]]]) -> np.ndarray:
-        """(B, T, N) trajectories of rows of group profiles, advanced together by the kernel."""
-        base = self.base
+        """(B, T, N) trajectories of rows of group profiles, advanced together by the kernel.
+
+        The block samples each (base schedule, slot profile) deprivation
+        column its rows use once, into a (steps, K) table of its own. A
+        column holds what ``simulate`` would sample after :func:`apply_plan`:
+        the same ``_shed_schedule`` overlay, or the base schedule when the
+        profile sheds nothing.
+        """
+        base, params = self.base, self.base.params
+        columns: dict[tuple[int, tuple[float, ...]], int] = {}
         pull_index = np.empty((len(rows), base.n_agents), dtype=np.intp)
         for g, members in enumerate(self._members):
-            pull_index[:, members] = [self._profile_columns(g, row[g]) for row in rows]
-        self._sample_columns()
+            picks = self._electricity_index[members].tolist()
+            profiles = dict.fromkeys(row[g] for row in rows)
+            ids = {p: [columns.setdefault((k, p), len(columns)) for k in picks] for p in profiles}
+            pull_index[:, members] = [ids[row[g]] for row in rows]
+        pull = np.empty((params.n_steps, len(columns)))
+        for (k, profile), column in columns.items():
+            # The overlay reads a slot's hours and level, not its group.
+            slots = [
+                SheddingSlot(0, s * self.granularity, self.granularity, level)
+                for s, level in enumerate(profile)
+                if level > 0.0
+            ]
+            sched = self._electricity[k]
+            shed = _shed_schedule(sched, slots) if slots else sched
+            pull[:, column] = params.omega1 * (1.0 - shed.sample(params.dt_hours, params.n_steps))
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
-        recorded, _, states = _euler(
-            base.network, self._access, self._access_index, self._pull, pull_index, d0, base.params
-        )
+        recorded, _, states = _euler(base.network, self._access, self._access_index, pull, pull_index, d0, params)
         self.kernel_rows += len(rows)
         self.kernel_classes += states
         return recorded
@@ -385,7 +354,8 @@ class _LatticeSearch:
         """Every feasible assignment that may be the optimum, for a group-isolated network.
 
         All ``P = levels ** slots`` slot profiles run through the kernel in
-        blocks, row r giving every group profile r; when they fit in one
+        blocks, row r giving every group profile r, each block with the
+        deprivation columns of its own profiles only; when they fit in one
         block, the table keeps them. A group's columns in that row are
         bit-identical to its columns in any candidate where it takes profile
         r, so each group's time-mean, and with it every candidate's
@@ -425,12 +395,6 @@ class _LatticeSearch:
         n_groups, n_agents = self.n_groups, self.base.n_agents
         profiles = list(itertools.product(self.levels, repeat=self.n_slots))
         n_profiles = len(profiles)
-        # Every profile's columns get their ids before the first block, so
-        # the table is sampled once and not regrown block by block.
-        for profile in profiles:
-            for g in range(n_groups):
-                self._profile_columns(g, profile)
-        self._sample_columns()
         sums, time_means = [], []
         for start in range(0, n_profiles, self._block):
             rows = [[profile] * n_groups for profile in profiles[start : start + self._block]]

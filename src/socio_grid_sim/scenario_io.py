@@ -110,32 +110,37 @@ def _schedules_from_block(
     return tuple(out) * copies if len(out) == len(entries) else None
 
 
-def _finite_floats(values: list, nested: bool = False) -> np.ndarray | None:
-    """``values``, a list of numbers (of lists of them if ``nested``), as a
-    float array if every number is finite, else None. Python ints and floats
-    alone take one vectorized check: ``np.asarray`` would turn ``True`` and
-    ``"1"`` into numbers, so any other type, numpy scalars included, is
-    checked entry by entry."""
-    if set(map(type, chain.from_iterable(values) if nested else values)) <= {int, float}:
+def _finite_floats(values: list) -> np.ndarray | None:
+    """``values``, a list of numbers, as a float array if every number is
+    finite, else None. Python ints and floats alone take one vectorized
+    check: ``np.asarray`` would turn ``True`` and ``"1"`` into numbers, so
+    any other type, numpy scalars included, is checked entry by entry."""
+    if set(map(type, values)) <= {int, float}:
         try:
             array = np.asarray(values, dtype=float)
         except OverflowError:  # an int too large for a float
             return None
         return array if np.isfinite(array).all() else None
-    if all(map(_is_number, chain.from_iterable(values) if nested else values)):
+    if all(map(_is_number, values)):
         return np.asarray(values, dtype=float)
     return None
 
 
 def _dense_matrix(dense: object, count: int) -> np.ndarray | None:
-    """``dense`` as a float array if it is a ``count`` x ``count`` list of finite numbers."""
+    """``dense`` as a float array if it is a ``count`` x ``count`` list of
+    ints and floats (not bools), else None. Only shape and types are checked
+    here; ``ContagionNetwork._check`` is the one check of the values."""
     if not (
         isinstance(dense, list)
         and len(dense) == count
         and all(isinstance(row, list) and len(row) == count for row in dense)
+        and all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, chain.from_iterable(dense))))
     ):
         return None
-    return _finite_floats(dense, nested=True)
+    try:
+        return np.asarray(dense, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return None
 
 
 def scenario_from_dict(doc: object) -> Scenario:

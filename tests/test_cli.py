@@ -433,6 +433,16 @@ class TestValidateCommand:
         assert "initial_dissatisfaction[1]" in err
         assert "initial_dissatisfaction[3]" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_dense_weight_exits_2(self, tmp_path, capsys, literal):
+        doc = json.loads((DATA / "planner_base.json").read_text())
+        doc["network"] = {"dense": [[float(literal) if (i, j) == (2, 3) else float(i != j) for j in range(4)]
+                                    for i in range(4)]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "network: base_weights must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, expected",
         [
@@ -473,14 +483,20 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "params, n",
-        [({"horizon_hours": 1e308}, 3), ({"horizon_hours": 9e6, "dt_hours": 1.0}, 10)],
-        ids=["steps", "recorded"],
+        [
+            ({"horizon_hours": 1e308}, 3),
+            ({"horizon_hours": 9e6, "dt_hours": 1.0}, 10),
+            ({"horizon_hours": 1000.0, "report_every_hours": 1.0}, 70_000),
+        ],
+        ids=["steps", "recorded", "recorded-agents"],
     )
     def test_oversized_run_is_rejected_before_it_allocates(self, tmp_path, capsys, params, n):
         # validate and simulate agree: the run is refused when the scenario
-        # is built, before a schedule is sampled or a report recorded. Either
+        # is built, before a schedule is sampled or a report recorded. Each
         # run would need at least 80 MB: 10**7 steps of one schedule, or
-        # 9 * 10**7 recorded floats.
+        # 9 * 10**7 recorded floats. The last takes 10**4 steps, far below the
+        # step cap, but its 1001 reports x 70 000 agents pass 2**26 values
+        # (560 MB of trajectory).
         import tracemalloc
 
         doc = {

@@ -180,6 +180,19 @@ class TestScenarioDocuments:
         with pytest.raises(ValidationError, match=r"network\.dense must be a 3 x 3 matrix of numbers"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_dense_non_finite_weight_names_base_weights(self, tmp_path: Path, literal):
+        # Python's json reads these literals as floats. The loader checks only
+        # the matrix's shape and types; the network's own check names the values.
+        doc = minimal_doc()
+        doc["network"] = {"dense": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, float(literal), 0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert literal in path.read_text()
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario(path)
+        assert excinfo.value.violations == ["network: base_weights must be finite"]
+
     def test_dense_negative_zero_weight_keeps_its_digest(self, tmp_path: Path):
         doc = minimal_doc()
         doc["network"] = {"dense": [[0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
