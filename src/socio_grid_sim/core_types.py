@@ -278,10 +278,12 @@ class ContagionNetwork:
             errors.append(f"n_agents must be positive (got {n_agents!r})")
         if weights.shape != (n, n):
             errors.append(f"base_weights must have shape ({n}, {n}) (got {weights.shape})")
-        elif not np.all(np.isfinite(weights)):
+        # NaN propagates through both extremes, so only a negative weight,
+        # which the message names, builds an N x N mask.
+        elif not (math.isfinite(low := weights.min(initial=0.0)) and math.isfinite(weights.max(initial=0.0))):
             errors.append("base_weights must be finite")
         else:
-            if (weights < 0.0).any():
+            if low < 0.0:
                 bad = np.argwhere(weights < 0.0)[0]
                 errors.append(
                     f"base_weights[{bad[0]}, {bad[1]}] = {weights[bad[0], bad[1]]!r} must be >= 0"

@@ -390,7 +390,9 @@ class _LatticeSearch:
         The optimum's estimate is then at most the least estimate plus twice
         the margin, so every feasible candidate under that bound is yielded,
         in lexicographic order, to be assembled from the table (filled with
-        any pair it lacks) and scored exactly.
+        any pair it lacks) and scored exactly. The lattice is walked once: a
+        chunk keeps (16 bytes each) its feasible candidates under the bound
+        of the least estimate so far, which is never below the final bound.
         """
         n_groups, n_agents = self.n_groups, self.base.n_agents
         profiles = list(itertools.product(self.levels, repeat=self.n_slots))
@@ -423,26 +425,24 @@ class _LatticeSearch:
             digits = np.unravel_index(index, shape)
             return tuple(itertools.chain.from_iterable(profiles[int(d)] for d in digits))
 
-        def estimates() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            """(flat indices, combined estimates) of each chunk's feasible candidates."""
-            for start in range(0, total, chunk):
-                flat = np.arange(start, min(start + chunk, total))
-                digits = np.unravel_index(flat, shape)
-                shed = sum(e[d] for e, d in zip(energy, digits))
-                feasible = shed >= threshold + slack
-                for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
-                    feasible[i] = self.feasible(assignment(int(flat[i])))
-                flat = flat[feasible]
-                digits = [d[feasible] for d in digits]
-                peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n_agents
-                means = np.stack([t[d] for t, d in zip(time_means, digits)])
-                yield flat, peak + self.fairness_weight * (means.max(axis=0) - means.min(axis=0))
-
-        least = min((combined.min() for _, combined in estimates() if combined.size), default=None)
-        if least is None:
-            return
+        least, kept = math.inf, []
+        for start in range(0, total, chunk):
+            flat = np.arange(start, min(start + chunk, total))
+            digits = np.unravel_index(flat, shape)
+            shed = sum(e[d] for e, d in zip(energy, digits))
+            feasible = shed >= threshold + slack
+            for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
+                feasible[i] = self.feasible(assignment(int(flat[i])))
+            flat = flat[feasible]
+            digits = [d[feasible] for d in digits]
+            peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n_agents
+            means = np.stack([t[d] for t, d in zip(time_means, digits)])
+            combined = peak + self.fairness_weight * (means.max(axis=0) - means.min(axis=0))
+            least = combined.min(initial=least)
+            near = combined <= least + 2.0 * margin
+            kept.append((flat[near], combined[near]))
         bound = least + 2.0 * margin
-        for flat, combined in estimates():
+        for flat, combined in kept:
             for index in flat[combined <= bound].tolist():
                 yield assignment(index)
 
@@ -453,22 +453,18 @@ class _LatticeSearch:
         instead of always the single best; that is the restart randomization.
         All moves of one step are scored together, in blocks.
         """
-        assignment = [0.0] * len(self.cells)
+        assignment = (0.0,) * len(self.cells)
         while not self.feasible(assignment):
-            moves = []
-            for idx, current in enumerate(assignment):
-                for level in self.levels:
-                    if level <= current:
-                        continue
-                    trial = list(assignment)
-                    trial[idx] = level
-                    moves.append((tuple(trial), idx, level))
-            self.score_all([trial for trial, _, _ in moves])
-            candidates = [(self._memo[t].combined, t, idx, level) for t, idx, level in moves]
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            chosen = candidates[0] if rng is None else rng.choice(candidates[:_SHORTLIST])
-            assignment[chosen[2]] = chosen[3]
-        return tuple(assignment)
+            moves = [
+                assignment[:idx] + (level,) + assignment[idx + 1 :]
+                for idx, current in enumerate(assignment)
+                for level in self.levels
+                if level > current
+            ]
+            self.score_all(moves)
+            moves.sort(key=lambda move: (self._memo[move].combined, move))
+            assignment = moves[0] if rng is None else rng.choice(moves[:_SHORTLIST])
+        return assignment
 
     def greedy_restarts(self, seed: int, restarts: int) -> tuple[float, ...]:
         rng = random.Random(seed)

@@ -22,6 +22,7 @@ from socio_grid_sim import (
     aggregate_trajectory,
     scenario_from_dict,
     scenario_to_dict,
+    simulate,
 )
 from socio_grid_sim.core_types import Dense, GroupBlock
 
@@ -96,6 +97,12 @@ class TestPiecewiseSchedule:
         for k in (0, 7, 169, 170, 340, 479):
             assert grid[k] == sched.value_at(k * 0.1)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect (b): float step times sample one step late")
+    def test_breakpoint_on_a_step_is_sampled_at_that_step(self):
+        # 3 * 0.3 is 0.8999999999999999, so the float time of step 3 falls
+        # short of the 0.9 h breakpoint.
+        assert PiecewiseSchedule(((0, 1), (0.9, 0.5)), 2).sample(0.3, 5).tolist() == [1, 1, 1, 0.5, 0.5]
+
 
 class TestModelParams:
     def test_defaults(self):
@@ -146,6 +153,28 @@ class TestModelParams:
         expected = f"horizon_hours = {horizon!r} must span fewer than 10000000 steps"
         with pytest.raises(ValidationError, match=re.escape(expected)):
             ModelParams(horizon_hours=horizon).n_steps
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect (c): n_steps floors the horizon")
+    def test_horizon_off_the_step_grid_is_rejected_or_reported(self):
+        # 1.05 h at dt 0.1 h: either the horizon is named as invalid, or the
+        # run reports its state at 1.05 h. Today it stops at 1.0 h silently.
+        try:
+            params = ModelParams(horizon_hours=1.05, dt_hours=0.1, report_every_hours=0.1)
+            full = (PiecewiseSchedule.constant(1.0, 1.05),) * 2
+            result = simulate(
+                Scenario(
+                    params=params,
+                    network=ContagionNetwork.full_within_groups([0, 0]),
+                    electricity=full,
+                    media_access=full,
+                    initial_dissatisfaction=np.full(2, 0.5),
+                    label="off-grid horizon",
+                )
+            )
+        except ValidationError as error:
+            assert "horizon_hours" in str(error)
+        else:
+            assert abs(result.times[-1] - 1.05) < 1e-9
 
 
 class TestContagionNetwork:

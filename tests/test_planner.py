@@ -841,6 +841,38 @@ class TestDecomposedSearch:
         assert search.kernel_rows == 3**4
 
 
+class TestNearBestSet:
+    """What ``_near_best`` yields, not only the plan chosen from it: feasible
+    candidates in strictly increasing lexicographic order, among them every
+    candidate whose exact objective is the brute-force optimum."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("fairness_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_yields_every_exact_optimum_in_order(self, monkeypatch, dense, fairness_weight, symmetric):
+        if symmetric:
+            # Identical groups: every permutation of a plan across groups ties.
+            base, required = isolated_base(0, [3, 3, 3], dense, 0.0, symmetric=True), 13.5
+        else:
+            base = isolated_base(5, [2, 3], dense, 0.02)
+            required = 0.4 * _LatticeSearch(base, 0.0, 2.0, [0.5], fairness_weight).max_energy
+        search = _LatticeSearch(base, required, 2.0, [0.5], fairness_weight)
+        near = list(search._near_best())
+        assert all(map(search.feasible, near))
+        assert all(a < b for a, b in zip(near, near[1:]))
+        combined = {
+            a: evaluate_plan(search.plan_for(a), base, fairness_weight).combined
+            for a in itertools.product(search.levels, repeat=len(search.cells))
+            if search.feasible(a)
+        }
+        optimum = min(combined.values())
+        assert {a for a, c in combined.items() if c == optimum} <= set(near)
+        # One candidate per chunk: the least estimate falls chunk by chunk,
+        # and the same sequence comes out.
+        monkeypatch.setattr(planner, "_COMBINE_FLOATS", 1)
+        assert list(_LatticeSearch(base, required, 2.0, [0.5], fairness_weight)._near_best()) == near
+
+
 class TestPlanDocuments:
     def test_round_trip(self):
         plan = SheddingPlan(

@@ -208,7 +208,8 @@ class TestScenarioDocuments:
     def test_dense_load_holds_one_matrix(self, spells_group_block):
         # 1000 agents in 10 groups: an 8 MB matrix, 2 % nonzero or spelling
         # the group block. The loader's array becomes the network's without a
-        # copy, and no N x N mask is built beside it.
+        # copy, and no N x N mask is built beside it: the check reads the
+        # extremes, which NaN propagates through.
         import tracemalloc
 
         from socio_grid_sim.core_types import GroupBlock
@@ -232,7 +233,7 @@ class TestScenarioDocuments:
         finally:
             tracemalloc.stop()
         assert isinstance(scenario.network.operator, GroupBlock) == spells_group_block
-        assert peak < 1.25 * n * n * 8
+        assert peak < 1.1 * n * n * 8
 
     def test_round_trip_keeps_negative_zero_schedules(self, tmp_path: Path):
         # Schedules equal by value but not by bits are not folded into one
