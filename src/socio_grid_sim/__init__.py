@@ -12,7 +12,7 @@ from .core_types import (
     SimulationResult,
     ValidationError,
 )
-from .dynamics import ContagionSnapshot, compute_target, contagion_snapshot, simulate, step
+from .dynamics import simulate
 from .metrics import aggregate_trajectory
 from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
 from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
@@ -30,7 +30,6 @@ __all__ = [
     "__version__",
     "AgentId",
     "ContagionNetwork",
-    "ContagionSnapshot",
     "ModelParams",
     "PiecewiseSchedule",
     "PlanInfeasibleError",
@@ -44,8 +43,6 @@ __all__ = [
     "aggregate_trajectory",
     "apply_plan",
     "builtin_case_study",
-    "compute_target",
-    "contagion_snapshot",
     "evaluate_plan",
     "load_scenario",
     "plan_from_dict",
@@ -54,7 +51,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "simulate",
-    "step",
     "write_results",
     "write_scenario",
 ]

@@ -8,7 +8,7 @@ rate proportional to how much contagion the agent currently receives, so an
 agent cut off from media (or surrounded by content neighbors) reacts slowly.
 
 With ``omega1 + omega2 <= 1`` and ``dt <= 1`` every step is a convex
-combination of values in [0, 1]; the clamp in :func:`step` is a pure guard
+combination of values in [0, 1]; the kernel's :func:`_clamp` is a pure guard
 and the engine counts how often it fires (it never should for valid inputs).
 
 The kernel behind :func:`simulate` and the planner has two executors of the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,87 +39,11 @@ from .core_types import (
     PiecewiseSchedule,
     Scenario,
     SimulationResult,
-    ValidationError,
     _distinct,
     _sorted_distinct,
 )
 # aggregate_trajectory stays bound here for perfbench/tracing.py, which wraps it by this name.
 from .metrics import _aggregate, aggregate_trajectory  # noqa: F401
-
-
-@dataclass(frozen=True)
-class ContagionSnapshot:
-    """Contagion state at one instant.
-
-    ``social_term`` is the contagion pull g per agent (at most ``omega2``)
-    and ``rate`` the per-agent response rate g / omega2 lifted to at least
-    the rate floor.
-    """
-
-    social_term: np.ndarray
-    rate: np.ndarray
-
-
-def _agent_vector(network: ContagionNetwork, values: Sequence[float], name: str) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    if out.shape != (network.n_agents,):
-        raise ValidationError([f"{name} must have shape ({network.n_agents},) (got {out.shape})"])
-    return out
-
-
-def compute_target(
-    electricity: Sequence[float], social_term: Sequence[float], omega1: float
-) -> np.ndarray:
-    """Pull target: omega1 * (1 - E) + g.
-
-    Nonincreasing in each agent's electricity availability and, through g,
-    nondecreasing in every other agent's dissatisfaction. Guaranteed to lie
-    in [0, 1] whenever omega1 + omega2 <= 1.
-    """
-    return omega1 * (1.0 - np.asarray(electricity, dtype=float)) + np.asarray(social_term, dtype=float)
-
-
-def contagion_snapshot(
-    network: ContagionNetwork,
-    access: Sequence[float],
-    dissatisfaction: Sequence[float],
-    params: ModelParams,
-) -> ContagionSnapshot:
-    """The contagion pull and the response rate at one instant.
-
-    This is one step of the kernel behind :func:`simulate`: a block of one
-    row through :func:`_classes`, each agent picking its own column of a
-    one-step access table. Chaining it with :func:`compute_target` and
-    :func:`step` therefore reproduces a run bit for bit.
-    """
-    access = _agent_vector(network, access, "access")
-    d = _agent_vector(network, dissatisfaction, "dissatisfaction")
-    own = np.arange(network.n_agents)
-    operator, state_access, _, state_d, expand = _classes(network, own, own, d[None])
-    ratio = _contagion_ratio(operator, access.take(state_access), state_d).take(expand[0])
-    if params.omega2 > 0.0:
-        # As in the kernel: a zero floor leaves the ratio, and its -0.0, as it is.
-        rate = np.maximum(ratio, params.rate_floor) if params.rate_floor > 0.0 else ratio
-    else:
-        rate = np.full(network.n_agents, params.rate_floor)
-    return ContagionSnapshot(social_term=params.omega2 * ratio, rate=rate)
-
-
-def step(
-    dissatisfaction: Sequence[float],
-    snapshot: ContagionSnapshot,
-    target: Sequence[float],
-    dt: float,
-) -> np.ndarray:
-    """One Euler step: move D toward the target at the snapshot's rate.
-
-    D'[n] = D[n] + rate[n] * (target[n] - D[n]) * dt, clamped to [0, 1].
-    The clamp is a guard only: with rate and target in [0, 1] and dt <= 1
-    the update is a convex combination and cannot leave the interval.
-    """
-    d = np.asarray(dissatisfaction, dtype=float)
-    nxt = d + snapshot.rate * (np.asarray(target, dtype=float) - d) * dt
-    return np.clip(nxt, 0.0, 1.0)
 
 
 def _sample_schedules(

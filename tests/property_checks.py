@@ -3,17 +3,41 @@ tests and the full-scale acceptance sweep."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from socio_grid_sim import (
     ContagionNetwork,
+    ModelParams,
+    PiecewiseSchedule,
     Scenario,
-    compute_target,
-    contagion_snapshot,
     simulate,
 )
 
 from oracles import same_bits
+
+
+def one_step(network, d, access, electricity, params=ModelParams(1.0, dt_hours=1.0), **fields):
+    """One Euler step of :func:`simulate`: the state at t = dt and the run's
+    clamp count.
+
+    The run starts from ``d`` with constant per-agent ``access`` and
+    ``electricity`` (scalars apply to every agent), and takes ``params``
+    with ``fields`` replaced and horizon = report interval = dt. It computes
+    D + rate * (target - D) * dt with the kernel's own roundings. At
+    ``rate_floor = 1`` and ``dt_hours = 1`` the rate is 1 and the next state
+    is D + (target - D): the target, to within 2**-53 for target and D in
+    [0, 1], and exactly where target - D is exact.
+    """
+    dt = fields.setdefault("dt_hours", params.dt_hours)
+    electricity, access = (
+        tuple(PiecewiseSchedule.constant(v, dt) for v in np.broadcast_to(values, network.n_agents).tolist())
+        for values in (electricity, access)
+    )
+    params = replace(params, horizon_hours=dt, report_every_hours=dt, **fields)
+    run = simulate(Scenario(params, network, electricity, access, d))
+    return run.dissatisfaction[1], run.manifest["clamp_activations"]
 
 
 def rebuild(scenario: Scenario, **fields) -> Scenario:
@@ -107,23 +131,37 @@ def check_target_monotonicity(scenario: Scenario, rng: np.random.Generator) -> N
     d = rng.uniform(0.0, 1.0, size=n)
     access = rng.uniform(0.0, 1.0, size=n)
     elec = rng.uniform(0.0, 1.0, size=n)
-    snapshot = contagion_snapshot(scenario.network, access, d, params)
-    assert np.all(snapshot.social_term >= 0.0)
-    assert np.all(snapshot.social_term <= params.omega2 + 1e-15)
-    assert np.all(snapshot.rate >= 0.0) and np.all(snapshot.rate <= 1.0 + 1e-15)
-    target = compute_target(elec, snapshot.social_term, params.omega1)
+
+    def observe(d, elec, **fields):
+        nxt, clamps = one_step(scenario.network, d, access, elec, params, dt_hours=1.0, **fields)
+        assert clamps == 0
+        return nxt
+
+    # Full electricity leaves only the contagion pull g, which lies in [0, omega2].
+    social = observe(d, 1.0, rate_floor=1.0)
+    assert np.all(social >= 0.0) and np.all(social <= params.omega2 + 1e-15)
+    target = observe(d, elec, rate_floor=1.0)
     assert np.all(target >= 0.0) and np.all(target <= 1.0 + 1e-15)
+    # A rate in [0, 1 + 1e-15]: at the scenario's own floor the step moves
+    # toward the target and not past it.
+    nxt = observe(d, elec)
+    assert np.all(nxt >= np.minimum(d, target) - 1e-15) and np.all(nxt <= np.maximum(d, target) + 1e-15)
 
-    # nonincreasing in each agent's electricity availability
+    # Nonincreasing in each agent's electricity availability. Each reading
+    # starts from the same d, and rounding is monotone, so this is exact.
     raised_elec = np.minimum(elec + rng.uniform(0.0, 1.0, size=n), 1.0)
-    assert np.all(compute_target(raised_elec, snapshot.social_term, params.omega1) <= target)
+    assert np.all(observe(d, raised_elec, rate_floor=1.0) <= target)
 
-    # nondecreasing in any other agent's dissatisfaction
+    # Nondecreasing in any other agent's dissatisfaction: exact where d is
+    # unchanged. The raised agent's own readings start from two states, each
+    # within 2**-53 of its target, so they may differ by one ulp of 1.
     agent = int(rng.integers(n))
     raised_d = d.copy()
     raised_d[agent] = min(1.0, raised_d[agent] + float(rng.uniform(0.0, 1.0)))
-    raised_snapshot = contagion_snapshot(scenario.network, access, raised_d, params)
-    assert np.all(compute_target(elec, raised_snapshot.social_term, params.omega1) >= target)
+    raised = observe(raised_d, elec, rate_floor=1.0)
+    others = np.arange(n) != agent
+    assert np.all(raised[others] >= target[others])
+    assert raised[agent] >= target[agent] - np.finfo(float).eps
 
 
 def check_absorbing_zero(scenario: Scenario, rng: np.random.Generator) -> None:

@@ -16,10 +16,7 @@ from socio_grid_sim import (
     PiecewiseSchedule,
     Scenario,
     builtin_case_study,
-    compute_target,
-    contagion_snapshot,
     simulate,
-    step,
     plan_shedding,
 )
 from socio_grid_sim.cli import main
@@ -96,15 +93,13 @@ def test_c5_hand_computed_steps():
     params = ModelParams(horizon_hours=1.0, dt_hours=1.0)
     d = np.full(3, 0.5)
 
-    snapshot = contagion_snapshot(net, np.ones(3), d, params)
-    target = compute_target(np.ones(3), snapshot.social_term, params.omega1)
+    # At rate_floor = 1 a one-hour step lands on the target.
+    target, _ = props.one_step(net, d, 1.0, 1.0, params, rate_floor=1.0)
     assert np.all(np.abs(target - 0.25) <= 1e-12)
-    nxt = step(d, snapshot, target, 1.0)
+    nxt, _ = props.one_step(net, d, 1.0, 1.0, params)
     assert np.all(np.abs(nxt - 0.375) <= 1e-12)
 
-    snapshot_half = contagion_snapshot(net, np.full(3, 0.5), d, params)
-    target_half = compute_target(np.ones(3), snapshot_half.social_term, params.omega1)
-    nxt_half = step(d, snapshot_half, target_half, 1.0)
+    nxt_half, _ = props.one_step(net, d, 0.5, 1.0, params)
     assert np.all(np.abs(nxt_half - 0.4453125) <= 1e-12)
     _report(5, "hand-computed steps match: target 0.25, next 0.375 and 0.4453125")
 

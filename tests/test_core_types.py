@@ -339,6 +339,11 @@ class TestScenario:
         with pytest.raises(ValidationError, match="one schedule per agent"):
             self._scenario(media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 2)
 
+    def test_rejects_wrong_initial_state_length(self):
+        for d0 in (np.full(4, 0.5), np.full(2, 0.5), np.full((3, 1), 0.5)):
+            with pytest.raises(ValidationError, match=r"initial_dissatisfaction must have shape \(3,\)"):
+                self._scenario(initial_dissatisfaction=d0)
+
     def test_rejects_out_of_bounds_initial_state(self):
         # The value is spelled as the loader spells it: 1.5, not np.float64(1.5).
         with pytest.raises(ValidationError) as built:

@@ -12,14 +12,11 @@ from socio_grid_sim import (
     PiecewiseSchedule,
     Scenario,
     ValidationError,
-    compute_target,
-    contagion_snapshot,
     simulate,
-    step,
 )
 
 from oracles import reference_trajectory, rk4_scalar, same_bits
-from property_checks import rebuild
+from property_checks import one_step, rebuild
 
 TRIAD = ContagionNetwork.full_within_groups([0, 0, 0], 1.0)
 THREE_GROUPS = ContagionNetwork.full_within_groups([0, 0, 0, 1, 1, 1, 2, 2, 2], 1.0)
@@ -45,12 +42,16 @@ def homogeneous_scenario(
 
 
 def social_term(network: ContagionNetwork, access, d, omega2: float = 0.5) -> np.ndarray:
-    return contagion_snapshot(network, access, d, ModelParams(1.0, omega1=0.5, omega2=omega2)).social_term
+    """The contagion pull g, read as the target of one step at full
+    electricity and rate 1: d + (g - d), within 2**-53 of g."""
+    g, clamps = one_step(network, d, access, 1.0, omega2=omega2, rate_floor=1.0)
+    assert clamps == 0
+    return g
 
 
 class TestContagionWeights:
     """Media-access attenuation of the base weights, seen through the
-    contagion term of :func:`contagion_snapshot`."""
+    contagion pull of one step."""
 
     def test_identity_access(self):
         # Full access: omega2 times the mean of the agent's group neighbours,
@@ -82,14 +83,9 @@ class TestContagionWeights:
         for moved in (0.0, 0.4, 1.0):
             assert np.array_equal(social_term(net, access, np.where(np.arange(4) == 1, moved, d)), term)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="shape"):
-            social_term(TRIAD, np.ones(4), np.full(3, 0.5))
-
 
 class TestSocialDiffusion:
-    """The contagion pull g of :func:`contagion_snapshot`, normalized by the
-    base row sums."""
+    """The contagion pull g of one step, normalized by the base row sums."""
 
     def test_full_access_homogeneous(self):
         assert np.all(social_term(TRIAD, np.ones(3), np.full(3, 0.5)) == 0.25)
@@ -125,58 +121,65 @@ class TestSocialDiffusion:
         )
         assert np.max(np.abs(huge - unit)) <= 1e-9
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="defect (j): a row sum below 2**-1024 has no finite reciprocal"
+    )
+    def test_tiny_weights_match_unit_weights(self):
+        # A dense row summing below 2**-1024 has an infinite reciprocal, so its
+        # contagion term is inf, or NaN (0 * inf) where its neighbours sit at
+        # 0. numpy's overflow warnings, errors under this suite's
+        # filterwarnings, are silenced so that the wrong value is what fails.
+        base = np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.0], [0.25, 1.0, 0.0]])
+        access = np.array([0.9, 0.6, 0.3])
+        with np.errstate(all="ignore"):
+            for d in (np.array([0.2, 0.5, 0.9]), np.array([0.2, 0.0, 0.0])):
+                tiny, unit = (
+                    social_term(ContagionNetwork(3, base * scale, [0, 0, 0]), access, d) for scale in (2.0**-1040, 1.0)
+                )
+                assert np.max(np.abs(tiny - unit)) <= 1e-9
+
 
 class TestComputeTarget:
+    """The pull target omega1 * (1 - E) + g, read as one step at rate 1."""
+
     def test_full_electricity_with_contagion(self):
-        snapshot = contagion_snapshot(TRIAD, np.ones(3), np.full(3, 0.5), ModelParams(1.0))
-        target = compute_target(np.ones(3), snapshot.social_term, 0.5)
+        target, _ = one_step(TRIAD, np.full(3, 0.5), 1.0, 1.0, rate_floor=1.0)
         assert np.all(target == 0.25)
 
     def test_deprivation_only(self):
-        target = compute_target(np.zeros(4), np.zeros(4), 0.5)
+        # No access, no contagion: D in [0.25, 1] makes 0.5 - D and D + (0.5 - D) exact.
+        net = ContagionNetwork.full_within_groups([0] * 4, 1.0)
+        target, _ = one_step(net, np.linspace(0.25, 1.0, 4), 0.0, 0.0, rate_floor=1.0)
         assert np.all(target == 0.5)
 
     def test_stationary_when_weights_sum_to_one(self):
         for elec in (0.0, 0.25, 0.5, 0.75, 1.0):
             d = np.full(3, 1.0 - elec)
-            snapshot = contagion_snapshot(TRIAD, np.ones(3), d, ModelParams(1.0))
-            target = compute_target(np.full(3, elec), snapshot.social_term, 0.5)
+            target, _ = one_step(TRIAD, d, 1.0, elec, rate_floor=1.0)
             assert np.array_equal(target, d)
 
 
 class TestStep:
     def test_hand_computed_full_access(self):
-        params = ModelParams(horizon_hours=1.0, dt_hours=1.0)
         d = np.full(3, 0.5)
-        snapshot = contagion_snapshot(TRIAD, np.ones(3), d, params)
-        assert np.all(snapshot.rate == 0.5)
-        target = compute_target(np.ones(3), snapshot.social_term, params.omega1)
-        nxt = step(d, snapshot, target, 1.0)
-        assert np.all(np.abs(nxt - 0.375) <= 1e-12)
+        target, _ = one_step(TRIAD, d, 1.0, 1.0, rate_floor=1.0)
+        nxt, clamps = one_step(TRIAD, d, 1.0, 1.0)
+        assert np.all(nxt == d + 0.5 * (target - d) * 1.0)  # rate 0.5
+        assert np.all(np.abs(nxt - 0.375) <= 1e-12) and clamps == 0
 
     def test_hand_computed_half_access(self):
-        params = ModelParams(horizon_hours=1.0, dt_hours=1.0)
         d = np.full(3, 0.5)
-        snapshot = contagion_snapshot(TRIAD, np.full(3, 0.5), d, params)
-        assert np.all(snapshot.rate == 0.125)
-        target = compute_target(np.ones(3), snapshot.social_term, params.omega1)
-        nxt = step(d, snapshot, target, 1.0)
-        assert np.all(np.abs(nxt - 0.4453125) <= 1e-12)
+        target, _ = one_step(TRIAD, d, 0.5, 1.0, rate_floor=1.0)
+        nxt, clamps = one_step(TRIAD, d, 0.5, 1.0)
+        assert np.all(nxt == d + 0.125 * (target - d) * 1.0)  # rate 0.125
+        assert np.all(np.abs(nxt - 0.4453125) <= 1e-12) and clamps == 0
 
     def test_zero_state_is_absorbing_without_floor(self):
-        params = ModelParams(horizon_hours=1.0, dt_hours=1.0)
-        d = np.zeros(3)
         for elec in (0.0, 0.5, 1.0):
-            snapshot = contagion_snapshot(TRIAD, np.ones(3), d, params)
-            target = compute_target(np.full(3, elec), snapshot.social_term, params.omega1)
-            assert np.all(step(d, snapshot, target, 1.0) == 0.0)
+            assert np.all(one_step(TRIAD, np.zeros(3), 1.0, elec)[0] == 0.0)
 
     def test_rate_floor_breaks_absorbing_state(self):
-        params = ModelParams(horizon_hours=1.0, dt_hours=1.0, rate_floor=0.1)
-        d = np.zeros(3)
-        snapshot = contagion_snapshot(TRIAD, np.ones(3), d, params)
-        target = compute_target(np.zeros(3), snapshot.social_term, params.omega1)
-        nxt = step(d, snapshot, target, 1.0)
+        nxt, _ = one_step(TRIAD, np.zeros(3), 1.0, 0.0, rate_floor=0.1)
         assert np.all(nxt == pytest.approx(0.1 * 0.5))
 
     def test_exact_fixed_point_stationarity(self):
@@ -184,12 +187,9 @@ class TestStep:
         # contagion average of a homogeneous state is exact in floating point.
         for size in (3, 5):
             net = ContagionNetwork.full_within_groups([0] * size, 1.0)
-            params = ModelParams(horizon_hours=1.0, dt_hours=1.0)
             for elec in (0.0, 0.25, 0.5, 0.75, 1.0):
                 d = np.full(size, 1.0 - elec)
-                snapshot = contagion_snapshot(net, np.ones(size), d, params)
-                target = compute_target(np.full(size, elec), snapshot.social_term, params.omega1)
-                assert np.array_equal(step(d, snapshot, target, 1.0), d)
+                assert np.array_equal(one_step(net, d, 1.0, elec)[0], d)
 
 
 class TestSimulate:
@@ -352,8 +352,8 @@ class TestSimulate:
         assert peak < params.n_steps * n * np.dtype(float).itemsize
 
     def test_step_chain_reproduces_simulate(self):
-        # contagion_snapshot -> compute_target -> step is one step of the
-        # kernel behind simulate, so chaining it over a run is bit-identical.
+        # Chained one-step runs, each from the last state with that step's
+        # sampled schedule values, reproduce the whole run bit for bit.
         from socio_grid_sim import builtin_case_study
 
         from oracles import random_scenario
@@ -387,9 +387,8 @@ class TestSimulate:
             d = scenario.initial_dissatisfaction
             chained = [d]
             for k in range(params.n_steps):
-                snapshot = contagion_snapshot(scenario.network, access[k], d, params)
-                target = compute_target(electricity[k], snapshot.social_term, params.omega1)
-                d = step(d, snapshot, target, params.dt_hours)
+                d, clamps = one_step(scenario.network, d, access[k], electricity[k], params)
+                assert clamps == 0
                 if (k + 1) % params.steps_per_report == 0:
                     chained.append(d)
             assert same_bits(np.array(chained), simulate(scenario).dissatisfaction)
@@ -467,8 +466,10 @@ class TestGroupBlockOperator:
             media_access=tuple(PiecewiseSchedule.constant(a, horizon) for a in np.linspace(0.5, 1.0, n)),
             initial_dissatisfaction=np.linspace(0.1, 0.9, n),
         )
-        snapshot = contagion_snapshot(scenario.network, np.full(n, 0.7), np.linspace(0.2, 1.0, n), scenario.params)
-        assert np.all(snapshot.social_term == 0.0) and np.all(snapshot.rate == 0.1)
+        # No contagion pull (target 0 at full electricity) and the floor's rate.
+        d = np.linspace(0.2, 1.0, n)
+        nxt, _ = one_step(scenario.network, d, 0.7, 1.0, scenario.params, dt_hours=1.0)
+        assert np.array_equal(nxt, d + 0.1 * (0.0 - d) * 1.0)
         _, expected = reference_trajectory(scenario)
         assert np.max(np.abs(simulate(scenario).dissatisfaction - expected)) <= 1e-12
 
