@@ -124,17 +124,18 @@ class PiecewiseSchedule:
 
 def _distinct(schedules: Sequence[PiecewiseSchedule]) -> tuple[list[PiecewiseSchedule], np.ndarray]:
     """The schedules with distinct breakpoint bits (``-0.0`` is not ``0.0``), in
-    order of first appearance, and each item's (N,) intp index into them.
+    order of first appearance, and each item's read-only (N,) intp index into them.
 
-    A scenario's schedules share one horizon, so the bits decide. Each
-    distinct object is keyed once, so shared ones cost one lookup.
+    The horizon is keyed too, so that ``Scenario.validate`` checks horizons
+    over distinct schedules. Each distinct object is keyed once.
     """
-    first: dict[bytes, tuple[int, PiecewiseSchedule]] = {}
+    first: dict = {}
     picks = {
-        key: first.setdefault(_bits(sched.breakpoints), (len(first), sched))[0]
+        key: first.setdefault((sched.horizon_hours, _bits(sched.breakpoints)), (len(first), sched))[0]
         for key, sched in dict(zip(map(id, schedules), schedules)).items()
     }
     index = np.fromiter(map(picks.__getitem__, map(id, schedules)), np.intp, len(schedules))
+    index.setflags(write=False)
     return [sched for _, sched in first.values()], index
 
 
@@ -458,18 +459,24 @@ class Scenario:
     def n_agents(self) -> int:
         return self.network.n_agents
 
+    @cached_property
+    def _schedule_sets(self) -> tuple:
+        """:func:`_distinct` of the electricity and of the media-access schedules, worked out once."""
+        return _distinct(self.electricity), _distinct(self.media_access)
+
     def validate(self) -> list[str]:
         """Every violated invariant, empty when the scenario is valid."""
         errors: list[str] = []
         n = self.network.n_agents
-        for name, schedules in (("electricity", self.electricity), ("media_access", self.media_access)):
-            if len(schedules) != n:
-                errors.append(f"{name} must provide one schedule per agent (got {len(schedules)} for {n} agents)")
-            for idx, sched in enumerate(schedules):
-                if sched.horizon_hours != self.params.horizon_hours:
-                    errors.append(
-                        f"{name}[{idx}].horizon_hours = {sched.horizon_hours!r} must equal params.horizon_hours = {self.params.horizon_hours!r}"
-                    )
+        horizon = self.params.horizon_hours
+        for name, (distinct, index) in zip(("electricity", "media_access"), self._schedule_sets):
+            if index.size != n:
+                errors.append(f"{name} must provide one schedule per agent (got {index.size} for {n} agents)")
+            horizons = [sched.horizon_hours for sched in distinct]
+            errors.extend(
+                f"{name}[{idx}].horizon_hours = {horizons[index[idx]]!r} must equal params.horizon_hours = {horizon!r}"
+                for idx in np.flatnonzero(np.array(horizons)[index] != horizon).tolist()
+            )
         d0 = self.initial_dissatisfaction
         if d0.shape != (n,):
             errors.append(f"initial_dissatisfaction must have shape ({n},) (got {d0.shape})")
@@ -515,8 +522,7 @@ class Scenario:
         _feed(digest, network.group_of, "<i8")
         if isinstance(operator, Dense):
             _feed(digest, operator.matrix, "<f8")
-        for schedules in (self.electricity, self.media_access):
-            distinct, index = _distinct(schedules)
+        for distinct, index in self._schedule_sets:
             digest.update(struct.pack("<q", len(distinct)))
             for sched in distinct:
                 _feed(digest, _bits(sched.breakpoints))
@@ -539,7 +545,8 @@ class SimulationResult:
     (4, T, G + 1) array of :func:`~socio_grid_sim.aggregate_trajectory` for
     the same times: mean, min, max and population std of satisfaction, per
     group and, in the last column, for the whole population. The manifest
-    records every resolved parameter needed to reproduce the run.
+    records every resolved parameter needed to reproduce the run. ``_states``, for the writer, is a
+    (T, S) record of states and each agent's (N,) index: one state per agent, or simulate's kernel's.
     """
 
     times: np.ndarray
@@ -568,6 +575,7 @@ class SimulationResult:
         object.__setattr__(self, "dissatisfaction", _readonly(traj))
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "aggregates", aggregates)
+        object.__setattr__(self, "_states", (self.dissatisfaction, np.arange(self.n_agents)))
 
     @property
     def n_times(self) -> int:

@@ -17,8 +17,8 @@ same step, with the same roundings. A group block of at most
 the two-row case study, advances on Python floats (:func:`_euler_floats`)
 in a straight-line loop compiled once per block structure
 (:func:`_float_loop`), where numpy's fixed cost per call would dominate.
-Every other block, and any dense one, advances on numpy vectors
-(:func:`_euler_arrays`).
+Every other block advances on numpy vectors (:func:`_euler_arrays`), and so
+does any dense one, whose matrix-vector product a Python sum would not round like.
 """
 
 from __future__ import annotations
@@ -47,15 +47,17 @@ from .metrics import _aggregate, aggregate_trajectory  # noqa: F401
 
 
 def _sample_schedules(
-    schedules: Sequence[PiecewiseSchedule], dt: float, n_steps: int
+    sets: Sequence[tuple[Sequence[PiecewiseSchedule], np.ndarray]], dt: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the distinct schedules (:func:`_distinct`) on the step grid, and pick one per agent.
-
-    Returns the C-contiguous (n_steps, K) table of the K distinct columns,
-    so that the kernel reads each step's row in one run, and the (N,) intp
-    column index of every agent. No (n_steps, N) grid is built.
+    """Sample B schedule sets, each as ``(distinct, index)`` (:func:`_distinct`),
+    on the step grid: the (n_steps, K) table of :func:`_distinct` over all
+    B x N schedules, merged from the sets' short lists and C-contiguous so
+    that each step's row is one run, and every agent's (B, N) intp column
+    index. No (n_steps, N) grid is built.
     """
-    distinct, index = _distinct(schedules)
+    distinct, merged = _distinct([sched for schedules, _ in sets for sched in schedules])
+    starts = np.cumsum([0] + [len(schedules) for schedules, _ in sets])[:-1, None]
+    index = merged[np.stack([picks for _, picks in sets]) + starts]
     table = np.zeros((n_steps, len(distinct)))
     for k, sched in enumerate(distinct):
         table[:, k] = sched.sample(dt, n_steps)
@@ -263,7 +265,7 @@ def _euler(
     pull_index: np.ndarray,
     d0: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a (B, N) block of agents together on the shared step grid.
 
     The kernel takes the ``network`` itself; :func:`_classes` builds its
@@ -272,39 +274,34 @@ def _euler(
     ``pull`` a (steps, K') table of distinct deprivation columns omega1 * (1 - E).
     ``access_index`` and ``pull_index`` pick each agent's column: (1, N) when
     every row shares the pick, (B, N) when each row has its own.
-    The kernel advances one state per class of interchangeable agents in
-    interchangeable groups (:func:`_classes`) and spreads the states over
-    the agents only at report times. Step k reads ``access[k]`` at each
-    state's pick, gathered a few steps at a time (:func:`_picked_rows`), so
-    the kernel holds O(steps * K) floats of input, never a (steps, N) grid.
-    Two executors run the same step with the same roundings:
-    :func:`_euler_floats` on Python floats for a group block of at most
-    ``_FLOAT_STATES`` states and ``_FLOAT_PAIRS`` summed pairs, where
-    numpy's cost per call would dominate, and :func:`_euler_arrays` on numpy
-    vectors for any other block. A dense block always stays on numpy, whose
-    matrix-vector product a Python sum would not round like.
-    Returns the (B, reports + 1, N) trajectories recorded at t = 0 and every
-    ``steps_per_report`` steps, each row's clamp count and the number of
-    states advanced. Every row is bit-identical for any B (see
+    The kernel advances and records one state per class of interchangeable
+    agents in interchangeable groups (:func:`_classes`). Step k reads
+    ``access[k]`` at each state's pick, gathered a few steps at a time
+    (:func:`_picked_rows`), so the kernel holds O(steps * K) floats of
+    input, never a (steps, N) grid. The module docstring says which of the
+    two executors runs a block.
+    Returns the (reports + 1, S) record of the S states at t = 0 and every
+    ``steps_per_report`` steps, the (B, N) state of every agent, so that
+    ``recorded[:, expand[b]]`` is row b's (T, N) trajectory, and each row's
+    clamp count. Every row is bit-identical for any B (see
     :func:`_contagion_ratio`).
     """
-    b, n = d0.shape
     operator, access_index, pull_index, d, expand = _classes(network, access_index, pull_index, d0)
-    recorded = np.empty((b, params.n_steps // params.steps_per_report + 1, n))
-    recorded[:, 0] = d0
-    clamp_hits = np.zeros(b, dtype=int)
+    recorded = np.empty((params.n_steps // params.steps_per_report + 1, d.size))
+    recorded[0] = d
+    clamp_hits = np.zeros(d0.shape[0], dtype=int)
     small = isinstance(operator, _GroupSums) and d.size <= _FLOAT_STATES and operator.bins.size <= _FLOAT_PAIRS
     executor = _euler_floats if small else _euler_arrays
     executor(operator, _picked_rows(access, access_index), _picked_rows(pull, pull_index),
              d, expand, recorded, clamp_hits, params)
-    return recorded, clamp_hits, d.size
+    return recorded, expand, clamp_hits
 
 
 def _euler_arrays(operator, access_rows, pull_rows, d, expand, recorded, clamp_hits, params) -> None:
     """The step loop of :func:`_euler` on numpy vectors of states.
 
-    Fills ``recorded`` from its second report on and adds each row's clamp
-    count to ``clamp_hits``.
+    Fills ``recorded`` with the states from its second report on and adds
+    each row's clamp count to ``clamp_hits``.
     """
     dt = params.dt_hours
     spr = params.steps_per_report
@@ -325,7 +322,7 @@ def _euler_arrays(operator, access_rows, pull_rows, d, expand, recorded, clamp_h
         if lowest(d) < 0.0 or highest(d) > 1.0:
             _clamp(d, expand, clamp_hits)
         if (k + 1) % spr == 0:
-            recorded[:, (k + 1) // spr] = d.take(expand)
+            recorded[(k + 1) // spr] = d
 
 
 def _euler_floats(operator: _GroupSums, access_rows, pull_rows, d, expand, recorded, clamp_hits, params) -> None:
@@ -342,7 +339,7 @@ def _euler_floats(operator: _GroupSums, access_rows, pull_rows, d, expand, recor
             _clamp(array, expand, clamp_hits)
             states = array.tolist()
         if k % spr == 0:
-            recorded[:, k // spr] = np.take(states, expand)
+            recorded[k // spr] = states
         return states
 
     run = _float_loop(tuple(operator.bins.tolist()), tuple(operator.states.tolist()),
@@ -413,16 +410,21 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
             raise ValueError(f"a block needs one parameter set ({scenario.params} is not {params})")
         if scenario.network != net:
             raise ValueError(f"a block needs one network (scenario {scenario.label!r} has another)")
-    dt, n_steps, shape = params.dt_hours, params.n_steps, (len(scenarios), net.n_agents)
-    access, access_index = _sample_schedules([m for s in scenarios for m in s.media_access], dt, n_steps)
-    electricity, pull_index = _sample_schedules([e for s in scenarios for e in s.electricity], dt, n_steps)
-    recorded, clamp_hits, _ = _euler(
-        net, access, access_index.reshape(shape), params.omega1 * (1.0 - electricity),
-        pull_index.reshape(shape), np.stack([s.initial_dissatisfaction for s in scenarios]), params,
+    electricity, pull_index = _sample_schedules([s._schedule_sets[0] for s in scenarios], params.dt_hours, params.n_steps)
+    access, access_index = _sample_schedules([s._schedule_sets[1] for s in scenarios], params.dt_hours, params.n_steps)
+    recorded, expand, clamp_hits = _euler(
+        net, access, access_index, params.omega1 * (1.0 - electricity),
+        pull_index, np.stack([s.initial_dissatisfaction for s in scenarios]), params,
     )
-    times = np.arange(recorded.shape[1]) * params.report_every_hours
-    return [
-        SimulationResult(
+    times = np.arange(recorded.shape[0]) * params.report_every_hours
+    results = []
+    # Each scenario keeps its own states' record, for the writer, and spreads it once for its
+    # trajectory and aggregates: a mean or std keeps its bits only summed over members in agent order.
+    for scenario, states, hits in zip(scenarios, expand, clamp_hits.tolist()):
+        used = _sorted_distinct(states)
+        record, states = recorded.take(used, axis=1), used.searchsorted(states)
+        trajectory = record.take(states, axis=1)
+        result = SimulationResult(
             times=times,
             dissatisfaction=trajectory,
             groups=net.group_of,
@@ -443,5 +445,6 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
                 "n_report_times": trajectory.shape[0],
             },
         )
-        for scenario, trajectory, hits in zip(scenarios, recorded, clamp_hits.tolist())
-    ]
+        object.__setattr__(result, "_states", (record, states))
+        results.append(result)
+    return results

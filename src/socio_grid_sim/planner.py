@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_types import GroupBlock, Scenario, ValidationError, _distinct
+from .core_types import GroupBlock, Scenario, ValidationError
 from .dynamics import _euler, _sample_schedules, simulate
 from .plans import SheddingPlan, SheddingSlot, _shed_schedule, apply_plan, validate_plan
 
@@ -175,12 +175,11 @@ class _LatticeSearch:
 
         params = base.params
         self._members = [base.network.members(g) for g in range(self.n_groups)]
-        self._access, access_index = _sample_schedules(base.media_access, params.dt_hours, params.n_steps)
-        self._access_index = access_index[None]
+        self._access, self._access_index = _sample_schedules([base._schedule_sets[1]], params.dt_hours, params.n_steps)
         # One block holds each row's state plus its recorded report times.
         self._report_times = params.n_steps // params.steps_per_report + 1
         self._block = max(1, _BLOCK_FLOATS // (base.n_agents * (self._report_times + 1)))
-        self._electricity, self._electricity_index = _distinct(base.electricity)
+        self._electricity, self._electricity_index = base._schedule_sets[0]
         # With one group the slot profiles are the candidates themselves, and
         # a table would only copy each candidate's trajectory.
         self._isolated = self.n_groups > 1 and self._group_isolated()
@@ -265,10 +264,10 @@ class _LatticeSearch:
             shed = _shed_schedule(sched, slots) if slots else sched
             pull[:, column] = params.omega1 * (1.0 - shed.sample(params.dt_hours, params.n_steps))
         d0 = np.broadcast_to(base.initial_dissatisfaction, pull_index.shape)
-        recorded, _, states = _euler(base.network, self._access, self._access_index, pull, pull_index, d0, params)
+        recorded, expand, _ = _euler(base.network, self._access, self._access_index, pull, pull_index, d0, params)
         self.kernel_rows += len(rows)
-        self.kernel_classes += states
-        return recorded
+        self.kernel_classes += recorded.shape[1]
+        return np.ascontiguousarray(recorded[:, expand].transpose(1, 0, 2))
 
     def _objectives(self, rows: Sequence[Sequence[tuple[float, ...]]]) -> list[PlanObjective]:
         """Objective of each row of group profiles: assembled from the table,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Mapping, Sequence
 
-from .core_types import PiecewiseSchedule, Scenario, ValidationError, _distinct, _is_number
+from .core_types import PiecewiseSchedule, Scenario, ValidationError, _is_number
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -122,7 +122,7 @@ def apply_plan(base: Scenario, plan: SheddingPlan) -> Scenario:
     for slot in plan.slots:
         by_group.setdefault(slot.group, []).append(slot)
     # Agents in the same group with the same base schedule share the merged one.
-    distinct, index = _distinct(base.electricity)
+    distinct, index = base._schedule_sets[0]
     cache: dict[tuple[int, int], PiecewiseSchedule] = {}
     merged: list[PiecewiseSchedule] = []
     for sched, group, k in zip(base.electricity, base.network.group_of.tolist(), index.tolist()):

@@ -10,11 +10,11 @@ wall-clock timestamps, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import struct
+import marshal
 from dataclasses import fields
-from itertools import accumulate, chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -41,37 +41,29 @@ class ScenarioParseError(ValueError):
     """The file is not parseable as a scenario document at all."""
 
 
-def _breakpoints_from_block(block: object, context: str, errors: list[str]) -> list[tuple[float, float]] | None:
-    if not isinstance(block, list) or not all(
-        isinstance(p, (list, tuple)) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1]) for p in block
-    ):
-        errors.append(f"{context} must be a list of [start_hour, value] pairs (got {block!r})")
-        return None
-    return [(float(s), float(v)) for s, v in block]
-
-
-def _entry_bits(entries: list) -> Iterator[bytes] | None:
-    """Each entry's float64 bits, if every entry is a list of pairs of Python ints and floats.
-
-    Such entries with equal bits pass or fail the same checks and give the
-    same schedule, and bits keep ``-0.0`` apart from ``0.0``. The types are
-    checked in one pass over the whole block; a block holding ``True``,
-    ``"1"``, a numpy scalar, nested junk or an int too large for a float
-    gives None, and then each of its entries is checked on its own.
-    """
-    if set(map(type, entries)) != {list}:
-        return None
-    pairs = list(chain.from_iterable(entries))
-    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
-        return None
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
-        return None
-    try:
-        blob = struct.pack(f"<{2 * len(pairs)}d", *chain.from_iterable(pairs))
-    except struct.error:  # an int too large for a float
-        return None
-    ends = list(accumulate(map(len, entries), initial=0))
-    return (blob[16 * start : 16 * end] for start, end in zip(ends, ends[1:]))
+def _interned(entries: list, where: str, horizon: float | None, errors: list[str]) -> list[PiecewiseSchedule]:
+    """The schedule of each valid entry, in order; each invalid entry adds its errors.
+    Entries with equal float bits share one object: a ``-0.0`` entry keeps its own."""
+    interned: dict[bytes, PiecewiseSchedule] = {}
+    out: list[PiecewiseSchedule] = []
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, list) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and _is_number(p[0]) and _is_number(p[1]) for p in entry
+        ):
+            errors.append(f"{where.format(idx)} must be a list of [start_hour, value] pairs (got {entry!r})")
+            continue
+        if horizon is None:  # the params block already failed
+            continue
+        points = [(float(s), float(v)) for s, v in entry]
+        bits = _bits(points)
+        if bits not in interned:
+            try:
+                interned[bits] = PiecewiseSchedule(tuple(points), horizon)
+            except ValidationError as exc:
+                errors.extend(f"{where.format(idx)}: {v}" for v in exc.violations)
+                continue
+        out.append(interned[bits])
+    return out
 
 
 def _schedules_from_block(
@@ -87,26 +79,22 @@ def _schedules_from_block(
         if not isinstance(entries, list) or len(entries) != count:
             errors.append(f"{context}.per_agent must list one breakpoint list per agent ({count} expected)")
             return None
-    # Agents whose entries hold the same float bits share one schedule object.
-    # Bits, not values: a -0.0 entry keeps its own object. An entry whose raw
-    # bits (from _entry_bits) name a schedule already built is not checked
-    # again; without them every entry is checked. Only valid schedules are
-    # kept, so a repeated bad entry reports every agent.
-    out: list[PiecewiseSchedule] = []
-    interned: dict[bytes | None, PiecewiseSchedule] = {}
-    for idx, (entry, bits) in enumerate(zip(entries, _entry_bits(entries) or [None] * len(entries))):
-        if bits not in interned:
-            points = _breakpoints_from_block(entry, where.format(idx), errors)
-            if points is None or horizon is None:  # horizon None: params block already failed
-                continue
-            bits = _bits(points)
-            if bits not in interned:
-                try:
-                    interned[bits] = PiecewiseSchedule(tuple(points), horizon)
-                except ValidationError as exc:
-                    errors.extend(f"{where.format(idx)}: {v}" for v in exc.violations)
-                    continue
-        out.append(interned[bits])
+    # marshal (format 2: no back-references) keys each entry in C. It tags exact
+    # types and writes a float's 8 bytes, so equal keys are equal entries; only a
+    # buffer (a numpy scalar, bytes) is written as its bytes, and decodes as bytes,
+    # which no check passes. So each key's decoded entry is checked and built
+    # once. Any other block checks entry by entry, naming each failing agent.
+    try:
+        keys = list(map(marshal.dumps, entries, repeat(2)))
+    except ValueError:
+        keys = None
+    if keys is not None and horizon is not None:
+        rejected: list[str] = []
+        distinct = dict.fromkeys(keys)
+        built = _interned(list(map(marshal.loads, distinct)), where, horizon, rejected)
+        if not rejected:
+            return tuple(map(dict(zip(distinct, built)).__getitem__, keys)) * copies
+    out = _interned(entries, where, horizon, errors)
     return tuple(out) * copies if len(out) == len(entries) else None
 
 
@@ -375,10 +363,19 @@ def builtin_case_study(variant: str = "full_access") -> Scenario:
     )
 
 
-# Floats of trajectory indexed at once when writing agents.csv: one report
-# time of a large population. Blocks of 2**14 floats were no faster at 3000
-# agents and doubled the writer's peak memory with the sort's temporaries.
+# Recorded floats ranked at once when writing agents.csv: one report time of
+# a large population. Blocks of 2**14 floats were no faster at 3000 agents
+# and doubled the writer's peak memory with the sort's temporaries.
 _BLOCK_FLOATS = 2**12
+
+
+def _texts(values: np.ndarray, text: Callable[[float], str]) -> np.ndarray:
+    """``text(v)`` of each float of ``values``, as an object array of its shape. Each distinct
+    float64 bit pattern is formatted once, so -0.0 (text "-0") stays apart from 0.0."""
+    bits = values.view(np.int64)
+    distinct = _sorted_distinct(bits)
+    texts = np.array([text(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts.take(distinct.searchsorted(bits))
 
 
 def write_results(
@@ -395,39 +392,32 @@ def write_results(
     aggregates_path = out / "aggregates.csv"
     manifest_path = out / "manifest.json"
 
-    # Every field is a number or a scope label, so none ever needs CSV
-    # quoting. agents.csv is written a block of report times at a time. Each
-    # distinct float64 bit pattern of a block is formatted once: np.unique on
-    # the bits gives the patterns and each entry's rank among them, and bits
-    # keep -0.0 (text "-0") apart from 0.0. A report time's lines are one
-    # join of alternating time, agent id and value texts.
+    # Every field is a number or a scope label, so none ever needs CSV quoting.
+    # agents.csv is formatted from the (T, S) record of states, a block of
+    # report times at a time; each agent takes its state's text, and a report
+    # time's lines are one join of alternating time, agent id and value texts.
     ids = [f",{agent},{group}," for agent, group in enumerate(result.groups.tolist())]
     parts = [""] * (3 * len(ids))
     parts[1::3] = ids
-    traj = result.dissatisfaction
-    rows = max(1, _BLOCK_FLOATS // max(len(ids), 1))
+    record, expand = result._states
+    rows = max(1, _BLOCK_FLOATS // max(record.shape[1], 1))
     with _create(agents_path) as fh:
         fh.write("t_hours,agent_id,group,dissatisfaction,satisfaction\n")
-        for start in range(0, traj.shape[0], rows) if ids else ():
-            block = traj[start : start + rows]
-            bits, ranks = np.unique(block.view(np.uint64), return_inverse=True)
-            texts = np.array([f"{d:.9g},{1.0 - d:.9g}\n" for d in bits.view(np.float64).tolist()], dtype=object)
-            for t, rank in zip(result.times[start : start + rows].tolist(), ranks.reshape(block.shape)):
+        for start in range(0, record.shape[0], rows) if ids else ():
+            texts = _texts(record[start : start + rows], lambda d: f"{d:.9g},{1.0 - d:.9g}\n")
+            for t, row in zip(result.times[start : start + rows].tolist(), texts):
                 parts[::3] = [f"{t:.9g}"] * len(ids)
-                parts[2::3] = texts.take(rank).tolist()
+                parts[2::3] = row.take(expand).tolist()
                 fh.write("".join(parts))
 
-    # As in agents.csv, each distinct float64 bit pattern is formatted once.
     labels = [f"group_{g}," for g in range(result.aggregates.shape[2] - 1)] + ["global,"]
-    bits = result.aggregates.transpose(1, 2, 0).view(np.int64)
-    distinct = _sorted_distinct(bits)
-    texts = np.array([f"{v:.9g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    texts = _texts(result.aggregates.transpose(1, 2, 0), "{:.9g}".format)
     with _create(aggregates_path) as fh:
         fh.write("t_hours,scope,mean_s,min_s,max_s,std_s\n")
         fh.write(
             "".join(
                 f"{t:.9g},{label}{mean},{low},{high},{std}\n"
-                for t, stats in zip(result.times.tolist(), texts.take(distinct.searchsorted(bits)).tolist())
+                for t, stats in zip(result.times.tolist(), texts.tolist())
                 for label, (mean, low, high, std) in zip(labels, stats)
             )
         )

@@ -233,3 +233,25 @@ def reference_agents_csv(times, dissatisfaction, groups) -> str:
             t, g, d = float(t), int(g), float(d)
             lines.append(f"{t:.9g},{a},{g},{d:.9g},{1 - d:.9g}\n")
     return "".join(lines)
+
+
+def valid_breakpoints(entry, horizon: float) -> bool:
+    """Whether a ``per_agent`` entry is a valid breakpoint list over
+    ``[0, horizon)``, decided apart from the loader: a nonempty list of
+    ``[start, value]`` pairs (lists or tuples) of finite ints and floats,
+    not bools, starting at hour 0, with increasing starts below the horizon
+    and values in [0, 1]."""
+    if not isinstance(entry, list) or not entry:
+        return False
+    for pair in entry:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            return False
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x) for x in pair):
+            return False
+    starts = [float(start) for start, _ in entry]
+    return (
+        starts[0] == 0.0
+        and all(a < b for a, b in zip(starts, starts[1:]))
+        and starts[-1] < horizon
+        and all(0.0 <= value <= 1.0 for _, value in entry)
+    )

@@ -335,6 +335,19 @@ class TestScenario:
         with pytest.raises(ValidationError, match="horizon_hours"):
             self._scenario(electricity=(PiecewiseSchedule.constant(1.0, 5.0),) * 3)
 
+    def test_mismatched_horizons_are_named_per_agent(self):
+        # The check runs over distinct schedules but names every agent whose
+        # schedule is off, in agent order, also where its breakpoints equal
+        # those of a schedule on the right horizon.
+        good, off = PiecewiseSchedule.constant(1.0, 2.0), PiecewiseSchedule.constant(1.0, 5.0)
+        with pytest.raises(ValidationError) as excinfo:
+            self._scenario(n=4, electricity=(good, off, good, off), media_access=(off, good, good, good))
+        assert excinfo.value.violations == [
+            "electricity[1].horizon_hours = 5.0 must equal params.horizon_hours = 2.0",
+            "electricity[3].horizon_hours = 5.0 must equal params.horizon_hours = 2.0",
+            "media_access[0].horizon_hours = 5.0 must equal params.horizon_hours = 2.0",
+        ]
+
     def test_rejects_wrong_schedule_count(self):
         with pytest.raises(ValidationError, match="one schedule per agent"):
             self._scenario(media_access=(PiecewiseSchedule.constant(1.0, 2.0),) * 2)

@@ -308,7 +308,9 @@ class TestSimulate:
         # The (steps, K) table of distinct columns and each agent's pick into
         # it. Picking every agent's column gives the column_stack of every
         # agent's samples; the table is row-major so that each step's row is
-        # contiguous.
+        # contiguous. Sets given apart merge to the columns and picks of
+        # their concatenation.
+        from socio_grid_sim.core_types import _distinct
         from socio_grid_sim.dynamics import _sample_schedules
 
         horizon = 6.0
@@ -318,11 +320,13 @@ class TestSimulate:
         signed, unsigned = PiecewiseSchedule.constant(-0.0, horizon), PiecewiseSchedule.constant(0.0, horizon)
         for zeros, order in (((signed, unsigned), [2, 3]), ((unsigned, signed), [3, 2])):
             schedules = (a, b, a, PiecewiseSchedule(a.breakpoints, horizon), *zeros, b, a, signed, unsigned)
-            table, picks = _sample_schedules(schedules, 0.1, 60)
+            table, picks = _sample_schedules([_distinct(schedules)], 0.1, 60)
             assert table.shape == (60, 4)
             assert table.flags.c_contiguous
-            assert picks.dtype == np.intp and picks.tolist() == [0, 1, 0, 0, 2, 3, 1, 0, *order]
-            assert same_bits(table.take(picks, axis=1), np.column_stack([s.sample(0.1, 60) for s in schedules]))
+            assert picks.dtype == np.intp and picks.tolist() == [[0, 1, 0, 0, 2, 3, 1, 0, *order]]
+            assert same_bits(table.take(picks[0], axis=1), np.column_stack([s.sample(0.1, 60) for s in schedules]))
+            halves = _sample_schedules([_distinct(schedules[:5]), _distinct(schedules[5:])], 0.1, 60)
+            assert same_bits(halves[0], table) and halves[1].ravel().tolist() == picks[0].tolist()
 
     def test_peak_memory_below_one_agent_grid(self):
         # 3000 agents in 12 groups with 12 distinct schedules per set: the
@@ -526,6 +530,15 @@ def replace_params(scenario: Scenario, **overrides) -> Scenario:
     )
 
 
+def run_euler(network, access, access_index, pull, index, d0, params):
+    """``_euler`` on a block, with its (T, S) record of states spread over the
+    agents: the (B, T, N) trajectories, each row's clamp count and S."""
+    from socio_grid_sim.dynamics import _euler
+
+    recorded, expand, hits = _euler(network, access, access_index, pull, index, d0, params)
+    return recorded[:, expand].transpose(1, 0, 2), hits, recorded.shape[1]
+
+
 def batched_blocks():
     """Kernel blocks drawn from fixed seeds, as (network, shared, block) with
     ``block`` the arguments of ``_euler`` after the network.
@@ -548,7 +561,7 @@ def batched_blocks():
         params = scenario.params
         n = scenario.n_agents
         block_net = ContagionNetwork.full_within_groups(scenario.network.group_of, float(rng.uniform(0.5, 2.0)))
-        table, _ = _sample_schedules(scenario.media_access, params.dt_hours, params.n_steps)
+        table, _ = _sample_schedules([scenario._schedule_sets[1]], params.dt_hours, params.n_steps)
         # Extra access columns and a random pick, shared and out of agent order.
         access = np.hstack([table, rng.uniform(0.0, 1.0, size=(params.n_steps, n))])
         access_index = rng.integers(0, access.shape[1], size=(1, n))
@@ -655,7 +668,6 @@ class TestBatchedKernel:
         # its own run as a block of one on the gathered grids, where every
         # agent has a pick of its own (:func:`batched_blocks`).
         from socio_grid_sim.core_types import GroupBlock
-        from socio_grid_sim.dynamics import _euler
 
         collapsed = []
         for network, shared, (access, access_index, pull, index, d0, params) in batched_blocks():
@@ -663,7 +675,7 @@ class TestBatchedKernel:
             identity = np.arange(n)[None]
             # Each row alone, on its own gathered (steps, N) grids read in agent order.
             singles = [
-                _euler(network, access[:, access_index[0]], identity,
+                run_euler(network, access[:, access_index[0]], identity,
                        pull[:, index[row]], identity, d0[row : row + 1], params)[0][0]
                 for row in range(index.shape[0])
             ]
@@ -671,7 +683,7 @@ class TestBatchedKernel:
                 states = expected_states = 0
                 for start in range(0, index.shape[0], size):
                     rows = slice(start, start + size)
-                    block, hits, count = _euler(network, access, access_index, pull, index[rows], d0[rows], params)
+                    block, hits, count = run_euler(network, access, access_index, pull, index[rows], d0[rows], params)
                     states += count
                     expected_states += block_states(network, access_index, index[rows], d0[rows])
                     assert hits.tolist() == [0] * block.shape[0]
@@ -689,15 +701,13 @@ class TestBatchedKernel:
         # Each row's clamp count and clipped trajectory must equal its own
         # run, where every agent is a state of its own: a row counts a step
         # once, however many classes it clips.
-        from socio_grid_sim.dynamics import _euler
-
         groups, (access, access_index, pull, index, d0, params) = clamped_block()
         n = len(groups)
         identity = np.arange(n)[None]
         for network in (ContagionNetwork.full_within_groups(groups, 1.0), ContagionNetwork(n, 1.0 - np.eye(n), groups)):
-            block, hits, _ = _euler(network, access, access_index, pull, index, d0, params)
+            block, hits, _ = run_euler(network, access, access_index, pull, index, d0, params)
             for row in range(4):
-                single, single_hits, states = _euler(
+                single, single_hits, states = run_euler(
                     network, access[:, access_index[0]], identity,
                     pull[:, index[row]], identity, d0[row : row + 1], params,
                 )
@@ -720,12 +730,12 @@ class TestExecutors:
         runs = []
         for executor in (_euler_floats, _euler_arrays):
             operator, state_access, state_pull, d, expand = _classes(network, access_index, index, d0)
-            recorded = np.empty((d0.shape[0], params.n_steps // params.steps_per_report + 1, d0.shape[1]))
-            recorded[:, 0] = d0
+            recorded = np.empty((params.n_steps // params.steps_per_report + 1, d.size))
+            recorded[0] = d
             hits = np.zeros(d0.shape[0], dtype=int)
             executor(operator, _picked_rows(access, state_access), _picked_rows(pull, state_pull),
                      d, expand, recorded, hits, params)
-            runs.append((recorded, hits.tolist(), d.size))
+            runs.append((recorded[:, expand].transpose(1, 0, 2), hits.tolist(), d.size))
         (floats, float_hits, float_states), (arrays, array_hits, array_states) = runs
         assert same_bits(floats, arrays)
         assert float_hits == array_hits and float_states == array_states
@@ -878,13 +888,11 @@ class TestInterchangeableGroups:
         ],
     )
     def test_merged_groups_match_unmerged_runs(self, groups, weight, rate_floor, access_index, index, d0, states):
-        from socio_grid_sim.dynamics import _euler
-
         params = ModelParams(rate_floor=rate_floor, **self.PARAMS)
         access, pull = self._tables(params)
         network = ContagionNetwork.full_within_groups(groups, weight)
         access_index, index, d0 = np.array([access_index]), np.array(index), np.array(d0)
-        recorded, hits, count = _euler(network, access, access_index, pull, index, d0, params)
+        recorded, hits, count = run_euler(network, access, access_index, pull, index, d0, params)
         assert count == states == block_states(network, access_index, index, d0)
         assert hits.tolist() == [0] * index.shape[0]
         for row in range(index.shape[0]):
@@ -893,7 +901,7 @@ class TestInterchangeableGroups:
                 apart = d0[row].copy()
                 apart[~own] = [v for v in np.linspace(0.05, 0.95, 3 * apart.size) if v not in apart[own]][: (~own).sum()]
                 rows = index[row : row + 1]
-                single, _, single_states = _euler(network, access, access_index, pull, rows, apart[None], params)
+                single, _, single_states = run_euler(network, access, access_index, pull, rows, apart[None], params)
                 # Every agent outside the group is a state of its own.
                 keys = {(access_index[0, a], index[row, a], apart[a].tobytes()) for a in np.flatnonzero(own)}
                 assert single_states == (~own).sum() + len(keys)

@@ -19,7 +19,7 @@ from socio_grid_sim import (
     write_scenario,
 )
 
-from oracles import reference_agents_csv
+from oracles import reference_agents_csv, same_bits
 
 
 def minimal_doc() -> dict:
@@ -120,17 +120,49 @@ class TestScenarioDocuments:
         assert "media_access.per_agent[0]" in text and "media_access.per_agent[2]" in text
         assert "media_access.per_agent[1]" not in text
 
-    @pytest.mark.parametrize("look_alike", [[[0, True]], [[0, "1"]], [[0, 1, 1]], [[0, [1]]]])
+    # A numpy float first, then a look-alike of its 8 bytes: marshal, which
+    # keys the entries, writes every buffer as its bytes, so both share a key.
+    _BUFFERS = [
+        ([[0, np.float64(1.0)]], [[0, np.float64(1.0).tobytes()]]),
+        ([[0, np.float64(1.0)]], [[0, memoryview(np.float64(1.0).tobytes())]]),
+    ]
+
+    @pytest.mark.parametrize(
+        "look_alike", [[[0, True]], [[0, "1"]], [[0, 1, 1]], [[0, [1]]], [[0, np.int64(1)]], *_BUFFERS]
+    )
     def test_checked_entry_does_not_pass_a_look_alike(self, look_alike):
         # A valid entry checked once must not vouch for a later entry that
         # only resembles it: the later agent is rejected by name.
+        first, look_alike = look_alike if isinstance(look_alike, tuple) else ([[0, 1]], look_alike)
         doc = minimal_doc()
-        doc["schedules"]["electricity"] = {"per_agent": [[[0, 1]], look_alike, [[0, 1]]]}
+        doc["schedules"]["electricity"] = {"per_agent": [first, look_alike, first]}
         with pytest.raises(ValidationError) as excinfo:
             scenario_from_dict(doc)
         text = "\n".join(excinfo.value.violations)
         assert "electricity.per_agent[1]" in text
         assert "electricity.per_agent[0]" not in text and "electricity.per_agent[2]" not in text
+
+    class Pairs(list):
+        pass
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            ([[0, 1]], Pairs([[0, 0.5]])),
+            ([[0, 1]], [Pairs([0, 0.5])]),
+            ([[0, 0.0]], [[0, -0.0]]),
+            ([[0, -0.0]], [[0, 0.0]]),
+        ],
+    )
+    def test_valid_look_alike_gets_its_own_bits(self, first, later):
+        # A list subclass, or a -0.0 where the first entry has 0.0, loads as
+        # its own numbers, not as the entry before it.
+        doc = minimal_doc()
+        doc["schedules"]["electricity"] = {"per_agent": [first, later, first]}
+        elec = scenario_from_dict(doc).electricity
+        assert elec[0] is elec[2] and elec[0] is not elec[1]
+        for sched, entry in zip(elec, (first, later)):
+            assert same_bits(np.array(sched.breakpoints), np.array([[float(x) for x in p] for p in entry]))
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_negative_zero_entry_keeps_its_own_schedule_in_either_order(self, first, second):
@@ -478,6 +510,23 @@ _AGENTS_CSV_CASES = {
 
 class TestAgentsCsv:
     """agents.csv matches the line-at-a-time reference byte for byte."""
+
+    @pytest.mark.parametrize("source", ["golden_group_block.json", "golden_simulate.json", "full_access", "limited_access"])
+    def test_kernel_states_write_what_agents_write(self, tmp_path: Path, source):
+        # simulate hands the writer the kernel's record of states and each
+        # agent's state; a result built by hand from the same arrays has one
+        # state per agent. Both write the same bytes. The group blocks run
+        # on fewer states than agents, the dense network on one per agent.
+        data = Path(__file__).parent / "data"
+        scenario = load_scenario(data / source) if source.endswith(".json") else builtin_case_study(source)
+        result = simulate(scenario)
+        by_hand = SimulationResult(result.times, result.dissatisfaction, result.groups, result.aggregates,
+                                   result.manifest)
+        states = result._states[0].shape[1]
+        assert states == result.n_agents if source == "golden_simulate.json" else states < result.n_agents
+        written = [write_results(r, tmp_path / name) for r, name in ((result, "states"), (by_hand, "agents"))]
+        for kernel, agents in zip(*written):
+            assert kernel.read_bytes() == agents.read_bytes()
 
     @pytest.mark.parametrize("case", sorted(_AGENTS_CSV_CASES))
     def test_matches_reference_formatter(self, tmp_path: Path, case):
