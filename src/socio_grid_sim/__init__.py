@@ -4,7 +4,6 @@ shedding planner."""
 
 from ._version import __version__
 from .core_types import (
-    AgentId,
     ContagionNetwork,
     ModelParams,
     PiecewiseSchedule,
@@ -12,8 +11,7 @@ from .core_types import (
     SimulationResult,
     ValidationError,
 )
-from .dynamics import simulate
-from .metrics import aggregate_trajectory
+from .dynamics import aggregate_trajectory, simulate
 from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
 from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
 from .scenario_io import (
@@ -28,7 +26,6 @@ from .scenario_io import (
 
 __all__ = [
     "__version__",
-    "AgentId",
     "ContagionNetwork",
     "ModelParams",
     "PiecewiseSchedule",

@@ -13,20 +13,13 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from .core_types import DIGEST_FORMAT, PiecewiseSchedule, Scenario, ValidationError, _distinct
+from .core_types import DIGEST_FORMAT, ModelParams, PiecewiseSchedule, Scenario, ValidationError, _distinct
 from .dynamics import _simulate_block, simulate
 from .planner import plan_shedding
 from .plans import plan_to_dict
-from .scenario_io import (
-    ScenarioParseError,
-    _create,
-    _write_json,
-    builtin_case_study,
-    load_scenario,
-    write_results,
-)
+from .scenario_io import _create, _write_json, builtin_case_study, load_scenario, write_results
 
 _OUT_ENV = "SOCIO_GRID_SIM_OUT"
 
@@ -61,14 +54,9 @@ def _apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenari
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, float]:
-    mapping = {
-        "omega1": args.omega1,
-        "omega2": args.omega2,
-        "dt_hours": args.dt,
-        "rate_floor": args.rate_floor,
-        "horizon_hours": args.horizon,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    """The override flags given, by the ModelParams field each one sets (its ``dest``)."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(ModelParams)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -164,10 +152,12 @@ def run_validate(args: argparse.Namespace) -> int:
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega1", type=float, default=None, help="deprivation weight override")
     parser.add_argument("--omega2", type=float, default=None, help="contagion weight override")
-    parser.add_argument("--dt", type=float, default=None, help="step size override, hours")
+    parser.add_argument("--dt", type=float, default=None, dest="dt_hours", metavar="DT",
+                        help="step size override, hours")
     parser.add_argument("--rate-floor", type=float, default=None, dest="rate_floor",
                         help="minimum response rate override")
-    parser.add_argument("--horizon", type=float, default=None, help="horizon override, hours")
+    parser.add_argument("--horizon", type=float, default=None, dest="horizon_hours", metavar="HORIZON",
+                        help="horizon override, hours")
 
 
 @functools.cache
@@ -221,9 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
-        return 2
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

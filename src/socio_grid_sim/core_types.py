@@ -20,9 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Agent ids are dense indices 0..N-1, stable for the lifetime of a scenario.
-AgentId = int
-
 # The byte encoding that Scenario.content_digest hashes; manifests record it.
 DIGEST_FORMAT = 2
 

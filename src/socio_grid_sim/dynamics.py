@@ -1,4 +1,5 @@
-"""Contagion-weighted dissatisfaction dynamics and the simulation loop.
+"""Contagion-weighted dissatisfaction dynamics, the simulation loop, and the
+group-level satisfaction statistics that summarise a run.
 
 The model couples each agent's dissatisfaction D in [0, 1] to two pulls:
 electricity deprivation (weighted by ``omega1``) and the media-access-gated
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import astuple
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .core_types import (
     PiecewiseSchedule,
     Scenario,
     SimulationResult,
+    ValidationError,
     _distinct,
+    _group_ids,
+    _group_layout,
     _sorted_distinct,
 )
-# aggregate_trajectory stays bound here for perfbench/tracing.py, which wraps it by this name.
-from .metrics import _aggregate, aggregate_trajectory  # noqa: F401
 
 
 def _sample_schedules(
@@ -418,12 +420,11 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
     )
     times = np.arange(recorded.shape[0]) * params.report_every_hours
     results = []
-    # Each scenario keeps its own states' record, for the writer, and spreads it once for its
-    # trajectory and aggregates: a mean or std keeps its bits only summed over members in agent order.
+    # Every result shares the block's record, for the writer, and spreads it through its row of expand
+    # once for its trajectory and aggregates: a mean or std keeps its bits only summed over members in agent order.
+    recorded.setflags(write=False)
     for scenario, states, hits in zip(scenarios, expand, clamp_hits.tolist()):
-        used = _sorted_distinct(states)
-        record, states = recorded.take(used, axis=1), used.searchsorted(states)
-        trajectory = record.take(states, axis=1)
+        trajectory = recorded.take(states, axis=1)
         result = SimulationResult(
             times=times,
             dissatisfaction=trajectory,
@@ -445,6 +446,57 @@ def _simulate_block(scenarios: Sequence[Scenario]) -> list[SimulationResult]:
                 "n_report_times": trajectory.shape[0],
             },
         )
-        object.__setattr__(result, "_states", (record, states))
+        object.__setattr__(result, "_states", (recorded, states))
         results.append(result)
     return results
+
+
+def _stats(s: np.ndarray) -> Iterator[np.ndarray]:
+    """Mean, min, max and std over the last axis, each computed only when the
+    previous one is consumed, so that one result is alive at a time."""
+    return (stat(axis=-1) for stat in (s.mean, s.min, s.max, s.std))
+
+
+def aggregate_trajectory(
+    times: Sequence[float], dissatisfaction: np.ndarray, group_of: Sequence[int]
+) -> np.ndarray:
+    """Aggregate a whole trajectory at once, into a (4, T, G + 1) array.
+
+    ``out[i, t, scope]`` is statistic i (mean, min, max and population std,
+    in that order) at report time t, for group ``scope``; the last column,
+    ``scope == G``, is the whole population. Statistics are computed on
+    satisfaction = 1 - dissatisfaction, so the mean commutes with the flip
+    while min and max swap roles. Groups of equal size reduce together:
+    their members, by group and in agent order within a group, are gathered
+    into one (T, k, size) array, and each statistic reduces its last axis.
+    The gather keeps time innermost, so the member axis is strided, as in
+    the masked copy ``d[:, groups == g]`` of each group: the same values,
+    added one after another in the same order. A copy with the members
+    contiguous would add them pairwise and can differ in the last bit.
+    """
+    d = np.asarray(dissatisfaction, dtype=float)
+    if d.ndim != 2:
+        raise ValidationError([f"dissatisfaction must be 2-D (times x agents), got shape {d.shape}"])
+    times = np.asarray(times, dtype=float)
+    if times.shape != (d.shape[0],):
+        raise ValidationError([f"times must have shape ({d.shape[0]},) (got {times.shape})"])
+    errors = [] if d.shape[1] else ["dissatisfaction must be nonempty"]
+    groups = _group_ids(d.shape[1], group_of, errors)
+    if errors:
+        raise ValidationError(errors)
+    return _aggregate(d, _group_layout(groups))
+
+
+def _aggregate(d: np.ndarray, layout: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`aggregate_trajectory` of a (T, N) float array, for the
+    ``(order, sizes, starts)`` layout of checked group ids (a network's own)."""
+    order, sizes, starts = layout
+    s = 1.0 - d
+    out = np.empty((4, d.shape[0], sizes.size + 1))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        same = np.flatnonzero(sizes == size)
+        for column, stat in zip(out, _stats(s[:, order[starts[same, None] + np.arange(size)]])):
+            column[:, same] = stat
+    for column, stat in zip(out, _stats(s)):
+        column[:, -1] = stat
+    return out

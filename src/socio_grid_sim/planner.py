@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,11 +39,12 @@ class PlanObjective:
 def _group_time_means(recorded: np.ndarray, members: Sequence[np.ndarray]) -> np.ndarray:
     """(B, G) time-mean dissatisfaction of each group in a (B, T, N) block.
 
-    Each group's time-mean reduces a contiguous (T, n_g) copy of its members'
-    columns, first over agents and then over time. That is the layout of
-    ``d[:, groups == g].mean(axis=1).mean()``. The plain gather
-    ``recorded[:, :, m].mean(axis=2).mean(axis=1)`` can round differently in
-    the last bit once a group has 8 or more members.
+    Each group's time-mean reduces a (T, n_g) copy of its members' columns,
+    first over agents and then over time. The copy keeps time innermost, so
+    the member axis is strided and the members are added one after another
+    in agent order: the layout of ``d[:, groups == g].mean(axis=1).mean()``.
+    A copy with the members contiguous would add them pairwise and can round
+    differently in the last bit once a group has 8 or more members.
     """
     by_agent = recorded.transpose(0, 2, 1)
     return np.column_stack(
@@ -280,18 +281,25 @@ class _LatticeSearch:
             recorded = self._simulate(rows)
         return _block_objectives(recorded, self._members, self.fairness_weight)
 
-    def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
-        """Score every assignment not yet memoised, in blocks.
+    def _scored(
+        self, chunks: Iterable[Sequence[tuple[float, ...]]]
+    ) -> Iterator[tuple[tuple[float, ...], PlanObjective]]:
+        """Each assignment of each chunk with its objective.
 
-        The table first takes the missing pairs of them all, so that they
-        share kernel rows.
+        The table first takes the missing pairs of the whole chunk, so that
+        they share kernel rows; the chunk is then scored in blocks.
         """
+        for chunk in chunks:
+            rows = self._profiles(chunk)
+            self._fill(rows)
+            for start in range(0, len(chunk), self._block):
+                end = start + self._block
+                yield from zip(chunk[start:end], self._objectives(rows[start:end]))
+
+    def score_all(self, assignments: Sequence[tuple[float, ...]]) -> None:
+        """Score every assignment not yet memoised, as one chunk."""
         pending = list(dict.fromkeys(a for a in assignments if a not in self._memo))
-        rows = self._profiles(pending)
-        self._fill(rows)
-        for start in range(0, len(pending), self._block):
-            end = start + self._block
-            self._memo.update(zip(pending[start:end], self._objectives(rows[start:end])))
+        self._memo.update(self._scored([pending]))
 
     def score(self, assignment: Sequence[float]) -> PlanObjective:
         key = tuple(assignment)
@@ -326,14 +334,8 @@ class _LatticeSearch:
         any, grows with their distinct (group, profile) pairs, at most
         ``G * P``; no other memory grows with their number.
         """
-        best = None
-        while block := list(itertools.islice(candidates, self._block)):
-            rows = self._profiles(block)
-            self._fill(rows)
-            for assignment, objective in zip(block, self._objectives(rows)):
-                if best is None or (objective.combined, assignment) < best:
-                    best = (objective.combined, assignment)
-        return best[1]
+        blocks = iter(lambda: list(itertools.islice(candidates, self._block)), [])
+        return min(self._scored(blocks), key=lambda scored: (scored[1].combined, scored[0]))[0]
 
     def _group_isolated(self) -> bool:
         """True when no weight couples two groups.

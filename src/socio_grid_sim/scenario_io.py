@@ -37,8 +37,8 @@ SCHEMA_VERSION = 1
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
-class ScenarioParseError(ValueError):
-    """The file is not parseable as a scenario document at all."""
+class ScenarioParseError(ValidationError):
+    """The file is not parseable as a scenario document at all; its one violation says why."""
 
 
 def _interned(entries: list, where: str, horizon: float | None, errors: list[str]) -> list[PiecewiseSchedule]:
@@ -138,7 +138,7 @@ def scenario_from_dict(doc: object) -> Scenario:
     its problems at once.
     """
     if not isinstance(doc, Mapping):
-        raise ScenarioParseError(f"scenario document must be a mapping (got {type(doc).__name__})")
+        raise ScenarioParseError([f"scenario document must be a mapping (got {type(doc).__name__})"])
     errors: list[str] = []
 
     version = doc.get("schema_version")
@@ -306,7 +306,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ScenarioParseError([f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
     return scenario_from_dict(doc)
 
 

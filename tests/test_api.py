@@ -19,7 +19,7 @@ def test_public_names_are_the_readme_list():
     names = readme_api_names()
     assert len(names) == len(set(names))
     count = re.search(r"exports these (\d+) names", README.read_text(encoding="utf-8"))
-    assert count is not None and int(count[1]) == len(names) == 26
+    assert count is not None and int(count[1]) == len(names) == 25
     assert sorted(socio_grid_sim.__all__) == sorted(names)
     for name in names:
         assert getattr(socio_grid_sim, name) is not None

@@ -97,6 +97,12 @@ class TestPiecewiseSchedule:
         for k in (0, 7, 169, 170, 340, 479):
             assert grid[k] == sched.value_at(k * 0.1)
 
+    @pytest.mark.parametrize("breakpoints", [(0.0, 1.0), ((0.0, 1.0, 2.0),), ((0.0,),)], ids=["flat", "triple", "single"])
+    def test_rejects_breakpoints_that_are_not_pairs(self, breakpoints):
+        with pytest.raises(ValidationError) as excinfo:
+            PiecewiseSchedule(breakpoints, 10.0)
+        assert excinfo.value.violations == [f"breakpoints must be (start_hour, value) pairs (got {breakpoints!r})"]
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect (b): float step times sample one step late")
     def test_breakpoint_on_a_step_is_sampled_at_that_step(self):
         # 3 * 0.3 is 0.8999999999999999, so the float time of step 3 falls
@@ -273,6 +279,30 @@ class TestContagionNetwork:
         moved[0, 3] = -0.0
         assert dense != ContagionNetwork(4, moved, groups)
 
+    @pytest.mark.parametrize(
+        "n, weights, groups, message",
+        [
+            (3, np.zeros((3, 3)), [0, 0], "group_of must have shape (3,) (got (2,))"),
+            (0, np.zeros((0, 0)), [], "n_agents must be positive (got 0)"),
+            (3, np.zeros((2, 2)), [0, 0, 1], "base_weights must have shape (3, 3) (got (2, 2))"),
+        ],
+        ids=["groups", "no-agents", "weights"],
+    )
+    def test_rejects_wrong_shapes_and_no_agents(self, n, weights, groups, message):
+        with pytest.raises(ValidationError) as excinfo:
+            ContagionNetwork(n, weights, groups)
+        assert excinfo.value.violations == [message]
+
+    def test_shorthand_rejects_no_agents(self):
+        with pytest.raises(ValidationError) as excinfo:
+            ContagionNetwork.full_within_groups([])
+        assert excinfo.value.violations == ["n_agents must be positive (got 0)"]
+
+    def test_is_unequal_to_another_type(self):
+        network = ContagionNetwork.full_within_groups([0, 0, 1])
+        assert network.__eq__(network.operator) is NotImplemented
+        assert network != network.operator and network != 3
+
     def test_shorthand_accepts_numpy_float_weight(self):
         net = ContagionNetwork.full_within_groups([0, 0, 1], np.float64(2.0))
         assert net.operator == GroupBlock(2.0) and type(net.operator.weight) is float
@@ -325,6 +355,11 @@ class TestScenario:
         )
         defaults.update(kwargs)
         return Scenario(**defaults)
+
+    def test_is_unequal_to_another_type(self):
+        scenario = self._scenario()
+        assert scenario.__eq__(scenario.network) is NotImplemented
+        assert scenario != scenario.network and scenario != "scenario"
 
     def test_valid_scenario_builds(self):
         scenario = self._scenario()
@@ -562,6 +597,14 @@ class TestSimulationResult:
     def test_rejects_aggregates_of_the_wrong_shape(self, aggregates):
         with pytest.raises(ValidationError, match=r"aggregates must have shape \(4, 1, 2\)"):
             SimulationResult(times=[0.0], dissatisfaction=[[0.5, 0.5]], groups=[0, 0], aggregates=aggregates)
+
+    def test_rejects_a_row_count_other_than_the_times(self):
+        with pytest.raises(ValidationError) as excinfo:
+            SimulationResult(times=[0.0, 1.0], dissatisfaction=[[0.5, 0.5]], groups=[0, 0],
+                             aggregates=np.zeros((4, 2, 2)))
+        assert excinfo.value.violations == [
+            "dissatisfaction must have one row per report time (got (1, 2) for 2 times)"
+        ]
 
     def test_aggregates_are_read_only(self):
         aggregates = np.zeros((4, 1, 2))

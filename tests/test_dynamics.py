@@ -958,6 +958,21 @@ class TestInterchangeableGroups:
         self._assert_partition(network, access_index, index, d0)
 
 
+def test_fold_ranks_codes_that_could_overflow():
+    # A code of 2**62 - 1 times a column of width 3 would pass int64, so the
+    # code is ranked before that column is folded in. Equal tuples still get
+    # equal codes, and the codes are ordered like the tuples.
+    from socio_grid_sim.dynamics import _fold
+
+    rng = np.random.default_rng(5)
+    first = rng.choice(np.array([0, 5, 2**61, 2**62 - 1]), size=64)
+    columns = rng.integers(0, 3, size=64), rng.integers(0, 2**20, size=64)
+    code = _fold(first, *columns)
+    tuples = list(zip(first.tolist(), *(c.tolist() for c in columns)))
+    rank = {t: r for r, t in enumerate(sorted(set(tuples)))}
+    assert np.unique(code, return_inverse=True)[1].tolist() == [rank[t] for t in tuples]
+
+
 class TestSimulateBlock:
     # Scenarios on one network and one parameter set advance as one (B, N)
     # kernel block; each result must equal the scenario's own run.

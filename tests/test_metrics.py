@@ -61,6 +61,20 @@ def test_malformed_group_ids_rejected(groups, message):
         aggregate_trajectory([0.0], np.full((1, 3), 0.5), groups)
 
 
+@pytest.mark.parametrize(
+    "times, d, message",
+    [
+        ([0.0], np.full(3, 0.5), "dissatisfaction must be 2-D (times x agents), got shape (3,)"),
+        ([0.0, 1.0], np.full((1, 3), 0.5), "times must have shape (1,) (got (2,))"),
+    ],
+    ids=["1-D", "times"],
+)
+def test_malformed_trajectory_rejected(times, d, message):
+    with pytest.raises(ValidationError) as excinfo:
+        aggregate_trajectory(times, d, [0, 0, 1])
+    assert excinfo.value.violations == [message]
+
+
 def test_empty_population_rejected():
     with pytest.raises(ValidationError, match="nonempty"):
         aggregate_trajectory([0.0], np.empty((1, 0)), [])

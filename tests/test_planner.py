@@ -123,6 +123,21 @@ class TestApplyPlan:
         with pytest.raises(ValidationError, match=r"slots\[0\]\.group"):
             evaluate_plan(plan, base)
 
+    @pytest.mark.parametrize(
+        "granularity, slot, message",
+        [
+            (0.0, SheddingSlot(0, 0.0, 1.0, 0.5), "granularity_hours must be > 0 (got 0.0)"),
+            (1.0, SheddingSlot(0, 0.0, 0.0, 0.5), "slots[0].duration_hours = 0.0 must be > 0"),
+            (1.0, SheddingSlot(0, 1.0, -1.0, 0.5), "slots[0].duration_hours = -1.0 must be > 0"),
+            (1.0, SheddingSlot(0, 0.0, 1.0, 1.5), "slots[0].shed_level = 1.5 outside [0, 1]"),
+            (1.0, SheddingSlot(0, 0.0, 1.0, -0.5), "slots[0].shed_level = -0.5 outside [0, 1]"),
+        ],
+        ids=["granularity", "zero-duration", "negative-duration", "level-above", "level-below"],
+    )
+    def test_rejects_granularity_duration_and_level_out_of_range(self, granularity, slot, message):
+        plan = SheddingPlan(slots=(slot,), granularity_hours=granularity)
+        assert validate_plan(plan, small_base()) == [message]
+
     def test_accepts_numpy_integer_group(self):
         base = builtin_case_study("full_access")
         plan = SheddingPlan(
@@ -903,6 +918,19 @@ class TestPlanDocuments:
         with pytest.raises(ValidationError) as excinfo:
             plan_from_dict({"schema_version": 2, "granularity_hours": "x", "slots": [{"group": 0}]})
         assert len(excinfo.value.violations) == 3
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "plan document must be a mapping (got list)"),
+            ({"schema_version": 1, "granularity_hours": 1.0, "slots": {}}, "slots must be a list"),
+        ],
+        ids=["document", "slots"],
+    )
+    def test_rejects_a_document_or_slots_of_the_wrong_type(self, doc, message):
+        with pytest.raises(ValidationError) as excinfo:
+            plan_from_dict(doc)
+        assert excinfo.value.violations == [message]
 
     @pytest.mark.parametrize(
         "field, value",

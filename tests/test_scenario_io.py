@@ -18,6 +18,7 @@ from socio_grid_sim import (
     write_results,
     write_scenario,
 )
+from socio_grid_sim.cli import main
 
 from oracles import reference_agents_csv, same_bits
 
@@ -34,6 +35,39 @@ def minimal_doc() -> dict:
             "media_access": {"broadcast": [[0.0, 1.0]]},
         },
     }
+
+
+def with_section(key: str, value: object) -> dict:
+    """``minimal_doc`` with its top-level ``key`` set to ``value``, or removed for None."""
+    doc = minimal_doc()
+    doc[key] = value
+    if value is None:
+        del doc[key]
+    return doc
+
+
+_NETWORK_FORMS = "network block must contain exactly one of 'full_within_groups' or 'dense'"
+
+# Document checks that only a hand-written file reaches: the document and the
+# one violation it gives.
+BROKEN_DOCUMENTS = {
+    "not-a-mapping": ([], "scenario document must be a mapping (got list)"),
+    "label": (with_section("label", 7), "label must be a string (got 7)"),
+    "no-params": (with_section("params", None), "params block is required and must be a mapping"),
+    "no-horizon": (with_section("params", {"omega1": 0.5}), "params.horizon_hours is required"),
+    "no-agents": (with_section("agents", None), "agents block is required and must be a mapping"),
+    "agents-key": (
+        with_section("agents", {**minimal_doc()["agents"], "size": 3}), "agents: unknown keys ['size']"
+    ),
+    "both-networks": (
+        with_section("network", {"full_within_groups": {}, "dense": [[0.0] * 3] * 3}), _NETWORK_FORMS
+    ),
+    "no-network": (with_section("network", {}), _NETWORK_FORMS),
+    "schedules-key": (
+        with_section("schedules", {"electricity": {"broadcast": [[0.0, 1.0]]}}),
+        "schedules block must contain exactly 'electricity' and 'media_access'",
+    ),
+}
 
 
 class TestBuiltinCaseStudy:
@@ -347,6 +381,21 @@ class TestScenarioDocuments:
                 scenario_from_dict(doc)
             named = [v for v in excinfo.value.violations if section in v or key in v]
             assert named, f"no violation names {section}.{key}: {excinfo.value.violations}"
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_DOCUMENTS))
+    def test_broken_document_gives_its_one_violation(self, tmp_path: Path, capsys, case):
+        # Only a document that is not a mapping is a parse error, and a parse
+        # error is a ValidationError too: simulate exits 2 with the message.
+        doc, message = BROKEN_DOCUMENTS[case]
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(doc)
+        assert excinfo.value.violations == [message] and str(excinfo.value) == message
+        assert isinstance(excinfo.value, ScenarioParseError) == (case == "not-a-mapping")
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_reports_location(self, tmp_path: Path):
         path = tmp_path / "broken.json"
