@@ -15,11 +15,12 @@ and the engine counts how often it fires (it never should for valid inputs).
 The kernel behind :func:`simulate` and the planner has two executors of the
 same step, with the same roundings. A group block of at most
 ``_FLOAT_STATES`` kernel states and ``_FLOAT_PAIRS`` summed pairs, such as
-the two-row case study, advances on Python floats (:func:`_euler_floats`)
-in a straight-line loop compiled once per block structure
-(:func:`_float_loop`), where numpy's fixed cost per call would dominate.
-Every other block advances on numpy vectors (:func:`_euler_arrays`), and so
-does any dense one, whose matrix-vector product a Python sum would not round like.
+the two-row case study or the planner's 16-row profile block on the
+acceptance instance, advances on Python floats (:func:`_euler_floats`) in a
+straight-line loop compiled once per block structure (:func:`_float_loop`),
+where numpy's fixed cost per call would dominate. Every other block advances
+on numpy vectors (:func:`_euler_arrays`), and so does any dense one, whose
+matrix-vector product a Python sum would not round like.
 """
 
 from __future__ import annotations
@@ -236,11 +237,11 @@ def _classes(
 _GATHER_FLOATS = 2**14
 
 # The largest group block that advances on Python floats, in states and in
-# pairs summed per step (those of one bin per class). On one-row 48 h blocks
-# of 2 to 16 states and 6 to 128 pairs the compiled loop takes 0.14 to 0.46
-# times as long as the numpy loop, but its first call also compiles: on 12 h
-# blocks, that first call takes longer than numpy from 8 states on.
-_FLOAT_STATES = 8
+# pairs summed per step (those of one bin per class). On the planner's profile
+# block on the acceptance instance, 16 states and 48 pairs, the compiled loop
+# takes 0.45 times as long as numpy over 120 steps and 0.42 over 480. A first
+# call also compiles it (1.1 ms): 1.3 times numpy over 120 steps, 0.7 over 480.
+_FLOAT_STATES = 16
 _FLOAT_PAIRS = 64
 
 

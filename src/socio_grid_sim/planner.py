@@ -44,16 +44,12 @@ def _group_time_means(recorded: np.ndarray, members: Sequence[np.ndarray]) -> np
     the member axis is strided and the members are added one after another
     in agent order: the layout of ``d[:, groups == g].mean(axis=1).mean()``.
     A copy with the members contiguous would add them pairwise and can round
-    differently in the last bit once a group has 8 or more members.
+    differently in the last bit once a group has 8 or more members, and so can
+    the plain gather ``recorded[:, :, group]`` with one report time and several rows.
     """
     by_agent = recorded.transpose(0, 2, 1)
     return np.column_stack(
-        [
-            np.ascontiguousarray(
-                np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2)
-            ).mean(axis=1)
-            for group in members
-        ]
+        [np.ascontiguousarray(by_agent[:, group]).transpose(0, 2, 1).mean(axis=2).mean(axis=1) for group in members]
     )
 
 
@@ -98,10 +94,6 @@ _COMBINE_FLOATS = 1 << 13
 # about a minute of scoring; a group-isolated one simulates only each
 # group's slot profiles.
 _MAX_EXHAUSTIVE = 1 << 20
-
-# Unit roundoff of float64: a correctly rounded operation has at most this
-# relative error.
-_UNIT_ROUNDOFF = 2.0**-53
 
 # A randomized greedy move is drawn from this many best-scoring candidates.
 _SHORTLIST = 3
@@ -362,7 +354,7 @@ class _LatticeSearch:
         r, so each group's time-mean, and with it every candidate's
         unfairness, is exact. A candidate's peak is estimated from the group
         sums at each report time, its energy from the group energies, and
-        the ``P ** G`` candidates are walked in lexicographic order, in chunks.
+        the ``P ** G`` candidates are walked in lexicographic order, in blocks.
 
         Both estimates sum the same nonnegative terms in another order. With
         u = 2**-53, a sum in which no term passes through more than k
@@ -392,7 +384,7 @@ class _LatticeSearch:
         the margin, so every feasible candidate under that bound is yielded,
         in lexicographic order, to be assembled from the table (filled with
         any pair it lacks) and scored exactly. The lattice is walked once: a
-        chunk keeps (16 bytes each) its feasible candidates under the bound
+        block keeps (16 bytes each) its feasible candidates under the bound
         of the least estimate so far, which is never below the final bound.
         """
         n_groups, n_agents = self.n_groups, self.base.n_agents
@@ -402,50 +394,64 @@ class _LatticeSearch:
         for start in range(0, n_profiles, self._block):
             rows = [[profile] * n_groups for profile in profiles[start : start + self._block]]
             recorded = self._simulate(rows)
-            sums.append(np.stack([recorded[:, :, m].sum(axis=2) for m in self._members]))
+            sums.append(np.stack([recorded[:, :, m].sum(axis=2).T for m in self._members]))
             time_means.append(_group_time_means(recorded, self._members).T)
             # Keeping the profiles costs no more than this one block; a larger
             # lattice fills the table with the near-best candidates' pairs only.
             if n_profiles <= self._block:
                 self._keep(rows, recorded)
-        # Per group and profile: (G, P, T) sums at each report time, (G, P)
+        # Per group and profile: (G, T, P) sums at each report time, (G, P)
         # time-means and (G, P) energies.
-        sums = np.concatenate(sums, axis=1)
-        time_means = np.concatenate(time_means, axis=1)
-        energy = np.reshape(self.cell_energy, (n_groups, self.n_slots)) @ np.array(profiles).T
+        sums, time_means = np.concatenate(sums, axis=2), np.concatenate(time_means, axis=1)
+        table = np.array(profiles)
+        energy = np.reshape(self.cell_energy, (n_groups, self.n_slots)) @ table.T
 
-        u = _UNIT_ROUNDOFF
+        u = 2.0**-53  # float64's unit roundoff, the relative error of one rounding
         margin = 2.0 * n_agents * u / (1.0 - n_agents * u) + 4.0 * u * (1.0 + self.fairness_weight)
         slack = 4.0 * (len(self.cells) + 2) * u * (self.max_energy + 1e-9)
         threshold = self.required - 1e-9
-        shape = (n_profiles,) * n_groups
-        total = n_profiles**n_groups
-        chunk = max(1, _COMBINE_FLOATS // sums.shape[2])
+        shape, width = (n_profiles,) * n_groups, sums.shape[1]
+        # A block spans the trailing axes that fit the budget, one leading group
+        # or more left, for a run of leading prefixes. Its axes are (report
+        # time, prefix, trailing group...): the peak is a maximum per report time.
+        trailing = max(k for k in range(n_groups) if k == 0 or n_profiles**k * width <= _COMBINE_FLOATS)
+        lead, span, pad = n_groups - trailing, n_profiles**trailing, (1,) * trailing
+        step = max(1, _COMBINE_FLOATS // (span * width))
+        axes = [(1,) * (j + 1) + (n_profiles,) + pad[j + 1 :] for j in range(trailing)]
+        tail = [(e.reshape(a), s.reshape((width,) + a), t.reshape(a))
+                for a, e, s, t in zip(axes, energy[lead:], sums[lead:], time_means[lead:])]
 
-        def assignment(index: int) -> tuple[float, ...]:
-            digits = np.unravel_index(index, shape)
-            return tuple(itertools.chain.from_iterable(profiles[int(d)] for d in digits))
+        def assignments(flat: np.ndarray) -> Iterator[tuple[float, ...]]:
+            rows = table[np.stack(np.unravel_index(flat, shape))].transpose(1, 0, 2)
+            return map(tuple, rows.reshape(flat.size, len(self.cells)).tolist())
 
         least, kept = math.inf, []
-        for start in range(0, total, chunk):
-            flat = np.arange(start, min(start + chunk, total))
-            digits = np.unravel_index(flat, shape)
-            shed = sum(e[d] for e, d in zip(energy, digits))
+        for first in range(0, n_profiles**lead, step):
+            digits = np.unravel_index(np.arange(first, min(first + step, n_profiles**lead)), shape[:lead])
+            terms = [(e[d].reshape((-1,) + pad), s[:, d].reshape((width, -1) + pad), t[d].reshape((-1,) + pad))
+                     for e, s, t, d in zip(energy, sums, time_means, digits)] + tail
+            # Group by group, left to right from 0, as each estimate was always summed.
+            shed = sum(e for e, _, _ in terms).ravel()
+            peak = sum(s for _, s, _ in terms).max(axis=0).ravel() / n_agents
+            high = low = terms[0][2]
+            for _, _, t in terms[1:]:
+                high, low = np.maximum(high, t), np.minimum(low, t)
+            spread = (high - low).ravel()
             feasible = shed >= threshold + slack
-            for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
-                feasible[i] = self.feasible(assignment(int(flat[i])))
-            flat = flat[feasible]
-            digits = [d[feasible] for d in digits]
-            peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n_agents
-            means = np.stack([t[d] for t, d in zip(time_means, digits)])
-            combined = peak + self.fairness_weight * (means.max(axis=0) - means.min(axis=0))
+            border = np.flatnonzero(~feasible & (shed >= threshold - slack))
+            if border.size:
+                feasible[border] = list(map(self.feasible, assignments(first * span + border)))
+            index = np.flatnonzero(feasible)
+            combined = (peak + self.fairness_weight * spread)[index]
             least = combined.min(initial=least)
             near = combined <= least + 2.0 * margin
-            kept.append((flat[near], combined[near]))
+            kept.append((first * span + index[near], combined[near]))
         bound = least + 2.0 * margin
         for flat, combined in kept:
-            for index in flat[combined <= bound].tolist():
-                yield assignment(index)
+            flat = flat[combined <= bound]
+            # Built a scoring block at a time: when every candidate ties, all are kept.
+            for start in range(0, flat.size, self._block):
+                yield from assignments(flat[start : start + self._block])
 
     def greedy_pass(self, rng: random.Random | None) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.

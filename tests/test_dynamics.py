@@ -641,9 +641,11 @@ def draw_small_block(data):
 
     Shuffled group ids with singletons, zero weights, -0.0 access and
     initial states, no contagion, a rate floor, and a pull column above 1
-    that makes rows clamp.
+    that makes rows clamp. Up to 4 groups of up to 5 agents in up to 3
+    rows, so that some blocks hold 9 to 16 states, the widest that run on
+    floats.
     """
-    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     groups = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
     network = ContagionNetwork.full_within_groups(groups, data.draw(st.sampled_from([1.0, 0.5, 0.0])))
     params = ModelParams(horizon_hours=2.0, omega1=0.4, omega2=data.draw(st.sampled_from([0.5, 0.0])),
@@ -813,6 +815,40 @@ class TestExecutors:
         weights = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
         simulate(replace(homogeneous_scenario(horizon=2.0), network=ContagionNetwork(3, weights, [0, 0, 0])))
         assert ran[1:] == [("_euler_arrays", 12, 3000), ("_euler_arrays", 3, 3)]
+
+    def test_dispatch_bounds(self, monkeypatch):
+        # Floats take a group block of at most 16 states and 64 summed pairs.
+        # The c6 profile block is 16 rows of 9 agents: each row's 3 groups are
+        # one bin class, 16 states over 48 pairs. One group of 16 agents with
+        # initial states of their own is 16 states over 16 pairs, and 64
+        # interchangeable agents 1 state over 64 pairs. One state or one pair
+        # more runs on numpy.
+        import itertools
+
+        from socio_grid_sim import dynamics
+        from socio_grid_sim.planner import _LatticeSearch
+
+        from oracles import symmetric_planner_base
+
+        ran = []
+        for name in ("_euler_floats", "_euler_arrays"):
+            def spy(*args, _real=getattr(dynamics, name), _name=name):
+                ran.append((_name, args[3].size, args[0].bins.size))
+                return _real(*args)
+
+            monkeypatch.setattr(dynamics, name, spy)
+
+        search = _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.5], 1.0)
+        search._simulate([[profile] * 3 for profile in itertools.product(search.levels, repeat=search.n_slots)])
+        params = ModelParams(horizon_hours=1.0)
+        table = np.full((params.n_steps, 1), 0.5)
+        for n, d0 in [(16, np.linspace(0.1, 0.9, 16)), (17, np.linspace(0.1, 0.9, 17)),
+                      (64, np.full(64, 0.5)), (65, np.full(65, 0.5))]:
+            network = ContagionNetwork.full_within_groups([0] * n, 1.0)
+            zeros = np.zeros((1, n), dtype=np.intp)
+            run_euler(network, table, zeros, table, zeros, d0[None], params)
+        assert ran == [("_euler_floats", 16, 48), ("_euler_floats", 16, 16), ("_euler_arrays", 17, 17),
+                       ("_euler_floats", 1, 64), ("_euler_arrays", 1, 65)]
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(data=st.data())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -29,7 +30,7 @@ from socio_grid_sim import (
 from socio_grid_sim import planner
 from socio_grid_sim.core_types import Dense
 from socio_grid_sim.plans import validate_plan
-from socio_grid_sim.planner import _block_objectives, _LatticeSearch
+from socio_grid_sim.planner import _block_objectives, _group_time_means, _LatticeSearch
 
 from oracles import brute_force_plan_search, reference_objective, same_bits, symmetric_planner_base
 
@@ -569,6 +570,25 @@ class TestBatchedScoring:
             assert evaluate_plan(plan, base, 1.5) == expected, assignment
             assert search.score(assignment) == expected, assignment
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("report_times", [1, 13, 49])
+    def test_group_time_means_match_masked_columns(self, rows, report_times):
+        # Groups of 8 to 40 members scattered over the ids. In every row each
+        # group's time-mean must have the bits of the masked copy
+        # d[:, groups == g].mean(axis=1).mean(), and the spread those of
+        # reference_objective. One report time over 4 rows is where a plain
+        # gather of the members' columns adds them in another order.
+        rng = np.random.default_rng(7 * rows + report_times)
+        for _ in range(25):
+            sizes = rng.integers(8, 41, size=int(rng.integers(2, 5)))
+            groups = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+            recorded = rng.uniform(0.0, 1.0, size=(rows, report_times, groups.size))
+            means = _group_time_means(recorded, [np.flatnonzero(groups == g) for g in range(sizes.size)])
+            for d, row in zip(recorded, means, strict=True):
+                masked = [d[:, groups == g].mean(axis=1).mean() for g in range(sizes.size)]
+                assert same_bits(row, np.array(masked))
+                assert row.max() - row.min() == reference_objective(d, groups, 1.0)[1]
+
     def test_block_size_does_not_change_scores(self):
         base = coupled_base(seed=5)
         rng = np.random.default_rng(9)
@@ -704,6 +724,65 @@ def streaming_best(search: _LatticeSearch) -> tuple[tuple[float, ...], PlanObjec
     return best
 
 
+def cell_order_search() -> _LatticeSearch:
+    """Two groups on 0.1 h slots at levels {0.1, 0.3}, and a requirement on
+    one of the floats that candidates of one true energy round to: the
+    cell-order energy sums then decide feasibility (see
+    ``test_feasibility_is_exactly_the_cell_order_sum``). Without deprivation
+    (omega1 = 0) every candidate ties, so the search yields every candidate
+    it takes to be feasible."""
+    horizon = 0.4
+    base = Scenario(
+        params=ModelParams(horizon_hours=horizon, omega1=0.0, omega2=0.5, report_every_hours=0.2),
+        network=ContagionNetwork.full_within_groups([0, 1, 1], 1.0),
+        electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
+        media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
+        initial_dissatisfaction=np.array([0.2, 0.5, 0.9]),
+    )
+    probe = _LatticeSearch(base, 0.0, 0.1, [0.1, 0.3], 1.0)
+    lattice = itertools.product(probe.levels, repeat=len(probe.cells))
+    energies = sorted({probe.energy_of(a) for a in lattice if abs(probe.energy_of(a) - 0.12) < 1e-12})
+    assert len(energies) == 3
+    return _LatticeSearch(base, energies[1] + 1e-9, 0.1, [0.1, 0.3], 1.0)
+
+
+def gathered_near_best(search: _LatticeSearch) -> list[tuple[float, ...]]:
+    """What ``_near_best`` yields, walked as it was before blocks of whole
+    axes: chunks of ``_COMBINE_FLOATS // T`` flat indices of the lattice, each
+    unravelled and every candidate's groups gathered one by one from the
+    (G, P, T) report-time sums, (G, P) time-means and (G, P) energies."""
+    profiles = list(itertools.product(search.levels, repeat=search.n_slots))
+    recorded = search._simulate([[profile] * search.n_groups for profile in profiles])
+    sums = np.stack([recorded[:, :, m].sum(axis=2) for m in search._members])
+    time_means = _group_time_means(recorded, search._members).T
+    energy = np.reshape(search.cell_energy, (search.n_groups, search.n_slots)) @ np.array(profiles).T
+    n, u = search.base.n_agents, 2.0**-53
+    margin = 2.0 * n * u / (1.0 - n * u) + 4.0 * u * (1.0 + search.fairness_weight)
+    slack = 4.0 * (len(search.cells) + 2) * u * (search.max_energy + 1e-9)
+    threshold = search.required - 1e-9
+    shape = (len(profiles),) * search.n_groups
+    chunk = max(1, planner._COMBINE_FLOATS // sums.shape[2])
+
+    def assignment(index: int) -> tuple[float, ...]:
+        return tuple(itertools.chain.from_iterable(profiles[int(d)] for d in np.unravel_index(index, shape)))
+
+    estimates = []
+    for start in range(0, math.prod(shape), chunk):
+        flat = np.arange(start, min(start + chunk, math.prod(shape)))
+        digits = np.unravel_index(flat, shape)
+        shed = sum(e[d] for e, d in zip(energy, digits))
+        feasible = shed >= threshold + slack
+        for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
+            feasible[i] = search.feasible(assignment(int(flat[i])))
+        digits = [d[feasible] for d in digits]
+        peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n
+        means = np.stack([t[d] for t, d in zip(time_means, digits)])
+        combined = peak + search.fairness_weight * (means.max(axis=0) - means.min(axis=0))
+        estimates += zip(flat[feasible].tolist(), combined.tolist())
+    bound = min(c for _, c in estimates) + 2.0 * margin
+    return [assignment(index) for index, combined in estimates if combined <= bound]
+
+
 class TestDecomposedSearch:
     """On group-isolated networks exhaustive search simulates each group's
     slot profiles once and scores only the near-best combinations, assembled
@@ -827,29 +906,12 @@ class TestDecomposedSearch:
         }
 
     def test_feasibility_is_exactly_the_cell_order_sum(self):
-        # 0.1 h slots and levels {0.1, 0.3}: the cell-order energy sums of
-        # candidates with one true energy round to different floats, and the
-        # requirement sits on one of them. Without deprivation (omega1 = 0)
-        # every candidate ties, so the search yields every candidate it takes
-        # to be feasible.
-        horizon = 0.4
-        groups = [0, 1, 1]
-        base = Scenario(
-            params=ModelParams(horizon_hours=horizon, omega1=0.0, omega2=0.5, report_every_hours=0.2),
-            network=ContagionNetwork.full_within_groups(groups, 1.0),
-            electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
-            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 3,
-            initial_dissatisfaction=np.array([0.2, 0.5, 0.9]),
-        )
-        probe = _LatticeSearch(base, 0.0, 0.1, [0.1, 0.3], 1.0)
-        lattice = list(itertools.product(probe.levels, repeat=len(probe.cells)))
-        near = [a for a in lattice if abs(probe.energy_of(a) - 0.12) < 1e-12]
+        search = cell_order_search()
+        lattice = list(itertools.product(search.levels, repeat=len(search.cells)))
+        near = [a for a in lattice if abs(search.energy_of(a) - 0.12) < 1e-12]
         # Summed group by group, these energies round differently again.
-        by_group = [probe.energy_of(a[:4] + (0.0,) * 4) + probe.energy_of((0.0,) * 4 + a[4:]) for a in near]
-        assert by_group != [probe.energy_of(a) for a in near]
-        energies = sorted({probe.energy_of(a) for a in near})
-        assert len(energies) == 3
-        search = _LatticeSearch(base, energies[1] + 1e-9, 0.1, [0.1, 0.3], 1.0)
+        by_group = [search.energy_of(a[:4] + (0.0,) * 4) + search.energy_of((0.0,) * 4 + a[4:]) for a in near]
+        assert by_group != [search.energy_of(a) for a in near]
         feasible = [a for a in lattice if search.feasible(a)]
         assert {search.feasible(a) for a in near} == {True, False}
         assert list(search._near_best()) == feasible
@@ -886,6 +948,67 @@ class TestNearBestSet:
         # and the same sequence comes out.
         monkeypatch.setattr(planner, "_COMBINE_FLOATS", 1)
         assert list(_LatticeSearch(base, required, 2.0, [0.5], fairness_weight)._near_best()) == near
+
+    @pytest.mark.parametrize(
+        "case, blocks_past_default",
+        [
+            # 2 groups, P = 81, T = 3: feasibility on the cell-order sum.
+            ("cell order", False),
+            # c6: 3 groups, P = 16, T = 13, two prefixes of 16 x 16 per block.
+            ("c6", False),
+            # 3 groups, P = 27, T = 13: P ** 2 * T = 9477 floats pass the
+            # default budget, so a block spans one trailing axis.
+            ("c6, 4 h slots at two levels", True),
+            # 4 groups, P = 8, T = 7.
+            ("four groups", False),
+        ],
+    )
+    def test_walk_is_the_same_at_every_budget(self, monkeypatch, case, blocks_past_default):
+        # The walk must yield the sequence of the gathered walk at every block
+        # budget: one float (one candidate per block, each past the budget),
+        # one trailing axis per block, the default and the whole lattice.
+        def search():
+            if case == "cell order":
+                return cell_order_search()
+            if case == "four groups":
+                base = isolated_base(4, [5, 1, 2, 3], False, 0.05)
+                return _LatticeSearch(base, 0.25 * _LatticeSearch(base, 0.0, 2.0, [0.5], 24.0).max_energy,
+                                      2.0, [0.5], 24.0)
+            if case == "c6":
+                return _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 3.0, [0.5], 1.0)
+            return _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 4.0, [0.25, 0.5], 1.0)
+
+        probe = search()
+        expected = gathered_near_best(probe)
+        assert expected and all(map(probe.feasible, expected))
+        profiles, groups = len(probe.levels) ** probe.n_slots, probe.n_groups
+        report_times = probe._report_times
+        assert (profiles ** (groups - 1) * report_times > planner._COMBINE_FLOATS) == blocks_past_default
+        for budget in (1, profiles * report_times, planner._COMBINE_FLOATS, profiles**groups * report_times):
+            monkeypatch.setattr(planner, "_COMBINE_FLOATS", budget)
+            assert list(search()._near_best()) == expected, budget
+
+    def test_ties_are_built_a_scoring_block_at_a_time(self):
+        # Without deprivation (omega1 = 0) the 2**14 candidates of 2 groups x
+        # 7 slots all tie, so every one is kept (16 bytes each) and yielded.
+        # Their assignments, built all at once, peaked at about 13 MiB.
+        horizon = 7.0
+        base = Scenario(
+            params=ModelParams(horizon_hours=horizon, dt_hours=0.5, omega1=0.0, omega2=0.5),
+            network=ContagionNetwork.full_within_groups([0, 0, 1, 1], 1.0),
+            electricity=(PiecewiseSchedule.constant(1.0, horizon),) * 4,
+            media_access=(PiecewiseSchedule.constant(1.0, horizon),) * 4,
+            initial_dissatisfaction=np.full(4, 0.5),
+        )
+        search = _LatticeSearch(base, 0.0, 1.0, [0.5], 1.0)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in search._near_best())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**14
+        assert peak < 2 * 2**20
 
 
 class TestPlanDocuments:
