@@ -11,6 +11,9 @@ from .core_types import (
     SimulationResult,
     ValidationError,
 )
+from .dynamics import aggregate_trajectory, simulate
+from .planner import PlanInfeasibleError, PlanObjective, evaluate_plan, plan_shedding
+from .plans import SheddingPlan, SheddingSlot, apply_plan, plan_from_dict, plan_to_dict
 from .scenario_io import (
     ScenarioParseError,
     builtin_case_study,
@@ -20,25 +23,6 @@ from .scenario_io import (
     write_results,
     write_scenario,
 )
-
-# Loading or building a scenario needs none of these modules, so each loads
-# on first use of one of its names (PEP 562).
-_LAZY = {
-    name: module
-    for module, names in [("dynamics", "aggregate_trajectory simulate"),
-                          ("planner", "PlanInfeasibleError PlanObjective evaluate_plan plan_shedding"),
-                          ("plans", "SheddingPlan SheddingSlot apply_plan plan_from_dict plan_to_dict")]
-    for name in names.split()
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-
 
 __all__ = [
     "__version__",

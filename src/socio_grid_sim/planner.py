@@ -354,7 +354,7 @@ class _LatticeSearch:
         r, so each group's time-mean, and with it every candidate's
         unfairness, is exact. A candidate's peak is estimated from the group
         sums at each report time, its energy from the group energies, and
-        the ``P ** G`` candidates are walked in lexicographic order, in blocks.
+        the ``P ** G`` candidates are walked in lexicographic order, in chunks.
 
         Both estimates sum the same nonnegative terms in another order. With
         u = 2**-53, a sum in which no term passes through more than k
@@ -384,7 +384,7 @@ class _LatticeSearch:
         the margin, so every feasible candidate under that bound is yielded,
         in lexicographic order, to be assembled from the table (filled with
         any pair it lacks) and scored exactly. The lattice is walked once: a
-        block keeps (16 bytes each) its feasible candidates under the bound
+        chunk keeps (16 bytes each) its feasible candidates under the bound
         of the least estimate so far, which is never below the final bound.
         """
         n_groups, n_agents = self.n_groups, self.base.n_agents
@@ -394,15 +394,15 @@ class _LatticeSearch:
         for start in range(0, n_profiles, self._block):
             rows = [[profile] * n_groups for profile in profiles[start : start + self._block]]
             recorded = self._simulate(rows)
-            sums.append(np.stack([recorded[:, :, m].sum(axis=2).T for m in self._members]))
+            sums.append(np.stack([recorded[:, :, m].sum(axis=2) for m in self._members]))
             time_means.append(_group_time_means(recorded, self._members).T)
             # Keeping the profiles costs no more than this one block; a larger
             # lattice fills the table with the near-best candidates' pairs only.
             if n_profiles <= self._block:
                 self._keep(rows, recorded)
-        # Per group and profile: (G, T, P) sums at each report time, (G, P)
+        # Per group and profile: (G, P, T) sums at each report time, (G, P)
         # time-means and (G, P) energies.
-        sums, time_means = np.concatenate(sums, axis=2), np.concatenate(time_means, axis=1)
+        sums, time_means = np.concatenate(sums, axis=1), np.concatenate(time_means, axis=1)
         table = np.array(profiles)
         energy = np.reshape(self.cell_energy, (n_groups, self.n_slots)) @ table.T
 
@@ -410,48 +410,35 @@ class _LatticeSearch:
         margin = 2.0 * n_agents * u / (1.0 - n_agents * u) + 4.0 * u * (1.0 + self.fairness_weight)
         slack = 4.0 * (len(self.cells) + 2) * u * (self.max_energy + 1e-9)
         threshold = self.required - 1e-9
-        shape, width = (n_profiles,) * n_groups, sums.shape[1]
-        # A block spans the trailing axes that fit the budget, one leading group
-        # or more left, for a run of leading prefixes. Its axes are (report
-        # time, prefix, trailing group...): the peak is a maximum per report time.
-        trailing = max(k for k in range(n_groups) if k == 0 or n_profiles**k * width <= _COMBINE_FLOATS)
-        lead, span, pad = n_groups - trailing, n_profiles**trailing, (1,) * trailing
-        step = max(1, _COMBINE_FLOATS // (span * width))
-        axes = [(1,) * (j + 1) + (n_profiles,) + pad[j + 1 :] for j in range(trailing)]
-        tail = [(e.reshape(a), s.reshape((width,) + a), t.reshape(a))
-                for a, e, s, t in zip(axes, energy[lead:], sums[lead:], time_means[lead:])]
+        shape = (n_profiles,) * n_groups
+        total = n_profiles**n_groups
+        chunk = max(1, _COMBINE_FLOATS // sums.shape[2])
 
         def assignments(flat: np.ndarray) -> Iterator[tuple[float, ...]]:
             rows = table[np.stack(np.unravel_index(flat, shape))].transpose(1, 0, 2)
             return map(tuple, rows.reshape(flat.size, len(self.cells)).tolist())
 
         least, kept = math.inf, []
-        for first in range(0, n_profiles**lead, step):
-            digits = np.unravel_index(np.arange(first, min(first + step, n_profiles**lead)), shape[:lead])
-            terms = [(e[d].reshape((-1,) + pad), s[:, d].reshape((width, -1) + pad), t[d].reshape((-1,) + pad))
-                     for e, s, t, d in zip(energy, sums, time_means, digits)] + tail
-            # Group by group, left to right from 0, as each estimate was always summed.
-            shed = sum(e for e, _, _ in terms).ravel()
-            peak = sum(s for _, s, _ in terms).max(axis=0).ravel() / n_agents
-            high = low = terms[0][2]
-            for _, _, t in terms[1:]:
-                high, low = np.maximum(high, t), np.minimum(low, t)
-            spread = (high - low).ravel()
+        for start in range(0, total, chunk):
+            flat = np.arange(start, min(start + chunk, total))
+            digits = np.unravel_index(flat, shape)
+            shed = sum(e[d] for e, d in zip(energy, digits))
             feasible = shed >= threshold + slack
             border = np.flatnonzero(~feasible & (shed >= threshold - slack))
             if border.size:
-                feasible[border] = list(map(self.feasible, assignments(first * span + border)))
-            index = np.flatnonzero(feasible)
-            combined = (peak + self.fairness_weight * spread)[index]
+                feasible[border] = list(map(self.feasible, assignments(flat[border])))
+            flat = flat[feasible]
+            digits = [d[feasible] for d in digits]
+            peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n_agents
+            means = np.stack([t[d] for t, d in zip(time_means, digits)])
+            combined = peak + self.fairness_weight * (means.max(axis=0) - means.min(axis=0))
             least = combined.min(initial=least)
             near = combined <= least + 2.0 * margin
-            kept.append((first * span + index[near], combined[near]))
+            kept.append((flat[near], combined[near]))
         bound = least + 2.0 * margin
         for flat, combined in kept:
-            flat = flat[combined <= bound]
-            # Built a scoring block at a time: when every candidate ties, all are kept.
-            for start in range(0, flat.size, self._block):
-                yield from assignments(flat[start : start + self._block])
+            # Built a chunk at a time: when every candidate ties, all are kept.
+            yield from assignments(flat[combined <= bound])
 
     def greedy_pass(self, rng: random.Random | None) -> tuple[float, ...]:
         """Raise one cell at a time until feasible, taking the best-scoring move.

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import socio_grid_sim
@@ -26,26 +23,3 @@ def test_public_names_are_the_readme_list():
     assert sorted(socio_grid_sim.__all__) == sorted(names)
     for name in names:
         assert getattr(socio_grid_sim, name) is not None
-
-
-def test_scenarios_load_without_the_engine_modules(tmp_path):
-    # Building or loading a scenario needs only core_types and scenario_io:
-    # dynamics, planner and plans load on first use of one of their names,
-    # and every exported name still resolves.
-    path = tmp_path / "scenario.json"
-    socio_grid_sim.write_scenario(socio_grid_sim.builtin_case_study("full_access"), path)
-    code = (
-        "import sys, socio_grid_sim\n"
-        "socio_grid_sim.builtin_case_study('limited_access')\n"
-        "socio_grid_sim.load_scenario(sys.argv[1])\n"
-        "lazy = ['socio_grid_sim.' + name for name in ('dynamics', 'planner', 'plans')]\n"
-        "print(sorted(name for name in lazy if name in sys.modules))\n"
-        "print(all(getattr(socio_grid_sim, name) is not None for name in socio_grid_sim.__all__))\n"
-        "print(sorted(name for name in lazy if name in sys.modules) == lazy)\n"
-    )
-    # The child imports the package from wherever this process found it.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True", "True"]
-    assert not hasattr(socio_grid_sim, "no_such_name")

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 import tracemalloc
 
@@ -746,43 +745,6 @@ def cell_order_search() -> _LatticeSearch:
     return _LatticeSearch(base, energies[1] + 1e-9, 0.1, [0.1, 0.3], 1.0)
 
 
-def gathered_near_best(search: _LatticeSearch) -> list[tuple[float, ...]]:
-    """What ``_near_best`` yields, walked as it was before blocks of whole
-    axes: chunks of ``_COMBINE_FLOATS // T`` flat indices of the lattice, each
-    unravelled and every candidate's groups gathered one by one from the
-    (G, P, T) report-time sums, (G, P) time-means and (G, P) energies."""
-    profiles = list(itertools.product(search.levels, repeat=search.n_slots))
-    recorded = search._simulate([[profile] * search.n_groups for profile in profiles])
-    sums = np.stack([recorded[:, :, m].sum(axis=2) for m in search._members])
-    time_means = _group_time_means(recorded, search._members).T
-    energy = np.reshape(search.cell_energy, (search.n_groups, search.n_slots)) @ np.array(profiles).T
-    n, u = search.base.n_agents, 2.0**-53
-    margin = 2.0 * n * u / (1.0 - n * u) + 4.0 * u * (1.0 + search.fairness_weight)
-    slack = 4.0 * (len(search.cells) + 2) * u * (search.max_energy + 1e-9)
-    threshold = search.required - 1e-9
-    shape = (len(profiles),) * search.n_groups
-    chunk = max(1, planner._COMBINE_FLOATS // sums.shape[2])
-
-    def assignment(index: int) -> tuple[float, ...]:
-        return tuple(itertools.chain.from_iterable(profiles[int(d)] for d in np.unravel_index(index, shape)))
-
-    estimates = []
-    for start in range(0, math.prod(shape), chunk):
-        flat = np.arange(start, min(start + chunk, math.prod(shape)))
-        digits = np.unravel_index(flat, shape)
-        shed = sum(e[d] for e, d in zip(energy, digits))
-        feasible = shed >= threshold + slack
-        for i in np.flatnonzero(~feasible & (shed >= threshold - slack)).tolist():
-            feasible[i] = search.feasible(assignment(int(flat[i])))
-        digits = [d[feasible] for d in digits]
-        peak = sum(s[d] for s, d in zip(sums, digits)).max(axis=1) / n
-        means = np.stack([t[d] for t, d in zip(time_means, digits)])
-        combined = peak + search.fairness_weight * (means.max(axis=0) - means.min(axis=0))
-        estimates += zip(flat[feasible].tolist(), combined.tolist())
-    bound = min(c for _, c in estimates) + 2.0 * margin
-    return [assignment(index) for index, combined in estimates if combined <= bound]
-
-
 class TestDecomposedSearch:
     """On group-isolated networks exhaustive search simulates each group's
     slot profiles once and scores only the near-best combinations, assembled
@@ -950,23 +912,24 @@ class TestNearBestSet:
         assert list(_LatticeSearch(base, required, 2.0, [0.5], fairness_weight)._near_best()) == near
 
     @pytest.mark.parametrize(
-        "case, blocks_past_default",
+        "case",
         [
             # 2 groups, P = 81, T = 3: feasibility on the cell-order sum.
-            ("cell order", False),
-            # c6: 3 groups, P = 16, T = 13, two prefixes of 16 x 16 per block.
-            ("c6", False),
+            "cell order",
+            # c6: 3 groups, P = 16, T = 13.
+            "c6",
             # 3 groups, P = 27, T = 13: P ** 2 * T = 9477 floats pass the
-            # default budget, so a block spans one trailing axis.
-            ("c6, 4 h slots at two levels", True),
+            # default budget.
+            "c6, 4 h slots at two levels",
             # 4 groups, P = 8, T = 7.
-            ("four groups", False),
+            "four groups",
         ],
     )
-    def test_walk_is_the_same_at_every_budget(self, monkeypatch, case, blocks_past_default):
-        # The walk must yield the sequence of the gathered walk at every block
-        # budget: one float (one candidate per block, each past the budget),
-        # one trailing axis per block, the default and the whole lattice.
+    def test_walk_is_the_same_at_every_budget(self, monkeypatch, case):
+        # The chunking must not change the sequence: one candidate per chunk,
+        # one trailing axis, the default budget and the whole lattice. The
+        # least estimate so far, and with it what a chunk keeps, falls
+        # differently at each.
         def search():
             if case == "cell order":
                 return cell_order_search()
@@ -979,19 +942,21 @@ class TestNearBestSet:
             return _LatticeSearch(symmetric_planner_base(horizon=12.0), 9.0, 4.0, [0.25, 0.5], 1.0)
 
         probe = search()
-        expected = gathered_near_best(probe)
+        expected = list(probe._near_best())
         assert expected and all(map(probe.feasible, expected))
+        assert all(a < b for a, b in zip(expected, expected[1:]))
         profiles, groups = len(probe.levels) ** probe.n_slots, probe.n_groups
         report_times = probe._report_times
-        assert (profiles ** (groups - 1) * report_times > planner._COMBINE_FLOATS) == blocks_past_default
-        for budget in (1, profiles * report_times, planner._COMBINE_FLOATS, profiles**groups * report_times):
+        for budget in (1, profiles * report_times, profiles**groups * report_times):
             monkeypatch.setattr(planner, "_COMBINE_FLOATS", budget)
             assert list(search()._near_best()) == expected, budget
 
-    def test_ties_are_built_a_scoring_block_at_a_time(self):
+    def test_ties_are_built_a_chunk_at_a_time(self):
         # Without deprivation (omega1 = 0) the 2**14 candidates of 2 groups x
         # 7 slots all tie, so every one is kept (16 bytes each) and yielded.
-        # Their assignments, built all at once, peaked at about 13 MiB.
+        # Past the kernel run, the walk holds the kept set and one chunk's
+        # tables and assignments, well under 2 MiB. Built all at once, the
+        # assignments took 12 MiB more.
         horizon = 7.0
         base = Scenario(
             params=ModelParams(horizon_hours=horizon, dt_hours=0.5, omega1=0.0, omega2=0.5),
@@ -1001,14 +966,19 @@ class TestNearBestSet:
             initial_dissatisfaction=np.full(4, 0.5),
         )
         search = _LatticeSearch(base, 0.0, 1.0, [0.5], 1.0)
+        rows = [[profile] * 2 for profile in itertools.product(search.levels, repeat=search.n_slots)]
+        search._simulate(rows)
         tracemalloc.start()
         try:
+            search._simulate(rows)
+            simulated = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             count = sum(1 for _ in search._near_best())
-            peak = tracemalloc.get_traced_memory()[1]
+            walked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert count == 2**14
-        assert peak < 2 * 2**20
+        assert walked - simulated < 16 * 2**14 + 2 * 2**20
 
 
 class TestPlanDocuments:
